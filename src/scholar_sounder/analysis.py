@@ -1,11 +1,12 @@
 """Graph filtering and clustering: degree statistics, connected components,
-weight-thresholded k-core extraction, deterministic label propagation, and
-top-cluster reports. All operations treat the input graph as immutable."""
+weight-thresholded k-core extraction, deterministic asynchronous label
+propagation into connected communities, and top-cluster reports. All
+operations treat the input graph as immutable."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .notion_graph import canonical_pair
 
@@ -34,27 +35,12 @@ class Graph:
         self.add_node(b)
         self.edges[pair] = weight
 
-    def neighbors(self, node_id: str) -> dict[str, float]:
-        out = {}
-        for (a, b), w in self.edges.items():
-            if a == node_id:
-                out[b] = w
-            elif b == node_id:
-                out[a] = w
-        return out
-
     def adjacency(self) -> dict[str, dict[str, float]]:
         adj: dict[str, dict[str, float]] = {n: {} for n in self.nodes}
         for (a, b), w in self.edges.items():
             adj[a][b] = w
             adj[b][a] = w
         return adj
-
-    def copy(self) -> "Graph":
-        g = Graph()
-        g.nodes = {n: dict(attrs) for n, attrs in self.nodes.items()}
-        g.edges = dict(self.edges)
-        return g
 
     def subgraph(self, keep: set[str]) -> "Graph":
         g = Graph()
@@ -80,6 +66,8 @@ class DegreeStats:
 @dataclass
 class Partition:
     assignment: dict[str, int]  # node -> dense community id from 0
+    sweeps: int = 0  # propagation sweeps run
+    converged: bool = True  # the last sweep changed no label
 
     def communities(self) -> dict[int, list[str]]:
         out: dict[int, list[str]] = {}
@@ -160,75 +148,109 @@ def k_core(g: Graph, k: int, min_weight: float = 0.0) -> Graph:
 
 
 def detect_communities(g: Graph, seed: int = 0) -> Partition:
-    """Deterministic weighted label propagation.
+    """Deterministic weighted label propagation with connected communities.
 
-    Every node starts with its own label; each sweep recomputes all labels
-    synchronously, a node adopting the label with the largest summed
-    incident edge weight among its neighbors, ties going to the smallest
-    label. Stops at a fixpoint or after 100 sweeps, then densifies
-    community ids. Seed 0 numbers initial labels in sorted node order
+    Every node starts with its own label. Each sweep visits the nodes in
+    sorted order and updates labels in place (asynchronously): a node keeps
+    its label unless another label has a larger summed incident edge
+    weight, and then adopts the heaviest label, ties going to the largest.
+    (With ties to the smallest label, the label a sweep carries forward
+    wins every tie downstream and floods the graph: two triangles joined by
+    an edge become one community.) Every change strictly raises the total
+    weight of edges whose ends agree, so sweeps reach a fixpoint; 100
+    sweeps is a guard. Each label class is then split into its connected
+    components, and community ids are densified by first appearance over
+    sorted node order. Seed 0 numbers initial labels in sorted node order
     (the canonical run); any other seed shuffles the numbering, which
     exists only to probe the result's sensitivity to labeling.
     """
-    order = sorted(g.nodes)
-    initial = list(range(len(order)))
+    order, adjacency = indexed_adjacency(g)
+    labels = list(range(len(order)))
     if seed != 0:
-        random.Random(seed).shuffle(initial)
-    labels = {node: initial[i] for i, node in enumerate(order)}
-    for _ in range(100):
-        nxt = propagation_sweep(g, labels)
-        if nxt == labels:
-            break
-        labels = nxt
-    # densify: community ids by first appearance over sorted node order
-    dense: dict[int, int] = {}
-    assignment = {}
-    for node in order:
-        lbl = labels[node]
-        if lbl not in dense:
-            dense[lbl] = len(dense)
-        assignment[node] = dense[lbl]
-    return Partition(assignment=assignment)
+        random.Random(seed).shuffle(labels)
+    sweeps, converged = 0, False
+    while not converged and sweeps < 100:
+        sweeps += 1
+        converged = not propagation_sweep(adjacency, labels)
+    # split label classes into connected components, numbered by first
+    # appearance over sorted node order
+    community = [-1] * len(order)
+    count = 0
+    for start in range(len(order)):
+        if community[start] >= 0:
+            continue
+        community[start] = count
+        stack = [start]
+        while stack:
+            for nbr, _ in adjacency[stack.pop()]:
+                if community[nbr] < 0 and labels[nbr] == labels[start]:
+                    community[nbr] = count
+                    stack.append(nbr)
+        count += 1
+    return Partition(
+        assignment=dict(zip(order, community)), sweeps=sweeps, converged=converged
+    )
 
 
-def propagation_sweep(g: Graph, labels: dict[str, int]) -> dict[str, int]:
-    """One synchronous label-propagation sweep (exposed for fixpoint checks)."""
-    adj = g.adjacency()
-    nxt = {}
-    for node in sorted(g.nodes):
-        nbrs = adj[node]
+def indexed_adjacency(g: Graph) -> tuple[list[str], list[list[tuple[int, float]]]]:
+    """Sorted node ids, and per node index its (neighbor index, weight)
+    pairs in ascending neighbor order, so that weight sums do not depend on
+    edge insertion order."""
+    order = sorted(g.nodes)
+    index = {node: i for i, node in enumerate(order)}
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in order]
+    for (a, b), w in g.edges.items():
+        i, j = index[a], index[b]
+        adjacency[i].append((j, w))
+        adjacency[j].append((i, w))
+    for nbrs in adjacency:
+        nbrs.sort()
+    return order, adjacency
+
+
+def propagation_sweep(adjacency: list[list[tuple[int, float]]], labels: list[int]) -> bool:
+    """One asynchronous sweep over node indices in order, updating labels
+    in place (the rule is in detect_communities); returns whether any label
+    changed."""
+    changed = False
+    for node, nbrs in enumerate(adjacency):
         if not nbrs:
-            nxt[node] = labels[node]
             continue
         weight_by_label: dict[int, float] = {}
-        for nbr, w in nbrs.items():
-            weight_by_label[labels[nbr]] = weight_by_label.get(labels[nbr], 0.0) + w
-        nxt[node] = max(weight_by_label.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-    return nxt
+        for nbr, w in nbrs:
+            lbl = labels[nbr]
+            weight_by_label[lbl] = weight_by_label.get(lbl, 0.0) + w
+        top = max(weight_by_label.values())
+        if weight_by_label.get(labels[node], 0.0) < top:
+            labels[node] = max(lbl for lbl, w in weight_by_label.items() if w == top)
+            changed = True
+    return changed
 
 
 def top_clusters(g: Graph, p: Partition, n: int) -> list[ClusterReport]:
     """The n largest communities (ties by smallest member id), with internal
-    edge counts and weights recomputed from the edge list."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    edge counts and weights recomputed from the edge list in one pass."""
+    if n < 0:
+        raise ValueError("n must not be negative")
     if set(p.assignment) != set(g.nodes):
         raise ValueError("partition does not cover the graph")
-    reports = []
-    for cid, members in p.communities().items():
-        member_set = set(members)
-        internal = [
-            (pair, w) for pair, w in g.edges.items()
-            if pair[0] in member_set and pair[1] in member_set
-        ]
-        reports.append(
-            ClusterReport(
-                community_id=cid,
-                size=len(members),
-                members=sorted(members),
-                internal_edges=len(internal),
-                internal_weight=sum(w for _, w in internal),
-            )
+    communities = p.communities()
+    internal_edges = dict.fromkeys(communities, 0)
+    internal_weight = dict.fromkeys(communities, 0)
+    for (a, b), w in g.edges.items():
+        cid = p.assignment[a]
+        if cid == p.assignment[b]:
+            internal_edges[cid] += 1
+            internal_weight[cid] += w
+    reports = [
+        ClusterReport(
+            community_id=cid,
+            size=len(members),
+            members=members,
+            internal_edges=internal_edges[cid],
+            internal_weight=internal_weight[cid],
         )
+        for cid, members in communities.items()
+    ]
     reports.sort(key=lambda r: (-r.size, r.members[0]))
     return reports[:n]

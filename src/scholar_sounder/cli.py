@@ -158,10 +158,13 @@ def _analysis_sections(graph, seed: int, kcore=None, min_weight=0.0, communities
     sections["components"] = [sorted(c) for c in connected_components(graph)]
     if communities:
         partition = detect_communities(graph, seed=seed)
-        clusters = top_clusters(graph, partition, n=max(1, len(set(partition.assignment.values()) or {0})))
+        count = len(set(partition.assignment.values()))
+        clusters = top_clusters(graph, partition, n=count)
         sections["communities"] = {
-            "count": len(set(partition.assignment.values())),
+            "count": count,
             "assignment": partition.assignment,
+            "sweeps": partition.sweeps,
+            "converged": partition.converged,
         }
         sections["top_clusters"] = [
             {
@@ -213,6 +216,9 @@ def _run_sound_authors(ctx: RunContext) -> dict:
     ctx.write("coauthors.graphml", to_graphml(bundle))
     ctx.write("edges_coauthors.csv", to_edge_csv(bundle))
     trace_path = ctx.config.out_dir / "trace.tsv"
+    if trace_path not in ctx.outputs:  # no tag sounding wrote it in this run
+        write_trace([], trace_path)
+        ctx.outputs.append(trace_path)
     report_lines = [
         f"# profiles_fetched={net.report.profiles_fetched}",
         f"# stubs={net.report.stubs}",
@@ -221,8 +227,6 @@ def _run_sound_authors(ctx: RunContext) -> dict:
     ]
     with trace_path.open("a", encoding="utf-8") as fh:
         fh.write("\n".join(report_lines) + "\n")
-    if trace_path not in ctx.outputs:
-        ctx.outputs.append(trace_path)
     return {
         "coauthors": _analysis_sections(graph, ctx.config.seed),
         "coauthor_run": {

@@ -91,7 +91,7 @@ def _fmt_value(value, gexf_type: str) -> str:
 def _parse_value(text: str, gexf_type: str):
     if gexf_type == "boolean":
         if text not in ("true", "false"):
-            raise FormatError(f"bad boolean value {text!r}")
+            raise ValueError(text)
         return text == "true"
     if gexf_type == "integer":
         return int(text)
@@ -230,7 +230,14 @@ def from_gexf(document: str) -> ExportBundle:
                                 location=f"node {node_id}",
                             )
                         name = id_to_name[ref]
-                        attrs[name] = _parse_value(av.get("value", ""), schema[name])
+                        value = av.get("value", "")
+                        try:
+                            attrs[name] = _parse_value(value, schema[name])
+                        except ValueError:
+                            raise FormatError(
+                                f"bad {schema[name]} value {value!r} for {name!r}",
+                                location=f"node {node_id}",
+                            ) from None
                 node_attributes[node_id] = attrs
                 graph.nodes[node_id].update(attrs)
         elif kind == "edges":
@@ -243,7 +250,17 @@ def from_gexf(document: str) -> ExportBundle:
                         f"edge endpoints {a!r}-{b!r} not declared",
                         location=f"edge {edge_el.get('id')}",
                     )
-                graph.add_edge(a, b, _num(float(edge_el.get("weight", "1"))))
+                try:
+                    weight = float(edge_el.get("weight", "1"))
+                except ValueError:
+                    raise FormatError(
+                        f"bad edge weight {edge_el.get('weight')!r}",
+                        location=f"edge {edge_el.get('id')}",
+                    ) from None
+                try:
+                    graph.add_edge(a, b, _num(weight))
+                except ValueError as exc:  # self-loop or duplicate pair
+                    raise FormatError(str(exc), location=f"edge {edge_el.get('id')}") from None
     return ExportBundle(graph=graph, node_attributes=node_attributes, metadata=metadata)
 
 

@@ -2,13 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scholar_sounder.analysis import (
+    ClusterReport,
     Graph,
     Partition,
     connected_components,
     degree_stats,
     detect_communities,
+    indexed_adjacency,
     k_core,
     propagation_sweep,
     top_clusters,
@@ -33,6 +36,18 @@ def random_graph(rng, max_nodes, edge_prob=0.25, weighted=False):
     for a, b in itertools.combinations(names, 2):
         if rng.random() < edge_prob:
             g.add_edge(a, b, float(rng.randint(1, 5)) if weighted else 1.0)
+    return g
+
+
+@st.composite
+def weighted_graphs(draw, max_nodes=14):
+    n = draw(st.integers(0, max_nodes))
+    names = [f"n{i:02d}" for i in range(n)]
+    pairs = list(itertools.combinations(names, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = make_graph([], nodes=names)
+    for a, b in chosen:
+        g.add_edge(a, b, float(draw(st.integers(1, 5))))
     return g
 
 
@@ -82,6 +97,21 @@ def k_core_oracle(g: Graph, k: int):
             if all(len(s.intersection(adj[node])) >= k for node in s):
                 best |= s
     return best
+
+
+def top_clusters_oracle(g: Graph, p: Partition, n: int):
+    """Per-community scan of the whole edge list."""
+    reports = []
+    for cid, members in p.communities().items():
+        member_set = set(members)
+        internal = [w for (a, b), w in g.edges.items() if a in member_set and b in member_set]
+        reports.append(ClusterReport(cid, len(members), sorted(members), len(internal), sum(internal)))
+    reports.sort(key=lambda r: (-r.size, r.members[0]))
+    return reports[:n]
+
+
+def induces_connected_subgraph(g: Graph, members) -> bool:
+    return len(connected_components(g.subgraph(set(members)))) == 1
 
 
 def partitions_of(items):
@@ -259,10 +289,81 @@ class TestDetectCommunities:
         assert detect_communities(g, seed=5).assignment == detect_communities(g, seed=5).assignment
 
     def test_result_is_a_propagation_fixpoint_or_capped(self):
-        g = two_triangles_with_bridge()
-        partition = detect_communities(g, seed=0)
-        labels = dict(partition.assignment)
-        assert propagation_sweep(g, labels) == labels
+        graphs = [two_triangles_with_bridge()] + [
+            random_graph(random.Random(seed), max_nodes=30, edge_prob=0.15, weighted=True)
+            for seed in range(20)
+        ]
+        for g in graphs:
+            partition = detect_communities(g, seed=0)
+            assert partition.converged and partition.sweeps < 100
+            order, adjacency = indexed_adjacency(g)
+            labels = [partition.assignment[node] for node in order]
+            assert propagation_sweep(adjacency, labels) is False
+            assert labels == [partition.assignment[node] for node in order]
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [("a", "b")],
+            [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")],  # K2,2
+            [("hub", f"leaf{i}") for i in range(4)],
+        ],
+        ids=["edge", "k22", "star"],
+    )
+    def test_bipartite_structures_form_one_community(self, edges):
+        partition = detect_communities(make_graph(edges), seed=0)
+        assert set(partition.assignment.values()) == {0}
+        assert partition.converged
+
+    def test_independent_of_edge_insertion_order(self):
+        # fractional weights make float sums depend on summation order
+        for seed in range(300):
+            rng = random.Random(seed)
+            names = [f"n{i:02d}" for i in range(rng.randint(2, 20))]
+            edges = [
+                (a, b, rng.choice([0.1, 0.2, 0.3, 0.6, 0.7]))
+                for a, b in itertools.combinations(names, 2)
+                if rng.random() < 0.3
+            ]
+            shuffled = edges[:]
+            rng.shuffle(shuffled)
+            g = make_graph(edges, nodes=names)
+            permuted = make_graph([(b, a, w) for a, b, w in shuffled], nodes=names[::-1])
+            assert detect_communities(g).assignment == detect_communities(permuted).assignment
+
+    def test_sweep_updates_in_place_in_index_order(self):
+        # path 0-1-2: node 0 adopts 1's label, node 1 then sees {1, 2}
+        # tied and keeps its own, node 2 adopts 1's label
+        adjacency = [[(1, 1.0)], [(0, 1.0), (2, 1.0)], [(1, 1.0)]]
+        labels = [0, 1, 2]
+        assert propagation_sweep(adjacency, labels) is True
+        assert labels == [1, 1, 1]
+        assert propagation_sweep(adjacency, labels) is False
+
+    def test_indexed_adjacency_sorted(self):
+        g = make_graph([("c", "a", 2.0), ("b", "a")], nodes=["z"])
+        order, adjacency = indexed_adjacency(g)
+        assert order == ["a", "b", "c", "z"]
+        assert adjacency == [[(1, 1.0), (2, 2.0)], [(0, 1.0)], [(0, 2.0)], []]
+
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_graphs(), st.integers(0, 3))
+    def test_connected_communities_without_a_heavier_neighbor_community(self, g, seed):
+        partition = detect_communities(g, seed=seed)
+        assert partition.converged
+        assert set(partition.assignment) == set(g.nodes)
+        ids = set(partition.assignment.values())
+        assert ids == set(range(len(ids)))
+        for members in partition.communities().values():
+            assert induces_connected_subgraph(g, members)
+        adj = g.adjacency()
+        for node, nbrs in adj.items():
+            weight_to: dict[int, float] = {}
+            for nbr, w in nbrs.items():
+                cid = partition.assignment[nbr]
+                weight_to[cid] = weight_to.get(cid, 0.0) + w
+            own = weight_to.get(partition.assignment[node], 0.0)
+            assert all(w <= own for w in weight_to.values())
 
 
 class TestTopClusters:
@@ -291,3 +392,47 @@ class TestTopClusters:
         g = make_graph([("a", "b")])
         with pytest.raises(ValueError):
             top_clusters(g, Partition({"a": 0}), 1)
+
+    def test_empty_graph_has_no_clusters(self):
+        assert top_clusters(Graph(), Partition({}), 0) == []
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_single_pass_matches_per_community_scan(self, seed):
+        rng = random.Random(seed)
+        g = random_graph(rng, max_nodes=30, edge_prob=0.2, weighted=True)
+        k = rng.randint(1, max(1, len(g.nodes)))
+        p = Partition({node: rng.randrange(k) for node in g.nodes})
+        n = rng.randint(1, k + 1)
+        assert top_clusters(g, p, n) == top_clusters_oracle(g, p, n)
+
+
+class TestNetworkxSecondOpinion:
+    @pytest.fixture()
+    def nx(self):
+        return pytest.importorskip("networkx")
+
+    @staticmethod
+    def to_nx(nx, g: Graph, min_weight=0.0):
+        h = nx.Graph()
+        h.add_nodes_from(g.nodes)
+        h.add_weighted_edges_from((a, b, w) for (a, b), w in g.edges.items() if w >= min_weight)
+        return h
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_communities_connected(self, nx, seed):
+        g = random_graph(random.Random(seed), max_nodes=40, edge_prob=0.1, weighted=True)
+        h = self.to_nx(nx, g)
+        for members in detect_communities(g, seed=seed % 3).communities().values():
+            assert nx.is_connected(h.subgraph(members))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_components_and_k_core_agree(self, nx, seed):
+        rng = random.Random(seed)
+        g = random_graph(rng, max_nodes=40, edge_prob=0.1, weighted=True)
+        ours = sorted(map(sorted, connected_components(g)))
+        assert ours == sorted(map(sorted, nx.connected_components(self.to_nx(nx, g))))
+        for k, min_weight in [(1, 0.0), (2, 0.0), (3, 0.0), (2, 3.0)]:
+            core = k_core(g, k, min_weight)
+            theirs = nx.k_core(self.to_nx(nx, g, min_weight), k)
+            assert set(core.nodes) == set(theirs.nodes)
+            assert set(core.edges) == {tuple(sorted(e)) for e in theirs.edges}

@@ -4,10 +4,11 @@ from pathlib import Path
 import pytest
 
 from scholar_sounder import bundled_fixtures_dir
+from scholar_sounder.analysis import Graph
 from scholar_sounder.cli import main
 from scholar_sounder.config import build_config, load_config
 from scholar_sounder.errors import ConfigError
-from scholar_sounder.export import from_gexf
+from scholar_sounder.export import from_gexf, make_bundle, to_gexf
 
 FIXTURES_DIR = bundled_fixtures_dir()
 
@@ -198,6 +199,37 @@ class TestCliSoundAuthors:
         assert report["coauthor_run"]["profiles_fetched"] == 6
         assert report["coauthor_run"]["reciprocal_edges"] == 3
 
+    def test_all_reports_how_clustering_ended(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        main(["all", "--config", str(config), "--out", str(out)])
+        report = json.loads((out / "report.json").read_text("utf-8"))
+        for section in (report["communities"], report["coauthors"]["communities"]):
+            assert section["converged"] is True
+            assert 1 <= section["sweeps"] < 100
+
+    def test_trace_rewritten_with_header_when_run_alone(self, tmp_path):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        main(["sound-authors", "--config", str(config), "--out", str(out)])
+        first = (out / "trace.tsv").read_bytes()
+        main(["sound-authors", "--config", str(config), "--out", str(out)])
+        assert (out / "trace.tsv").read_bytes() == first
+        lines = first.decode("utf-8").splitlines()
+        assert lines[0].startswith("iteration\t")
+        assert lines[1:] == [
+            "# profiles_fetched=6", "# stubs=4", "# failures=3", "# reciprocal_edges=3",
+        ]
+
+    def test_all_trace_holds_tag_visits_then_coauthor_counts(self, tmp_path):
+        config = write_config(tmp_path)
+        main(["sound-tags", "--config", str(config), "--out", str(tmp_path / "tags")])
+        main(["all", "--config", str(config), "--out", str(tmp_path / "all")])
+        main(["all", "--config", str(config), "--out", str(tmp_path / "all")])
+        tags = (tmp_path / "tags" / "trace.tsv").read_text("utf-8")
+        both = (tmp_path / "all" / "trace.tsv").read_text("utf-8")
+        assert both == tags + "# profiles_fetched=6\n# stubs=4\n# failures=3\n# reciprocal_edges=3\n"
+
 
 class TestCliAnalyzeExport:
     @pytest.fixture()
@@ -218,6 +250,48 @@ class TestCliAnalyzeExport:
         assert "kcore" in report and "communities" in report
         assert report["kcore"]["k"] == 2
         assert set(report["kcore"]["nodes"]) <= set(report["degree_stats"]["degree"])
+
+    def test_analyze_reports_how_clustering_ended(self, gexf_path, tmp_path):
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--in", str(gexf_path), "--out", str(out), "--communities"]) == 0
+        section = json.loads((out / "report.json").read_text("utf-8"))["communities"]
+        assert section["converged"] is True
+        assert 1 <= section["sweeps"] < 100
+        assert section["count"] == len(set(section["assignment"].values()))
+
+    def test_analyze_empty_graph_communities(self, tmp_path):
+        empty = tmp_path / "empty.gexf"
+        empty.write_text(to_gexf(make_bundle(Graph())), "utf-8")
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--in", str(empty), "--out", str(out), "--communities"]) == 0
+        report = json.loads((out / "report.json").read_text("utf-8"))
+        assert report["communities"]["count"] == 0
+        assert report["top_clusters"] == []
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--communities"],
+        ["export", "--format", "csv"],
+    ], ids=["analyze", "export"])
+    @pytest.mark.parametrize("old, new, location", [
+        ('weight="1"', 'weight="heavy"', "edge"),
+        ('<attvalue for="0" value="1"/>', '<attvalue for="0" value="1.5"/>', "node"),
+        ('<edge id="1" source="acoustooptics" target="singular_optics"',
+         '<edge id="1" source="acoustooptics" target="physical_optics"', "edge 1"),
+        ('<edge id="1" source="acoustooptics" target="singular_optics"',
+         '<edge id="1" source="acoustooptics" target="acoustooptics"', "edge 1"),
+    ], ids=["weight", "integer", "duplicate-edge", "self-loop"])
+    def test_bad_gexf_values_exit_two_with_one_line(
+        self, gexf_path, tmp_path, capsys, command, old, new, location
+    ):
+        text = gexf_path.read_text("utf-8")
+        assert old in text
+        bad = tmp_path / "bad.gexf"
+        bad.write_text(text.replace(old, new, 1), "utf-8")
+        code = main([command[0], "--in", str(bad), "--out", str(tmp_path / "x"), *command[1:]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"(at {location}" in err
 
     def test_analyze_rejects_missing_input(self, tmp_path, capsys):
         code = main(["analyze", "--in", str(tmp_path / "nope.gexf"), "--out", str(tmp_path)])
