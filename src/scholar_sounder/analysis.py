@@ -8,7 +8,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .notion_graph import canonical_pair
+
+def canonical_pair(a: str, b: str) -> tuple[str, str]:
+    return (a, b) if a <= b else (b, a)
 
 
 class Graph:

@@ -11,7 +11,6 @@ import argparse
 import hashlib
 import json
 import logging
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -21,8 +20,8 @@ from .analysis import connected_components, degree_stats, detect_communities, k_
 from .config import Config, build_config, read_config_file
 from .coauthor_graph import sound_authors
 from .errors import ConfigError, FormatError, ScholarSounderError, SoundingError
-from .export import from_gexf, make_bundle, to_edge_csv, to_gexf, to_graphml, to_json_report
-from .fetcher import Fetcher
+from .export import _num, from_gexf, make_bundle, to_edge_csv, to_gexf, to_graphml, to_json_report
+from .fetcher import Fetcher, write_atomic
 from .notion_graph import sound_tags, write_trace
 from .parser import parse_author_page, parse_label_page
 
@@ -141,10 +140,8 @@ class RunContext:
                 {"path": p.name, "sha256": _sha256(p)} for p in sorted(set(self.outputs))
             ],
         }
-        path = self.config.out_dir / "run_manifest.json"
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
-        os.replace(tmp, path)
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        write_atomic(self.config.out_dir / "run_manifest.json", text.encode("utf-8"))
 
 
 def _analysis_sections(graph, seed: int, kcore=None, min_weight=0.0, communities=True) -> dict:
@@ -152,7 +149,7 @@ def _analysis_sections(graph, seed: int, kcore=None, min_weight=0.0, communities
     stats = degree_stats(graph)
     sections["degree_stats"] = {
         "degree": stats.degree,
-        "weighted_degree": {n: _jsnum(w) for n, w in stats.weighted_degree.items()},
+        "weighted_degree": {n: _num(w) for n, w in stats.weighted_degree.items()},
         "histogram": {str(k): v for k, v in sorted(stats.histogram.items())},
     }
     sections["components"] = [sorted(c) for c in connected_components(graph)]
@@ -172,7 +169,7 @@ def _analysis_sections(graph, seed: int, kcore=None, min_weight=0.0, communities
                 "size": c.size,
                 "members": c.members,
                 "internal_edges": c.internal_edges,
-                "internal_weight": _jsnum(c.internal_weight),
+                "internal_weight": _num(c.internal_weight),
             }
             for c in clusters
         ]
@@ -180,16 +177,11 @@ def _analysis_sections(graph, seed: int, kcore=None, min_weight=0.0, communities
         core = k_core(graph, kcore, min_weight)
         sections["kcore"] = {
             "k": kcore,
-            "min_weight": _jsnum(min_weight),
+            "min_weight": _num(min_weight),
             "nodes": sorted(core.nodes),
             "edges": len(core.edges),
         }
     return sections
-
-
-def _jsnum(x):
-    f = float(x)
-    return int(f) if f.is_integer() else f
 
 
 def _run_sound_tags(ctx: RunContext) -> dict:

@@ -6,14 +6,14 @@ Edge weight is the number of directions in which the listing is attested
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import deque
 from dataclasses import dataclass, field
 
+from .analysis import Graph, canonical_pair
 from .errors import FetchError, ParseError
 from .fetcher import AUTHOR_PROFILE, PageRequest
-from .notion_graph import canonical_pair, fetch_label_pages
+from .notion_graph import fetch_label_pages
 from .parser import AuthorSummary
 
 log = logging.getLogger(__name__)
@@ -40,7 +40,6 @@ class RunReport:
     stubs: int = 0
     failures: int = 0
     reciprocal_edges: int = 0
-    name_conflicts: int = 0
 
 
 class CoauthorNetwork:
@@ -62,9 +61,7 @@ class CoauthorNetwork:
             return
         self._listers.setdefault(canonical_pair(lister, listed), set()).add(lister)
 
-    def to_graph(self):
-        from .analysis import Graph
-
+    def to_graph(self) -> Graph:
         g = Graph()
         for aid, n in self.nodes.items():
             g.add_node(
@@ -196,62 +193,3 @@ def _fetch_profile(author_id, fetch, parse_profile, net: CoauthorNetwork):
 def _finalize_report(net: CoauthorNetwork):
     net.report.stubs = sum(1 for n in net.nodes.values() if n.stub)
     net.report.reciprocal_edges = sum(1 for w in net.edges.values() if w == 2)
-
-
-def merge_networks(a: CoauthorNetwork, b: CoauthorNetwork) -> CoauthorNetwork:
-    """Union of two networks: the richer node record wins (non-stub over
-    stub, then lower hop), hops take the minimum, edge weights the maximum.
-    Name conflicts are counted and the first network's name kept."""
-    out = CoauthorNetwork()
-    for aid in set(a.nodes) | set(b.nodes):
-        na, nb = a.nodes.get(aid), b.nodes.get(aid)
-        if na is None:
-            merged = _copy_node(nb)
-        elif nb is None:
-            merged = _copy_node(na)
-        else:
-            merged = _copy_node(_pick_richer(na, nb))
-            merged.hop = min(na.hop, nb.hop)
-            if na.name != nb.name:
-                log.warning("conflicting names for %s: %r vs %r", aid, na.name, nb.name)
-                out.report.name_conflicts += 1
-                merged.name = na.name
-        out.nodes[aid] = merged
-    for pair in set(a._listers) | set(b._listers):
-        wa = a._listers.get(pair, set())
-        wb = b._listers.get(pair, set())
-        # Max-of-weights rule, not evidence union: two one-sided listings
-        # from different runs do not fabricate reciprocity.
-        out._listers[pair] = set(wa if len(wa) >= len(wb) else wb)
-    _finalize_report(out)
-    return out
-
-
-def _pick_richer(na: AuthorNode, nb: AuthorNode) -> AuthorNode:
-    # The tie-break must not depend on argument order or on hop (hop is
-    # minimized separately), otherwise merge stops being associative.
-    return min(na, nb, key=_richness_key)
-
-
-def _richness_key(n: AuthorNode):
-    record = {
-        "name": n.name,
-        "labels": list(n.labels),
-        "cited_by": n.cited_by,
-        "h_index": n.h_index,
-        "fetch_failed": n.fetch_failed,
-    }
-    return (n.stub, json.dumps(record, sort_keys=True))
-
-
-def _copy_node(n: AuthorNode) -> AuthorNode:
-    return AuthorNode(
-        author_id=n.author_id,
-        name=n.name,
-        labels=list(n.labels),
-        cited_by=n.cited_by,
-        h_index=n.h_index,
-        hop=n.hop,
-        stub=n.stub,
-        fetch_failed=n.fetch_failed,
-    )

@@ -1,11 +1,13 @@
 """Run configuration: a single JSON file, validated and normalized, with
-flag overrides applied by the CLI. Precedence: flags > file > defaults."""
+flag overrides applied by the CLI. Precedence: flags > file > defaults.
+The SCHOLAR_SOUNDER_CACHE environment variable applies only when neither
+``--cache`` nor ``fetch.cache_dir`` sets the cache directory."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, EmptyTagError
@@ -134,7 +136,3 @@ def read_config_file(path) -> dict:
         raise ConfigError("<file>", f"invalid JSON: {exc}")
     _require(isinstance(data, dict), "<file>", "top level must be an object")
     return data
-
-
-def load_config(path) -> Config:
-    return build_config(read_config_file(path))

@@ -3,12 +3,15 @@ fixture corpus for offline runs."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+import urllib.error
+import urllib.request
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -70,11 +73,10 @@ class FetchPolicy:
             raise ValueError(f"unknown fetch mode: {self.mode!r}")
         if self.fixtures_dir is not None:
             self.fixtures_dir = Path(self.fixtures_dir)
+        if self.cache_dir is None:  # a flag or the config file beats the env var
+            self.cache_dir = os.environ.get(CACHE_ENV_VAR) or None
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
-        env_cache = os.environ.get(CACHE_ENV_VAR)
-        if env_cache:
-            self.cache_dir = Path(env_cache)
 
 
 def build_url(request: PageRequest, page_token: str | None = None) -> str:
@@ -105,6 +107,18 @@ def _relative_page_path(request: PageRequest) -> Path:
 
 def _expected_marker(request: PageRequest) -> str:
     return LABEL_RESULTS_MARKER if request.kind == LABEL_SEARCH else PROFILE_MARKER
+
+
+def _has_marker(request: PageRequest, body: bytes) -> bool:
+    """False for an interstitial page or a body cut off before its results."""
+    return _expected_marker(request).encode() in body
+
+
+def write_atomic(path: Path, data: bytes):
+    """Replace ``path`` in one step, so a crash never leaves half a file."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
 
 
 class Fetcher:
@@ -165,6 +179,10 @@ class Fetcher:
         html_path, meta_path = self._cache_paths(request)
         if not html_path.is_file():
             return None
+        body = html_path.read_bytes()
+        if not _has_marker(request, body):
+            log.warning("ignoring cached page without marker: %s", html_path)
+            return None
         meta = {}
         if meta_path.is_file():
             meta = json.loads(meta_path.read_text("utf-8"))
@@ -172,7 +190,7 @@ class Fetcher:
         return RawPage(
             request=request,
             url=meta.get("url", build_url(request)),
-            body=html_path.read_bytes(),
+            body=body,
             retrieved_at=(
                 datetime.fromisoformat(retrieved)
                 if retrieved
@@ -186,19 +204,17 @@ class Fetcher:
             return
         html_path, meta_path = self._cache_paths(request)
         html_path.parent.mkdir(parents=True, exist_ok=True)
-        html_path.write_bytes(body)
+        write_atomic(html_path, body)
         meta = {
             "url": url,
             "retrieved_at": datetime.now(timezone.utc).isoformat(),
             "http_status": status,
         }
-        meta_path.write_text(json.dumps(meta, sort_keys=True) + "\n", "utf-8")
+        write_atomic(meta_path, (json.dumps(meta, sort_keys=True) + "\n").encode("utf-8"))
 
     # -- live ---------------------------------------------------------
 
     def _fetch_live(self, request: PageRequest, page_token: str | None) -> RawPage:
-        import requests
-
         canonical_url = build_url(request, page_token)
         target_url = canonical_url.replace(BASE_URL, self.policy.base_url, 1)
         attempts = self.policy.max_retries + 1
@@ -206,30 +222,28 @@ class Fetcher:
         for attempt in range(attempts):
             self._wait_politely(target_url)
             try:
-                resp = requests.get(target_url, timeout=30)
-            except requests.RequestException as exc:
+                with urllib.request.urlopen(target_url, timeout=30) as resp:
+                    status, body = resp.status, resp.read()
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                status, body = exc.code, b""
+            except (OSError, http.client.HTTPException) as exc:
+                # Refused or reset connections, timeouts, truncated bodies.
                 last_exc = exc
                 log.warning("fetch attempt %d failed for %s: %s", attempt + 1, target_url, exc)
                 continue
-            if resp.status_code >= 500:
-                last_exc = HttpStatusError(
-                    f"server error {resp.status_code} for {target_url}",
-                    status=resp.status_code,
-                )
+            if status >= 500:
+                last_exc = HttpStatusError(f"server error {status} for {target_url}", status=status)
                 continue
-            if resp.status_code != 200:
-                raise HttpStatusError(
-                    f"status {resp.status_code} for {target_url}",
-                    status=resp.status_code,
-                )
-            body = resp.content
-            if _expected_marker(request) not in body.decode("utf-8", errors="replace"):
+            if status != 200:
+                raise HttpStatusError(f"status {status} for {target_url}", status=status)
+            if not _has_marker(request, body):
                 # Interstitial / anti-bot page: refuse to parse it.
                 raise HttpStatusError(
                     f"page at {target_url} lacks marker '{_expected_marker(request)}'",
-                    status=resp.status_code,
+                    status=status,
                 )
-            self._write_cache(request, canonical_url, body, resp.status_code)
+            self._write_cache(request, canonical_url, body, status)
             return RawPage(
                 request=request,
                 url=canonical_url,
@@ -237,9 +251,7 @@ class Fetcher:
                 retrieved_at=datetime.now(timezone.utc),
                 source="live",
             )
-        raise NetworkError(
-            f"giving up on {target_url} after {attempts} attempts: {last_exc}"
-        )
+        raise NetworkError(f"giving up on {target_url} after {attempts} attempts: {last_exc}")
 
     def _wait_politely(self, url: str):
         delay = self.policy.min_delay_ms / 1000.0

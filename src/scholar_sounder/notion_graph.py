@@ -6,9 +6,10 @@ the theme dictionary."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import FixtureMissingError, ParseError, ScholarSounderError, SoundingError
+from .analysis import Graph, canonical_pair
+from .errors import FixtureMissingError, ScholarSounderError, SoundingError
 from .fetcher import LABEL_SEARCH, PageRequest
 from .parser import LabelPage
 
@@ -16,10 +17,6 @@ log = logging.getLogger(__name__)
 
 EDGE_POLICY_STAR = "star"
 EDGE_POLICY_CLIQUE = "clique"
-
-
-def canonical_pair(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
 
 
 def theme_matches(tag: str, dictionary: list[str]) -> bool:
@@ -70,9 +67,7 @@ class NotionNetwork:
     def weight(self, a: str, b: str) -> int:
         return self.edges.get(canonical_pair(a, b), 0)
 
-    def to_graph(self):
-        from .analysis import Graph
-
+    def to_graph(self) -> Graph:
         g = Graph()
         for tag, stats in self.nodes.items():
             g.add_node(
@@ -190,10 +185,6 @@ def sound_tags(config, fetch, parse) -> NotionNetwork:
                 pages = fetch_label_pages(current, config, fetch, parse)
                 for page in pages:
                     absorb_label_page(net, page, current, depth=step, edge_policy=config.edge_policy)
-            except ParseError as exc:
-                raise SoundingError(current, exc) from exc
-            except FixtureMissingError:
-                raise  # fetch_label_pages already handles these
             except ScholarSounderError as exc:
                 raise SoundingError(current, exc) from exc
             net.nodes[current].visited = True

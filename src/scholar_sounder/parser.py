@@ -5,13 +5,11 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from html.parser import HTMLParser
 from urllib.parse import parse_qs, urlparse
 
 from .errors import EmptyTagError, ParseError
-
-_TAG_RE = re.compile(r"^[a-z0-9]+(_[a-z0-9]+)*$")
 
 # Structural markers the service embeds in its pages. Parsing keys off
 # these; anything else in the HTML is cosmetic.
@@ -33,10 +31,6 @@ def normalize_tag(raw: str) -> str:
     if not s:
         raise EmptyTagError(f"nothing survives normalization of {raw!r}")
     return s
-
-
-def is_canonical_tag(value: str) -> bool:
-    return bool(_TAG_RE.match(value))
 
 
 @dataclass

@@ -1,14 +1,7 @@
 import random
 
-import pytest
-
 from scholar_sounder.config import build_config
-from scholar_sounder.coauthor_graph import (
-    CoauthorNetwork,
-    merge_networks,
-    seed_authors,
-    sound_authors,
-)
+from scholar_sounder.coauthor_graph import seed_authors, sound_authors
 from scholar_sounder.parser import AuthorSummary, parse_author_page, parse_label_page
 
 from conftest import load_golden
@@ -151,68 +144,3 @@ class TestSoundAuthors:
             parse_label=parse_label_page,
         ).to_canonical_dict()
         assert run() == run()
-
-
-class TestMergeNetworks:
-    def _random_net(self, rng):
-        corpus, seeds = random_profile_corpus(rng, n_authors=8)
-        config = memory_config(hop_limit=rng.randint(0, 2))
-        return sound_authors(config, corpus.fetch, parse_author_page, seeds=seeds)
-
-    def test_identity(self):
-        net = self._random_net(random.Random(1))
-        merged = merge_networks(net, CoauthorNetwork())
-        assert merged.to_canonical_dict() == net.to_canonical_dict()
-
-    def test_idempotence(self):
-        net = self._random_net(random.Random(2))
-        assert merge_networks(net, net).to_canonical_dict() == net.to_canonical_dict()
-
-    def test_max_weight_rule(self):
-        a, b = CoauthorNetwork(), CoauthorNetwork()
-        for net in (a, b):
-            from scholar_sounder.coauthor_graph import AuthorNode
-
-            net.nodes["X"] = AuthorNode("X", "Author X")
-            net.nodes["Y"] = AuthorNode("Y", "Author Y")
-        a.add_listing("X", "Y")
-        b.add_listing("X", "Y")
-        b.add_listing("Y", "X")
-        merged = merge_networks(a, b)
-        assert merged.edges[("X", "Y")] == 2
-
-    def test_non_stub_wins_and_min_hop_retained(self):
-        from scholar_sounder.coauthor_graph import AuthorNode
-
-        a, b = CoauthorNetwork(), CoauthorNetwork()
-        a.nodes["X"] = AuthorNode("X", "Author X", stub=True, hop=0)
-        b.nodes["X"] = AuthorNode("X", "Author X", labels=["optics"], stub=False, hop=2)
-        merged = merge_networks(a, b)
-        assert merged.nodes["X"].stub is False
-        assert merged.nodes["X"].labels == ["optics"]
-        assert merged.nodes["X"].hop == 0
-
-    def test_conflicting_names_reported_first_kept(self):
-        from scholar_sounder.coauthor_graph import AuthorNode
-
-        a, b = CoauthorNetwork(), CoauthorNetwork()
-        a.nodes["X"] = AuthorNode("X", "Name One")
-        b.nodes["X"] = AuthorNode("X", "Name Two")
-        merged = merge_networks(a, b)
-        assert merged.nodes["X"].name == "Name One"
-        assert merged.report.name_conflicts == 1
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_commutative_and_associative(self, seed):
-        rng = random.Random(9000 + seed)
-        x = self._random_net(rng)
-        y = self._random_net(rng)
-        z = self._random_net(rng)
-        assert (
-            merge_networks(x, y).to_canonical_dict()
-            == merge_networks(y, x).to_canonical_dict()
-        )
-        assert (
-            merge_networks(merge_networks(x, y), z).to_canonical_dict()
-            == merge_networks(x, merge_networks(y, z)).to_canonical_dict()
-        )

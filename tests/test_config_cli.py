@@ -6,9 +6,10 @@ import pytest
 from scholar_sounder import bundled_fixtures_dir
 from scholar_sounder.analysis import Graph
 from scholar_sounder.cli import main
-from scholar_sounder.config import build_config, load_config
-from scholar_sounder.errors import ConfigError
+from scholar_sounder.config import build_config, read_config_file
+from scholar_sounder.errors import ConfigError, NetworkError
 from scholar_sounder.export import from_gexf, make_bundle, to_gexf
+from scholar_sounder.fetcher import CACHE_ENV_VAR, Fetcher
 
 FIXTURES_DIR = bundled_fixtures_dir()
 
@@ -85,27 +86,31 @@ class TestBuildConfig:
         assert a.digest() != c.digest()
 
 
+def load_config_file(path):
+    return build_config(read_config_file(path))
+
+
 class TestLoadConfig:
     def test_round_trip(self, tmp_path):
-        config = load_config(write_config(tmp_path))
+        config = load_config_file(write_config(tmp_path))
         assert config.base_tags == ["physical_optics"]
         assert config.depth == 5
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no such file"):
-            load_config(tmp_path / "absent.json")
+            load_config_file(tmp_path / "absent.json")
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", "utf-8")
         with pytest.raises(ConfigError, match="invalid JSON"):
-            load_config(path)
+            load_config_file(path)
 
     def test_non_object_top_level(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]", "utf-8")
         with pytest.raises(ConfigError, match="object"):
-            load_config(path)
+            load_config_file(path)
 
 
 class TestCliSoundTags:
@@ -167,6 +172,28 @@ class TestCliSoundTags:
         a = from_gexf((out1 / "notion.gexf").read_text("utf-8"))
         b = from_gexf((out2 / "notion.gexf").read_text("utf-8"))
         assert a.canonical_form() == b.canonical_form()
+
+    def test_cache_flag_beats_env_var(self, tmp_path, monkeypatch):
+        # Only the flag's cache holds the page and the live path is cut off,
+        # so the run succeeds only if --cache wins over the env var.
+        flag_cache = tmp_path / "flag_cache"
+        page = flag_cache / "labels" / "physical_optics" / "0.html"
+        page.parent.mkdir(parents=True)
+        page.write_bytes((FIXTURES_DIR / "labels" / "physical_optics" / "0.html").read_bytes())
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "env_cache"))
+
+        def offline(self, request, page_token):
+            raise NetworkError("live fetch attempted")
+
+        monkeypatch.setattr(Fetcher, "_fetch_live", offline)
+        out = tmp_path / "out"
+        code = main([
+            "sound-tags", "--config", str(write_config(tmp_path)), "--out", str(out),
+            "--mode", "live", "--cache", str(flag_cache), "--depth", "1", "--max-pages", "1",
+        ])
+        assert code == 0
+        manifest = json.loads((out / "run_manifest.json").read_text("utf-8"))
+        assert manifest["counts"]["cache_hits"] == 1
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = main(["sound-tags", "--config", str(tmp_path / "nope.json")])

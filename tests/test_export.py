@@ -6,6 +6,7 @@ import random
 import pytest
 
 from scholar_sounder.analysis import Graph, detect_communities
+from scholar_sounder.cli import main
 from scholar_sounder.errors import FormatError
 from scholar_sounder.export import (
     from_gexf,
@@ -177,3 +178,45 @@ class TestJsonReport:
         bundle = small_bundle()
         sections = {"components": [["a", "b"]]}
         assert to_json_report(bundle, sections) == to_json_report(bundle, sections)
+
+
+@pytest.fixture(scope="module")
+def quick_start_out(tmp_path_factory):
+    """Outputs of the README quick start: ``all`` on the bundled fixtures."""
+    root = tmp_path_factory.mktemp("quick_start")
+    config = root / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "base_tags": ["physical optics"],
+                "dictionary": ["optics", "optical", "photonics", "laser"],
+                "fetch": {"mode": "fixture"},
+            }
+        ),
+        "utf-8",
+    )
+    out = root / "out"
+    main(["all", "--config", str(config), "--fixtures", "bundled", "--out", str(out)])
+    return out
+
+
+class TestNetworkxInterop:
+    @pytest.fixture()
+    def nx(self):
+        return pytest.importorskip("networkx")
+
+    @pytest.mark.parametrize(
+        "stem, nodes, edges", [("notion", 26, 33), ("coauthors", 10, 10)]
+    )
+    @pytest.mark.parametrize("fmt", ["gexf", "graphml"])
+    def test_reads_our_exports(self, nx, quick_start_out, stem, nodes, edges, fmt):
+        ours = from_gexf((quick_start_out / f"{stem}.gexf").read_text("utf-8")).graph
+        read = nx.read_gexf if fmt == "gexf" else nx.read_graphml
+        theirs = read(quick_start_out / f"{stem}.{fmt}")
+        assert not theirs.is_directed()
+        assert set(theirs.nodes) == set(ours.nodes)
+        assert len(ours.nodes) == nodes
+        assert {
+            tuple(sorted((a, b))): w for a, b, w in theirs.edges(data="weight")
+        } == ours.edges
+        assert len(ours.edges) == edges

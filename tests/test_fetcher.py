@@ -1,8 +1,12 @@
+import http.server
 import json
+import socket
+import threading
 
 import pytest
 
-from scholar_sounder.errors import FixtureMissingError
+from scholar_sounder import bundled_fixtures_dir
+from scholar_sounder.errors import FixtureMissingError, HttpStatusError, NetworkError
 from scholar_sounder.fetcher import (
     AUTHOR_PROFILE,
     CACHE_ENV_VAR,
@@ -79,6 +83,64 @@ class TestFixtureMode:
         assert a.url == b.url
 
 
+LABEL_PAGE = (bundled_fixtures_dir() / "labels" / "physical_optics" / "0.html").read_bytes()
+LABEL_REQUEST = PageRequest(LABEL_SEARCH, "physical_optics", 0)
+TRUNCATED = "truncated"  # script step: 200 announcing the full page, half of it sent
+
+
+class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each GET with the next step of the server's script: a
+    ``(status, body)`` pair, or TRUNCATED."""
+
+    def do_GET(self):
+        self.server.hits += 1
+        step = self.server.script.pop(0)
+        status, body = (200, LABEL_PAGE) if step == TRUNCATED else step
+        self.send_response(status)
+        self.send_header("Content-Type", "text/html")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body[: len(body) // 2] if step == TRUNCATED else body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def scripted_server():
+    """Start a loopback server that plays the given script, one step per
+    request; ``server.hits`` counts the requests it saw."""
+    servers = []
+
+    def start(*script):
+        server = http.server.HTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+        server.script = list(script)
+        server.hits = 0
+        threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        ).start()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def live_fetcher(base_url, cache_dir) -> Fetcher:
+    return Fetcher(
+        FetchPolicy(mode="live", cache_dir=cache_dir, min_delay_ms=1, base_url=base_url)
+    )
+
+
+def server_url(server) -> str:
+    return f"http://127.0.0.1:{server.server_address[1]}"
+
+
+CACHED_PAGE = b'<html><div id="gsc_sa_ccl">cached</div></html>'
+
+
 class TestCache:
     def _seed_cache(self, cache_dir, req, body):
         path = cache_dir / "labels" / req.key / f"{req.page_index}.html"
@@ -93,26 +155,107 @@ class TestCache:
 
     def test_live_mode_serves_from_cache_without_network(self, tmp_path):
         req = PageRequest(LABEL_SEARCH, "optics", 0)
-        self._seed_cache(tmp_path, req, b"<html>cached</html>")
+        self._seed_cache(tmp_path, req, CACHED_PAGE)
         # base_url points nowhere; a network attempt would fail loudly.
         fetcher = Fetcher(
             FetchPolicy(mode="live", cache_dir=tmp_path, base_url="http://127.0.0.1:1")
         )
         raw = fetcher.fetch(req)
         assert raw.source == "cache"
-        assert raw.body == b"<html>cached</html>"
+        assert raw.body == CACHED_PAGE
         assert fetcher.request_log == []
 
     def test_cache_idempotence(self, tmp_path):
         req = PageRequest(LABEL_SEARCH, "optics", 0)
-        self._seed_cache(tmp_path, req, b"<html>cached</html>")
+        self._seed_cache(tmp_path, req, CACHED_PAGE)
         fetcher = Fetcher(
             FetchPolicy(mode="live", cache_dir=tmp_path, base_url="http://127.0.0.1:1")
         )
         assert fetcher.fetch(req).body == fetcher.fetch(req).body
         assert fetcher.cache_hits == 2
 
-    def test_env_var_overrides_cache_dir(self, tmp_path, monkeypatch):
+    def test_env_var_fills_unset_cache_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "envcache"))
+        policy = FetchPolicy(mode="live")
+        assert policy.cache_dir == tmp_path / "envcache"
+
+    def test_explicit_cache_dir_beats_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "envcache"))
         policy = FetchPolicy(mode="live", cache_dir=tmp_path / "explicit")
-        assert policy.cache_dir == tmp_path / "envcache"
+        assert policy.cache_dir == tmp_path / "explicit"
+
+    def test_cached_page_without_marker_is_refetched_and_replaced(
+        self, scripted_server, tmp_path
+    ):
+        # A page cut off before its results marker.
+        self._seed_cache(tmp_path, LABEL_REQUEST, LABEL_PAGE[:64])
+        server = scripted_server((200, LABEL_PAGE))
+        fetcher = live_fetcher(server_url(server), tmp_path)
+        raw = fetcher.fetch(LABEL_REQUEST)
+        assert raw.source == "live"
+        assert server.hits == 1
+        html_path = tmp_path / "labels" / "physical_optics" / "0.html"
+        assert html_path.read_bytes() == LABEL_PAGE
+        assert not list(tmp_path.rglob("*.tmp"))
+        rerun = live_fetcher(server_url(server), tmp_path).fetch(LABEL_REQUEST)
+        assert rerun.source == "cache"
+        assert rerun.body == LABEL_PAGE
+        assert server.hits == 1
+
+
+class TestLiveFaults:
+    def test_server_error_then_ok_is_retried(self, scripted_server, tmp_path):
+        server = scripted_server((503, b"busy"), (200, LABEL_PAGE))
+        fetcher = live_fetcher(server_url(server), tmp_path)
+        raw = fetcher.fetch(LABEL_REQUEST)
+        assert raw.source == "live"
+        assert raw.body == LABEL_PAGE
+        assert server.hits == 2
+
+    def test_persistent_server_error_gives_network_error(self, scripted_server, tmp_path):
+        server = scripted_server(*[(500, b"")] * 3)
+        fetcher = live_fetcher(server_url(server), tmp_path)
+        with pytest.raises(NetworkError):
+            fetcher.fetch(LABEL_REQUEST)
+        assert server.hits == 3
+
+    def test_not_found_is_not_retried(self, scripted_server, tmp_path):
+        server = scripted_server((404, b"gone"))
+        fetcher = live_fetcher(server_url(server), tmp_path)
+        with pytest.raises(HttpStatusError) as info:
+            fetcher.fetch(LABEL_REQUEST)
+        assert info.value.status == 404
+        assert server.hits == 1
+
+    def test_no_content_is_refused(self, scripted_server, tmp_path):
+        server = scripted_server((204, b""))
+        fetcher = live_fetcher(server_url(server), tmp_path)
+        with pytest.raises(HttpStatusError):
+            fetcher.fetch(LABEL_REQUEST)
+        assert server.hits == 1
+
+    def test_interstitial_is_refused_and_not_cached(self, scripted_server, tmp_path):
+        server = scripted_server((200, b"<html>unusual traffic</html>"))
+        cache = tmp_path / "cache"
+        fetcher = live_fetcher(server_url(server), cache)
+        with pytest.raises(HttpStatusError):
+            fetcher.fetch(LABEL_REQUEST)
+        assert server.hits == 1
+        assert not list(cache.rglob("*"))
+
+    def test_truncated_body_is_retried(self, scripted_server, tmp_path):
+        server = scripted_server(TRUNCATED, (200, LABEL_PAGE))
+        fetcher = live_fetcher(server_url(server), tmp_path)
+        raw = fetcher.fetch(LABEL_REQUEST)
+        assert raw.source == "live"
+        assert raw.body == LABEL_PAGE
+        assert server.hits == 2
+
+    def test_refused_connection_gives_network_error(self, tmp_path):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        fetcher = live_fetcher(f"http://127.0.0.1:{port}", tmp_path)
+        with pytest.raises(NetworkError):
+            fetcher.fetch(LABEL_REQUEST)
+        assert len(fetcher.request_log) == fetcher.policy.max_retries + 1

@@ -1,0 +1,34 @@
+"""The package runs on the Python standard library alone."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_DIR = ROOT / "src" / "scholar_sounder"
+
+
+def absolute_imports(path: Path):
+    for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    outside = {
+        name
+        for name in absolute_imports(path)
+        if name.split(".")[0] not in sys.stdlib_module_names
+    }
+    assert not outside
+
+
+def test_no_runtime_dependencies_declared():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text("utf-8"))["project"]
+    assert project.get("dependencies", []) == []
