@@ -1,8 +1,9 @@
 """Command-line orchestration: load config, run soundings, run analysis,
 write exports and a run manifest.
 
-Exit codes: 0 success, 1 config error, 2 fetch/parse failure that aborted
-the run, 3 completed with warnings (recorded in the manifest).
+Exit codes: 0 success, 1 config error, 2 a fetch, parse, file, encoding or
+format failure that aborted the run, 3 completed with warnings (recorded in the
+manifest).
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from . import TOOL_NAME, __version__, bundled_fixtures_dir
 from .analysis import connected_components, degree_stats, detect_communities, k_core, top_clusters
 from .config import Config, build_config, read_config_file
 from .coauthor_graph import sound_authors
-from .errors import ConfigError, FormatError, ScholarSounderError, SoundingError
-from .export import _num, from_gexf, make_bundle, to_edge_csv, to_gexf, to_graphml, to_json_report
+from .errors import ConfigError, ScholarSounderError, SoundingError
+from .export import (
+    ExportBundle, _num, from_gexf, make_bundle, to_edge_csv, to_gexf, to_graphml, to_json_report,
+)
 from .fetcher import Fetcher, write_atomic
 from .notion_graph import sound_tags, write_trace
 from .parser import parse_author_page, parse_label_page
@@ -184,17 +187,20 @@ def _analysis_sections(graph, seed: int, kcore=None, min_weight=0.0, communities
     return sections
 
 
+def _write_network(ctx: RunContext, stem: str, net):
+    bundle = make_bundle(net, ctx.config.digest(), f"{TOOL_NAME} {__version__}")
+    ctx.write(f"{stem}.gexf", to_gexf(bundle))
+    ctx.write(f"{stem}.graphml", to_graphml(bundle))
+    ctx.write(f"edges_{stem}.csv", to_edge_csv(bundle))
+
+
 def _run_sound_tags(ctx: RunContext) -> dict:
     net = sound_tags(ctx.config, ctx.fetcher.fetch, parse_label_page)
-    graph = net.to_graph()
-    bundle = make_bundle(graph, ctx.config.digest(), f"{TOOL_NAME} {__version__}")
-    ctx.write("notion.gexf", to_gexf(bundle))
-    ctx.write("notion.graphml", to_graphml(bundle))
-    ctx.write("edges_notion.csv", to_edge_csv(bundle))
+    _write_network(ctx, "notion", net)
     trace_path = ctx.config.out_dir / "trace.tsv"
     write_trace(net.trace, trace_path)
     ctx.outputs.append(trace_path)
-    return _analysis_sections(graph, ctx.config.seed)
+    return _analysis_sections(net, ctx.config.seed)
 
 
 def _run_sound_authors(ctx: RunContext) -> dict:
@@ -202,11 +208,7 @@ def _run_sound_authors(ctx: RunContext) -> dict:
         ctx.config, ctx.fetcher.fetch, parse_author_page, parse_label=parse_label_page
     )
     ctx.warnings += net.report.failures
-    graph = net.to_graph()
-    bundle = make_bundle(graph, ctx.config.digest(), f"{TOOL_NAME} {__version__}")
-    ctx.write("coauthors.gexf", to_gexf(bundle))
-    ctx.write("coauthors.graphml", to_graphml(bundle))
-    ctx.write("edges_coauthors.csv", to_edge_csv(bundle))
+    _write_network(ctx, "coauthors", net)
     trace_path = ctx.config.out_dir / "trace.tsv"
     if trace_path not in ctx.outputs:  # no tag sounding wrote it in this run
         write_trace([], trace_path)
@@ -220,7 +222,7 @@ def _run_sound_authors(ctx: RunContext) -> dict:
     with trace_path.open("a", encoding="utf-8") as fh:
         fh.write("\n".join(report_lines) + "\n")
     return {
-        "coauthors": _analysis_sections(graph, ctx.config.seed),
+        "coauthors": _analysis_sections(net, ctx.config.seed),
         "coauthor_run": {
             "profiles_fetched": net.report.profiles_fetched,
             "stubs": net.report.stubs,
@@ -248,14 +250,16 @@ def _cmd_sound(args, which: str) -> int:
     return EXIT_PARTIAL if ctx.warnings else EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
-    try:
-        bundle = from_gexf(Path(args.input).read_text("utf-8"))
-    except (OSError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ABORTED
+def _load_gexf(args) -> tuple[ExportBundle, Path]:
+    """Read the ``--in`` GEXF file and create the ``--out`` directory."""
+    bundle = from_gexf(Path(args.input).read_text("utf-8"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    return bundle, out_dir
+
+
+def _cmd_analyze(args) -> int:
+    bundle, out_dir = _load_gexf(args)
     report_path = out_dir / "report.json"
     report = {}
     if report_path.is_file():
@@ -273,22 +277,15 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    try:
-        bundle = from_gexf(Path(args.input).read_text("utf-8"))
-    except (OSError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ABORTED
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    bundle, out_dir = _load_gexf(args)
     stem = Path(args.input).stem
-    if args.format == "gexf":
-        (out_dir / f"{stem}.gexf").write_text(to_gexf(bundle), "utf-8")
-    elif args.format == "graphml":
-        (out_dir / f"{stem}.graphml").write_text(to_graphml(bundle), "utf-8")
-    elif args.format == "csv":
-        (out_dir / f"edges_{stem}.csv").write_text(to_edge_csv(bundle), "utf-8")
-    elif args.format == "json":
-        (out_dir / f"{stem}.json").write_text(to_json_report(bundle), "utf-8")
+    name, writer = {
+        "gexf": (f"{stem}.gexf", to_gexf),
+        "graphml": (f"{stem}.graphml", to_graphml),
+        "csv": (f"edges_{stem}.csv", to_edge_csv),
+        "json": (f"{stem}.json", to_json_report),
+    }[args.format]
+    (out_dir / name).write_text(writer(bundle), "utf-8")
     return EXIT_OK
 
 
@@ -308,7 +305,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ScholarSounderError as exc:
+    except (OSError, UnicodeDecodeError, ScholarSounderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ABORTED
     raise AssertionError(f"unhandled command {args.command}")

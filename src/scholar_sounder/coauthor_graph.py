@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .analysis import Graph, canonical_pair
 from .errors import FetchError, ParseError
@@ -23,18 +23,6 @@ SYNTHETIC_ID_PREFIX = "name:"
 
 
 @dataclass
-class AuthorNode:
-    author_id: str
-    name: str
-    labels: list[str] = field(default_factory=list)
-    cited_by: int | None = None
-    h_index: int | None = None
-    hop: int = 0
-    stub: bool = False          # profile never fetched
-    fetch_failed: bool = False  # fetch was attempted and failed
-
-
-@dataclass
 class RunReport:
     profiles_fetched: int = 0
     stubs: int = 0
@@ -42,56 +30,35 @@ class RunReport:
     reciprocal_edges: int = 0
 
 
-class CoauthorNetwork:
+class CoauthorNetwork(Graph):
+    """Undirected co-authorship graph. Node attributes: ``name``, ``labels``
+    (a list), ``cited_by``, ``h_index``, ``hop``, ``stub`` (profile never
+    fetched) and ``fetch_failed`` (a fetch was attempted and failed)."""
+
     def __init__(self):
-        self.nodes: dict[str, AuthorNode] = {}
-        # canonical pair -> set of endpoint ids that listed the other side
-        self._listers: dict[tuple[str, str], set[str]] = {}
+        super().__init__()
         self.report = RunReport()
 
-    @property
-    def edges(self) -> dict[tuple[str, str], int]:
-        return {pair: min(2, len(who)) for pair, who in self._listers.items()}
+    def admit(self, author_id: str, name: str, hop: int, labels=(), cited_by=None):
+        self.add_node(
+            author_id, name=name, labels=list(labels), cited_by=cited_by, h_index=None,
+            hop=hop, stub=True, fetch_failed=False,
+        )
 
     def is_reciprocal(self, a: str, b: str) -> bool:
-        return len(self._listers.get(canonical_pair(a, b), ())) >= 2
+        return self.edges.get(canonical_pair(a, b)) == 2
 
     def add_listing(self, lister: str, listed: str):
+        """One more direction attests the pair. Each profile is fetched once
+        and lists a co-author once, so the weight is 1 or 2."""
         if lister == listed:
             return
-        self._listers.setdefault(canonical_pair(lister, listed), set()).add(lister)
-
-    def to_graph(self) -> Graph:
-        g = Graph()
-        for aid, n in self.nodes.items():
-            g.add_node(
-                aid,
-                name=n.name,
-                labels="|".join(n.labels),
-                cited_by=n.cited_by,
-                h_index=n.h_index,
-                hop=n.hop,
-                stub=n.stub,
-                fetch_failed=n.fetch_failed,
-            )
-        for pair, w in self.edges.items():
-            g.add_edge(pair[0], pair[1], w)
-        return g
+        pair = canonical_pair(lister, listed)
+        self.edges[pair] = self.edges.get(pair, 0) + 1
 
     def to_canonical_dict(self) -> dict:
         return {
-            "nodes": {
-                aid: {
-                    "name": n.name,
-                    "labels": list(n.labels),
-                    "cited_by": n.cited_by,
-                    "h_index": n.h_index,
-                    "hop": n.hop,
-                    "stub": n.stub,
-                    "fetch_failed": n.fetch_failed,
-                }
-                for aid, n in sorted(self.nodes.items())
-            },
+            "nodes": {aid: dict(attrs) for aid, attrs in sorted(self.nodes.items())},
             "edges": {
                 f"{a}|{b}": {"weight": w, "reciprocal": w == 2}
                 for (a, b), w in sorted(self.edges.items())
@@ -116,11 +83,12 @@ def seed_authors(config, fetch, parse) -> list[AuthorSummary]:
 def sound_authors(config, fetch, parse_profile, seeds=None, parse_label=None) -> CoauthorNetwork:
     """Breadth-first profile sounding from the seed authors.
 
-    An author dequeued at hop h <= hop_limit gets its profile fetched; each
-    listed co-author gains an edge and, if unseen, joins the queue at hop
-    h+1 (subject to hop_limit and author_cap). Fetch or parse failures keep
-    the author as a stub and the run continues. FIFO order makes the result
-    deterministic.
+    Seeds sit at hop 0. Each queued author at hop h gets its profile
+    fetched; each listed co-author gains an edge and, if unseen, is admitted
+    at hop h+1 and queued if h+1 <= hop_limit. No author is admitted once
+    the network holds author_cap nodes, and a listing of an author not
+    admitted adds no edge. Fetch or parse failures keep the author as a
+    stub and the run continues. FIFO order makes the result deterministic.
     """
     net = CoauthorNetwork()
     if seeds is None:
@@ -128,45 +96,34 @@ def sound_authors(config, fetch, parse_profile, seeds=None, parse_label=None) ->
 
     queue: deque[str] = deque()
     for summary in seeds:
-        if summary.author_id in net.nodes:
+        if summary.author_id in net.nodes or len(net.nodes) >= config.author_cap:
             continue
-        net.nodes[summary.author_id] = AuthorNode(
-            author_id=summary.author_id,
-            name=summary.name,
-            labels=list(summary.labels),
-            cited_by=summary.cited_by,
-            hop=0,
-            stub=True,
-        )
+        net.admit(summary.author_id, summary.name, 0, summary.labels, summary.cited_by)
         queue.append(summary.author_id)
 
     while queue:
         author_id = queue.popleft()
         node = net.nodes[author_id]
-        if node.hop > config.hop_limit:
-            continue
         profile = _fetch_profile(author_id, fetch, parse_profile, net)
         if profile is None:
             continue
-        node.stub = False
-        node.labels = list(profile.labels)
+        node["stub"] = False
+        node["labels"] = list(profile.labels)
         if profile.name:
-            node.name = node.name or profile.name
+            node["name"] = node["name"] or profile.name
         if profile.cited_by is not None:
-            node.cited_by = profile.cited_by
+            node["cited_by"] = profile.cited_by
         if profile.h_index is not None:
-            node.h_index = profile.h_index
+            node["h_index"] = profile.h_index
+        hop = node["hop"] + 1
         for coauthor_id, coauthor_name in profile.coauthors:
-            net.add_listing(author_id, coauthor_id)
             if coauthor_id not in net.nodes:
-                net.nodes[coauthor_id] = AuthorNode(
-                    author_id=coauthor_id,
-                    name=coauthor_name,
-                    hop=node.hop + 1,
-                    stub=True,
-                )
-                if node.hop + 1 <= config.hop_limit and len(net.nodes) <= config.author_cap:
+                if len(net.nodes) >= config.author_cap:
+                    continue
+                net.admit(coauthor_id, coauthor_name, hop)
+                if hop <= config.hop_limit:
                     queue.append(coauthor_id)
+            net.add_listing(author_id, coauthor_id)
 
     _finalize_report(net)
     return net
@@ -175,7 +132,7 @@ def sound_authors(config, fetch, parse_profile, seeds=None, parse_label=None) ->
 def _fetch_profile(author_id, fetch, parse_profile, net: CoauthorNetwork):
     if author_id.startswith(SYNTHETIC_ID_PREFIX):
         # No profile link was ever seen; the node stays a flagged stub.
-        net.nodes[author_id].fetch_failed = True
+        net.nodes[author_id]["fetch_failed"] = True
         return None
     request = PageRequest(kind=AUTHOR_PROFILE, key=author_id)
     try:
@@ -183,7 +140,7 @@ def _fetch_profile(author_id, fetch, parse_profile, net: CoauthorNetwork):
         profile = parse_profile(raw)
     except (FetchError, ParseError) as exc:
         log.warning("profile fetch failed for %s: %s", author_id, exc)
-        net.nodes[author_id].fetch_failed = True
+        net.nodes[author_id]["fetch_failed"] = True
         net.report.failures += 1
         return None
     net.report.profiles_fetched += 1
@@ -191,5 +148,5 @@ def _fetch_profile(author_id, fetch, parse_profile, net: CoauthorNetwork):
 
 
 def _finalize_report(net: CoauthorNetwork):
-    net.report.stubs = sum(1 for n in net.nodes.values() if n.stub)
+    net.report.stubs = sum(1 for attrs in net.nodes.values() if attrs["stub"])
     net.report.reciprocal_edges = sum(1 for w in net.edges.values() if w == 2)

@@ -48,11 +48,16 @@ class ExportBundle:
 
 def make_bundle(graph: Graph, config_digest: str = "", tool_version: str = "",
                 created_at: str | None = None) -> ExportBundle:
-    """Bundle a graph for export, lifting node attribute maps and dropping
-    None-valued attributes."""
-    node_attributes = {}
-    for node, attrs in graph.nodes.items():
-        node_attributes[node] = {k: v for k, v in attrs.items() if v is not None}
+    """Bundle a graph for export, lifting node attribute maps: None-valued
+    attributes are dropped and list values joined with ``|``."""
+    node_attributes = {
+        node: {
+            k: "|".join(v) if isinstance(v, list) else v
+            for k, v in attrs.items()
+            if v is not None
+        }
+        for node, attrs in graph.nodes.items()
+    }
     metadata = {
         "config_digest": config_digest,
         "tool_version": tool_version,
@@ -164,7 +169,8 @@ def _local(tag: str) -> str:
 
 
 def from_gexf(document: str) -> ExportBundle:
-    """Read back the GEXF subset that to_gexf emits."""
+    """Read back the GEXF subset that to_gexf emits. Anything else raises
+    FormatError."""
     try:
         root = ET.fromstring(document)
     except ET.ParseError as exc:
@@ -205,8 +211,10 @@ def from_gexf(document: str) -> ExportBundle:
         if kind == "attributes":
             if section.get("class") != "node":
                 raise FormatError(f"unsupported attribute class {section.get('class')!r}")
-            for attr in section:
+            for i, attr in enumerate(section):
                 name, attr_id = attr.get("title"), attr.get("id")
+                if name is None or attr_id is None:
+                    raise FormatError("attribute without title or id", location=f"attribute {i}")
                 gexf_type = attr.get("type")
                 if gexf_type not in ("boolean", "integer", "double", "string"):
                     raise FormatError(f"unsupported attribute type {gexf_type!r}", location=name)

@@ -27,6 +27,9 @@ BASE_URL = "https://scholar.google.com"
 
 CACHE_ENV_VAR = "SCHOLAR_SOUNDER_CACHE"
 
+# Longest wait a Retry-After header can ask for before the next attempt.
+RETRY_AFTER_CEILING_S = 60
+
 
 @dataclass(frozen=True)
 class PageRequest:
@@ -219,21 +222,26 @@ class Fetcher:
         target_url = canonical_url.replace(BASE_URL, self.policy.base_url, 1)
         attempts = self.policy.max_retries + 1
         last_exc: Exception | None = None
+        retry_after_s = 0.0
         for attempt in range(attempts):
-            self._wait_politely(target_url)
+            self._wait_politely(target_url, retry_after_s)
+            retry_after_s = 0.0
             try:
                 with urllib.request.urlopen(target_url, timeout=30) as resp:
-                    status, body = resp.status, resp.read()
+                    status, headers, body = resp.status, resp.headers, resp.read()
             except urllib.error.HTTPError as exc:
                 exc.close()
-                status, body = exc.code, b""
+                status, headers, body = exc.code, exc.headers, b""
             except (OSError, http.client.HTTPException) as exc:
                 # Refused or reset connections, timeouts, truncated bodies.
                 last_exc = exc
                 log.warning("fetch attempt %d failed for %s: %s", attempt + 1, target_url, exc)
                 continue
-            if status >= 500:
-                last_exc = HttpStatusError(f"server error {status} for {target_url}", status=status)
+            if status >= 500 or status == http.HTTPStatus.TOO_MANY_REQUESTS:
+                last_exc = HttpStatusError(f"status {status} for {target_url}", status=status)
+                retry_after = (headers.get("Retry-After") or "").strip()
+                if retry_after.isdecimal():  # the HTTP-date form is ignored
+                    retry_after_s = min(float(retry_after), RETRY_AFTER_CEILING_S)
                 continue
             if status != 200:
                 raise HttpStatusError(f"status {status} for {target_url}", status=status)
@@ -253,8 +261,10 @@ class Fetcher:
             )
         raise NetworkError(f"giving up on {target_url} after {attempts} attempts: {last_exc}")
 
-    def _wait_politely(self, url: str):
-        delay = self.policy.min_delay_ms / 1000.0
+    def _wait_politely(self, url: str, at_least_s: float = 0.0):
+        """Hold the request until min_delay_ms, or at_least_s if longer, has
+        passed since the previous one started."""
+        delay = max(self.policy.min_delay_ms / 1000.0, at_least_s)
         with self._gate:
             now = time.monotonic()
             if self._last_request_at is not None:

@@ -25,14 +25,6 @@ def theme_matches(tag: str, dictionary: list[str]) -> bool:
 
 
 @dataclass
-class TagStats:
-    tag: str
-    rate: int = 0          # author entries (across fetched pages) listing the tag
-    visited: bool = False  # its label page has been fetched
-    depth_discovered: int = 0
-
-
-@dataclass
 class TraceRecord:
     iteration: int
     base_tag: str
@@ -42,21 +34,19 @@ class TraceRecord:
     new_edges: int
 
 
-class NotionNetwork:
-    """Undirected weighted tag graph. Edge weight doubles as the provenance
-    count: the number of (page, author entry) pairs co-listing both ends."""
+class NotionNetwork(Graph):
+    """Undirected weighted tag graph. Node attributes: ``rate`` (author
+    entries, across fetched pages, listing the tag), ``visited`` (its label
+    page has been fetched) and ``depth_discovered``. Edge weight doubles as
+    the provenance count: the number of (page, author entry) pairs
+    co-listing both ends."""
 
     def __init__(self):
-        self.nodes: dict[str, TagStats] = {}
-        self.edges: dict[tuple[str, str], int] = {}
+        super().__init__()
         self.trace: list[TraceRecord] = []
 
-    def ensure_node(self, tag: str, depth: int = 0) -> TagStats:
-        stats = self.nodes.get(tag)
-        if stats is None:
-            stats = TagStats(tag=tag, depth_discovered=depth)
-            self.nodes[tag] = stats
-        return stats
+    def ensure_node(self, tag: str, depth: int = 0) -> dict:
+        return self.nodes.setdefault(tag, {"rate": 0, "visited": False, "depth_discovered": depth})
 
     def add_edge_evidence(self, a: str, b: str, count: int = 1):
         if a == b:
@@ -67,29 +57,9 @@ class NotionNetwork:
     def weight(self, a: str, b: str) -> int:
         return self.edges.get(canonical_pair(a, b), 0)
 
-    def to_graph(self) -> Graph:
-        g = Graph()
-        for tag, stats in self.nodes.items():
-            g.add_node(
-                tag,
-                rate=stats.rate,
-                visited=stats.visited,
-                depth_discovered=stats.depth_discovered,
-            )
-        for (a, b), w in self.edges.items():
-            g.add_edge(a, b, w)
-        return g
-
     def to_canonical_dict(self) -> dict:
         return {
-            "nodes": {
-                t: {
-                    "rate": s.rate,
-                    "visited": s.visited,
-                    "depth_discovered": s.depth_discovered,
-                }
-                for t, s in sorted(self.nodes.items())
-            },
+            "nodes": {t: dict(attrs) for t, attrs in sorted(self.nodes.items())},
             "edges": {f"{a}|{b}": w for (a, b), w in sorted(self.edges.items())},
         }
 
@@ -107,11 +77,11 @@ def absorb_label_page(
     and edge evidence accrues per the policy: ``star`` links the current tag
     to each co-listed label; ``clique`` links all label pairs of the entry.
     """
-    net.ensure_node(current, depth).visited = True
+    net.ensure_node(current, depth)["visited"] = True
     for author in page.authors:
         others = [t for t in author.labels if t != current]
         for tag in others:
-            net.ensure_node(tag, depth + 1).rate += 1
+            net.ensure_node(tag, depth + 1)["rate"] += 1
         if edge_policy == EDGE_POLICY_STAR:
             for tag in others:
                 net.add_edge_evidence(current, tag)
@@ -131,11 +101,11 @@ def select_next_tag(net: NotionNetwork, dictionary: list[str]) -> str | None:
     best: str | None = None
     best_rate = -1
     for tag in sorted(net.nodes):
-        stats = net.nodes[tag]
-        if stats.visited or not theme_matches(tag, dictionary):
+        attrs = net.nodes[tag]
+        if attrs["visited"] or not theme_matches(tag, dictionary):
             continue
-        if stats.rate > best_rate:
-            best, best_rate = tag, stats.rate
+        if attrs["rate"] > best_rate:
+            best, best_rate = tag, attrs["rate"]
     return best
 
 
@@ -172,7 +142,7 @@ def sound_tags(config, fetch, parse) -> NotionNetwork:
     iteration = 0
     for base in config.base_tags:
         net.ensure_node(base, 0)
-        current: str | None = base if not net.nodes[base].visited else None
+        current: str | None = base if not net.nodes[base]["visited"] else None
         for step in range(config.depth):
             if current is None:
                 current = select_next_tag(net, config.dictionary)
@@ -187,7 +157,7 @@ def sound_tags(config, fetch, parse) -> NotionNetwork:
                     absorb_label_page(net, page, current, depth=step, edge_policy=config.edge_policy)
             except ScholarSounderError as exc:
                 raise SoundingError(current, exc) from exc
-            net.nodes[current].visited = True
+            net.nodes[current]["visited"] = True
             net.trace.append(
                 TraceRecord(
                     iteration=iteration,

@@ -24,13 +24,25 @@ def normalize_tag(raw: str) -> str:
     decomposition exists, every other non-alphanumeric run collapses to a
     single underscore. Idempotent on its own output.
     """
-    s = raw.lower().replace("&", " and ")
-    s = unicodedata.normalize("NFKD", s)
-    s = s.encode("ascii", "ignore").decode("ascii")
-    s = re.sub(r"[^a-z0-9]+", "_", s).strip("_")
+    s = _fold(raw)
     if not s:
         raise EmptyTagError(f"nothing survives normalization of {raw!r}")
     return s
+
+
+def _fold(raw: str) -> str:
+    """The normalized form of ``raw``; empty when nothing survives."""
+    s = raw.lower().replace("&", " and ")
+    s = unicodedata.normalize("NFKD", s)
+    s = s.encode("ascii", "ignore").decode("ascii")
+    return re.sub(r"[^a-z0-9]+", "_", s).strip("_")
+
+
+def _synthetic_id(name: str) -> str | None:
+    """``name:<normalized name>`` for an entry without a profile link; None
+    when nothing of the name survives normalization."""
+    slug = _fold(name)
+    return "name:" + slug if slug else None
 
 
 @dataclass
@@ -63,9 +75,19 @@ class AuthorProfile:
 
 
 def _author_id_from_href(href: str) -> str | None:
-    qs = parse_qs(urlparse(href).query)
+    try:
+        qs = parse_qs(urlparse(href).query)
+    except ValueError:  # a malformed host, such as an unclosed "["
+        return None
     ids = qs.get("user")
     return ids[0] if ids else None
+
+
+def _count(text: str) -> int | None:
+    """The first run of digits in ``text``. None when there is none, or when
+    it is too long to be a count (int() refuses over 4,300 digits)."""
+    m = re.search(r"\d+", text)
+    return int(m.group()) if m and len(m.group()) <= 18 else None
 
 
 def _classes(attrs) -> set[str]:
@@ -101,6 +123,7 @@ class _LabelPageExtractor(HTMLParser):
         if tag == "div" and "gsc_1usr" in cls:
             self._block = {"name": "", "author_id": None, "labels": [], "cited_by": None}
             self._depth = 1
+            self._in_name = self._in_interest = self._in_cby = False
             return
         if self._block is not None and tag == "div":
             self._depth += 1
@@ -138,9 +161,9 @@ class _LabelPageExtractor(HTMLParser):
         elif self._in_interest:
             self._block["labels"][-1] += data
         elif self._in_cby:
-            m = re.search(r"(\d+)", data)
-            if m:
-                self._block["cited_by"] = int(m.group(1))
+            count = _count(data)
+            if count is not None:
+                self._block["cited_by"] = count
 
 
 class _AuthorPageExtractor(HTMLParser):
@@ -207,9 +230,9 @@ class _AuthorPageExtractor(HTMLParser):
         elif self._in_row_header:
             self._row_header += data
         elif self._in_metric:
-            m = re.search(r"(\d+)", data)
-            if m and self._row_header.strip().lower() not in self.metrics:
-                self.metrics[self._row_header.strip().lower()] = int(m.group(1))
+            count = _count(data)
+            if count is not None and self._row_header.strip().lower() not in self.metrics:
+                self.metrics[self._row_header.strip().lower()] = count
         elif self._in_coauthor_name and self._coauthor is not None:
             self._coauthor["name"] += data
 
@@ -221,11 +244,27 @@ def _marker_offset(body: bytes, marker: str) -> int:
     return len(body) if pos < 0 else pos
 
 
+def _feed(extractor: HTMLParser, text: str):
+    """Run an extractor over a whole page. The stdlib parser signals some
+    malformed markup (``<![foo``, say) with AssertionError."""
+    try:
+        extractor.feed(text)
+        extractor.close()
+    except AssertionError as exc:
+        line, col = extractor.getpos()
+        scanned = sum(len(part) + 1 for part in text.split("\n")[: line - 1]) + col
+        raise ParseError(
+            f"malformed markup: {exc}", offset=len(text[:scanned].encode("utf-8"))
+        ) from None
+
+
 def parse_label_page(page, queried: str) -> LabelPage:
     """Parse a label-search results page into structured author entries.
 
-    Entries that do not carry the queried tag are dropped and counted in
-    ``dropped``. Label strings come back normalized and deduplicated.
+    Entries that do not carry the queried tag, or that have neither a
+    profile link nor a name that survives normalization, are dropped and
+    counted in ``dropped``. Label strings come back normalized and
+    deduplicated; labels that normalize to nothing are dropped.
     """
     if page.request.kind != "label_search":
         raise ValueError(f"expected a label-search page, got {page.request.kind}")
@@ -237,8 +276,7 @@ def parse_label_page(page, queried: str) -> LabelPage:
             offset=_marker_offset(body, LABEL_RESULTS_MARKER),
         )
     ex = _LabelPageExtractor()
-    ex.feed(text)
-    ex.close()
+    _feed(ex, text)
 
     authors: list[AuthorSummary] = []
     seen_ids: set[str] = set()
@@ -246,12 +284,10 @@ def parse_label_page(page, queried: str) -> LabelPage:
     for block in ex.blocks:
         labels = _normalize_label_list(block["labels"])
         name = block["name"].strip()
-        author_id = block["author_id"]
-        if not author_id and not name:
+        author_id = block["author_id"] or _synthetic_id(name)
+        if not author_id:
             dropped += 1
             continue
-        if not author_id:
-            author_id = "name:" + normalize_tag(name)
         if author_id in seen_ids:
             continue
         if queried not in labels:
@@ -279,7 +315,8 @@ def parse_author_page(page) -> AuthorProfile:
     """Parse an author profile page: labels, metrics, co-author sidebar.
 
     Self-references in the co-author list are stripped; entries without a
-    profile link get the synthetic id ``name:<normalized name>``.
+    profile link get the synthetic id ``name:<normalized name>``, or are
+    dropped when their name normalizes to nothing.
     """
     if page.request.kind != "author_profile":
         raise ValueError(f"expected an author-profile page, got {page.request.kind}")
@@ -291,16 +328,15 @@ def parse_author_page(page) -> AuthorProfile:
             offset=_marker_offset(body, PROFILE_MARKER),
         )
     ex = _AuthorPageExtractor()
-    ex.feed(text)
-    ex.close()
+    _feed(ex, text)
 
     author_id = page.request.key
     coauthors: list[tuple[str, str]] = []
     seen: set[str] = set()
     for c in ex.coauthors:
         name = c["name"].strip()
-        cid = c["author_id"] or ("name:" + normalize_tag(name))
-        if cid == author_id or cid in seen:
+        cid = c["author_id"] or _synthetic_id(name)
+        if not cid or cid == author_id or cid in seen:
             continue
         seen.add(cid)
         coauthors.append((cid, name))
@@ -317,9 +353,7 @@ def parse_author_page(page) -> AuthorProfile:
 def _normalize_label_list(raw_labels: list[str]) -> list[str]:
     out: list[str] = []
     for raw in raw_labels:
-        if not raw.strip():
-            continue
-        tag = normalize_tag(raw)
-        if tag not in out:
+        tag = _fold(raw)
+        if tag and tag not in out:
             out.append(tag)
     return out

@@ -105,7 +105,7 @@ def test_criterion_4_depth_bound_property():
             base_tags=[rng.choice(tags)], dictionary=["optics", "laser"], depth=depth
         )
         net = sound_tags(config, corpus.fetch, parse_label_page)
-        visited = [t for t, s in net.nodes.items() if s.visited]
+        visited = [t for t, s in net.nodes.items() if s["visited"]]
         assert len(visited) <= depth
     _report(4, "visited-tag count stayed within depth in 100/100 random trials")
 

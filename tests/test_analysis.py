@@ -169,7 +169,7 @@ class TestDegreeStats:
         from scholar_sounder.parser import parse_label_page
 
         net = sound_tags(optics_config, fixture_fetcher.fetch, parse_label_page)
-        stats = degree_stats(net.to_graph())
+        stats = degree_stats(net)
         # 21 distinct tags co-listed with physical_optics across the 8
         # author entries on its results page
         assert stats.degree["physical_optics"] == 21

@@ -63,8 +63,8 @@ class TestSoundAuthors:
         net = sound_authors(config, corpus.fetch, parse_author_page, seeds=seeds)
         assert set(net.nodes) == {"A", "B", "C"}
         assert net.edges == {("A", "B"): 1, ("A", "C"): 1}
-        assert net.nodes["B"].stub and net.nodes["C"].stub
-        assert net.nodes["B"].hop == 1 == net.nodes["C"].hop
+        assert net.nodes["B"]["stub"] and net.nodes["C"]["stub"]
+        assert net.nodes["B"]["hop"] == 1 == net.nodes["C"]["hop"]
 
     def test_reciprocal_listing_gives_weight_two(self):
         corpus, seeds = simple_corpus()
@@ -74,7 +74,7 @@ class TestSoundAuthors:
         assert net.is_reciprocal("A", "B")
         assert net.edges[("A", "C")] == 1
         # C's profile is missing: kept as a flagged stub
-        assert net.nodes["C"].stub and net.nodes["C"].fetch_failed
+        assert net.nodes["C"]["stub"] and net.nodes["C"]["fetch_failed"]
 
     def test_golden_network(self, optics_config, fixture_fetcher):
         net = sound_authors(
@@ -96,8 +96,8 @@ class TestSoundAuthors:
             parse_label=parse_label_page,
         )
         # A_BANDRES is discovered from A_CHAVEZ's profile but never fetched
-        assert net.nodes["A_BANDRES"].stub
-        assert net.nodes["A_BANDRES"].hop == 1
+        assert net.nodes["A_BANDRES"]["stub"]
+        assert net.nodes["A_BANDRES"]["hop"] == 1
 
     def test_author_cap_bounds_expansion(self):
         corpus = InMemoryCorpus()
@@ -109,8 +109,17 @@ class TestSoundAuthors:
         seeds = [AuthorSummary(author_id="N0", name="Author N0", labels=["optics"])]
         config = memory_config(hop_limit=5, author_cap=4)
         net = sound_authors(config, corpus.fetch, parse_author_page, seeds=seeds)
-        fetched = [n for n in net.nodes.values() if not n.stub]
+        fetched = [n for n in net.nodes.values() if not n["stub"]]
         assert len(fetched) <= config.author_cap
+        assert len(net.nodes) <= config.author_cap
+        assert all(a in net.nodes and b in net.nodes for a, b in net.edges)
+
+    def test_author_cap_bounds_seeds(self):
+        corpus, seeds = simple_corpus()
+        seeds = seeds + [AuthorSummary(author_id=f"S{i}", name=f"S{i}", labels=[]) for i in range(3)]
+        net = sound_authors(memory_config(author_cap=2), corpus.fetch, parse_author_page, seeds=seeds)
+        assert set(net.nodes) == {"A", "S0"}
+        assert net.edges == {}
 
     def test_invariants_on_random_networks(self):
         """Symmetry (canonical pair storage), no self-loops, hop and weight
@@ -129,12 +138,12 @@ class TestSoundAuthors:
                 assert a in net.nodes and b in net.nodes
                 assert w in (1, 2)
                 if w == 2:
-                    assert not net.nodes[a].stub and not net.nodes[b].stub
+                    assert not net.nodes[a]["stub"] and not net.nodes[b]["stub"]
             for node in net.nodes.values():
-                if not node.stub:
-                    assert node.hop <= config.hop_limit
+                if not node["stub"]:
+                    assert node["hop"] <= config.hop_limit
                 else:
-                    assert node.hop == config.hop_limit + 1 or node.fetch_failed
+                    assert node["hop"] == config.hop_limit + 1 or node["fetch_failed"]
 
     def test_determinism(self, optics_config, fixture_fetcher):
         run = lambda: sound_authors(

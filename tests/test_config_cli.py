@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -258,6 +259,25 @@ class TestCliSoundAuthors:
         assert both == tags + "# profiles_fetched=6\n# stubs=4\n# failures=3\n# reciprocal_edges=3\n"
 
 
+    def test_coauthor_name_that_normalizes_to_nothing_does_not_abort(self, tmp_path):
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(FIXTURES_DIR, fixtures)
+        profile = fixtures / "authors" / "A_TUDOR.html"
+        profile.write_text(profile.read_text("utf-8").replace(
+            '<ul class="gsc_rsb_a">',
+            '<ul class="gsc_rsb_a">\n  <li class="gsc_rsb_aa"><span>王伟</span></li>'
+            '\n  <li class="gsc_rsb_aa"></li>',
+        ), "utf-8")
+        config, out = write_config(tmp_path), tmp_path / "out"
+        code = main(["all", "--config", str(config), "--fixtures", str(fixtures), "--out", str(out)])
+        assert code == 3
+        assert (out / "report.json").is_file() and (out / "run_manifest.json").is_file()
+        expected = tmp_path / "expected"
+        main(["all", "--config", str(config), "--out", str(expected)])
+        for name in ["coauthors.graphml", "report.json"]:
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+
+
 class TestCliAnalyzeExport:
     @pytest.fixture()
     def gexf_path(self, tmp_path):
@@ -306,7 +326,9 @@ class TestCliAnalyzeExport:
          '<edge id="1" source="acoustooptics" target="physical_optics"', "edge 1"),
         ('<edge id="1" source="acoustooptics" target="singular_optics"',
          '<edge id="1" source="acoustooptics" target="acoustooptics"', "edge 1"),
-    ], ids=["weight", "integer", "duplicate-edge", "self-loop"])
+        ('<attribute id="0" title="depth_discovered" type="integer"/>',
+         '<attribute id="0" type="integer"/>', "attribute 0"),
+    ], ids=["weight", "integer", "duplicate-edge", "self-loop", "untitled-attribute"])
     def test_bad_gexf_values_exit_two_with_one_line(
         self, gexf_path, tmp_path, capsys, command, old, new, location
     ):
@@ -324,6 +346,14 @@ class TestCliAnalyzeExport:
         code = main(["analyze", "--in", str(tmp_path / "nope.gexf"), "--out", str(tmp_path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_undecodable_input_exits_two_with_one_line(self, gexf_path, tmp_path, capsys):
+        bad = tmp_path / "bad.gexf"
+        bad.write_bytes(gexf_path.read_bytes().replace(b"optics", b"optic\xff", 1))
+        code = main(["export", "--in", str(bad), "--format", "csv", "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_export_csv(self, gexf_path, tmp_path):
         out = tmp_path / "exported"

@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scholar_sounder.analysis import Graph, detect_communities
 from scholar_sounder.cli import main
@@ -72,7 +74,7 @@ class TestGexf:
         from scholar_sounder.parser import parse_label_page
 
         net = sound_tags(optics_config, fixture_fetcher.fetch, parse_label_page)
-        bundle = make_bundle(net.to_graph(), "d", "v")
+        bundle = make_bundle(net, "d", "v")
         back = from_gexf(to_gexf(bundle))
         assert back.canonical_form() == bundle.canonical_form()
         assert back.graph.edges[("optics", "physical_optics")] == 2
@@ -120,6 +122,48 @@ class TestGexf:
         assert schema == {"rate": "integer", "visited": "boolean"}
 
 
+def mixed_bundle():
+    """Two nodes with every attribute type, one edge."""
+    g = Graph()
+    g.add_node("a", rate=3, visited=True, score=0.5, name="A & <a>")
+    g.add_node("b", rate=1, visited=False, score=2.0, name="B")
+    g.add_edge("a", "b", 2)
+    return make_bundle(g, config_digest="cfg", tool_version="t", created_at="2026-01-01")
+
+
+MIXED_GEXF = to_gexf(mixed_bundle())
+XML_ATTRIBUTE = re.compile(r' \w+="[^"]*"')
+GEXF_FRAGMENTS = [
+    "", '"', "'", "<", ">", "/>", "=", "&", "&#0;", "&amp;", "<![CDATA[", "<!DOCTYPE x>",
+    "</node>", "<node/>", '<node id="c"/>', "<edge/>", '<edge source="a" target="a"/>',
+    "<attvalues>", '<attvalue for="9"/>', '<attvalue for="0"/>', '<attribute type="integer"/>',
+    ' id="0"', ' title="x"', ' type="string"', ' type="directed"', ' class="edge"',
+    ' weight="x"', ' weight="nan"', ' value="1e999"', ' value="' + "9" * 5000 + '"',
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_from_gexf_raises_only_format_error_on_mutated_documents(data):
+    """Drop or replace XML attributes of a valid document, or splice text
+    into it; whatever from_gexf accepts, every writer can write back."""
+    doc = MIXED_GEXF
+    for _ in range(data.draw(st.integers(1, 4))):
+        spans = [m.span() for m in XML_ATTRIBUTE.finditer(doc)]
+        if spans and data.draw(st.booleans()):
+            i, j = data.draw(st.sampled_from(spans))
+        else:
+            i = data.draw(st.integers(0, len(doc)))
+            j = data.draw(st.integers(i, min(len(doc), i + 30)))
+        doc = doc[:i] + data.draw(st.sampled_from(GEXF_FRAGMENTS) | st.text(max_size=4)) + doc[j:]
+    try:
+        bundle = from_gexf(doc)
+    except FormatError:
+        return
+    for writer in (to_gexf, to_graphml, to_edge_csv, to_json_report):
+        writer(bundle)
+
+
 class TestGraphml:
     def test_structure(self):
         doc = to_graphml(small_bundle())
@@ -150,7 +194,7 @@ class TestEdgeCsv:
         from scholar_sounder.parser import parse_label_page
 
         net = sound_tags(optics_config, fixture_fetcher.fetch, parse_label_page)
-        text = to_edge_csv(make_bundle(net.to_graph()))
+        text = to_edge_csv(make_bundle(net))
         rows = list(csv.reader(io.StringIO(text)))
         assert len(rows) - 1 == len(net.edges)
 

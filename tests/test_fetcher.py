@@ -90,14 +90,17 @@ TRUNCATED = "truncated"  # script step: 200 announcing the full page, half of it
 
 class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
     """Answers each GET with the next step of the server's script: a
-    ``(status, body)`` pair, or TRUNCATED."""
+    ``(status, body)`` pair, a ``(status, body, headers)`` triple, or
+    TRUNCATED."""
 
     def do_GET(self):
         self.server.hits += 1
         step = self.server.script.pop(0)
-        status, body = (200, LABEL_PAGE) if step == TRUNCATED else step
+        status, body, *headers = (200, LABEL_PAGE) if step == TRUNCATED else step
         self.send_response(status)
         self.send_header("Content-Type", "text/html")
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body[: len(body) // 2] if step == TRUNCATED else body)
@@ -218,6 +221,21 @@ class TestLiveFaults:
         with pytest.raises(NetworkError):
             fetcher.fetch(LABEL_REQUEST)
         assert server.hits == 3
+
+    def test_too_many_requests_then_ok_is_retried(self, scripted_server, tmp_path):
+        server = scripted_server((429, b"slow down"), (200, LABEL_PAGE))
+        fetcher = live_fetcher(server_url(server), tmp_path)
+        raw = fetcher.fetch(LABEL_REQUEST)
+        assert raw.source == "live"
+        assert raw.body == LABEL_PAGE
+        assert server.hits == 2
+
+    def test_retry_after_lengthens_the_wait(self, scripted_server, tmp_path):
+        server = scripted_server((429, b"", {"Retry-After": "1"}), (200, LABEL_PAGE))
+        fetcher = live_fetcher(server_url(server), tmp_path)
+        assert fetcher.fetch(LABEL_REQUEST).source == "live"
+        (first, _), (second, _) = fetcher.request_log
+        assert second - first >= 1.0
 
     def test_not_found_is_not_retried(self, scripted_server, tmp_path):
         server = scripted_server((404, b"gone"))

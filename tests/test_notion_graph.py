@@ -68,13 +68,13 @@ class TestAbsorbLabelPage:
         absorb_label_page(net, page, "physical_optics")
         assert net.weight("physical_optics", "optics") == 2
         assert net.weight("physical_optics", "polarization") == 1
-        assert net.nodes["physical_optics"].visited is True
+        assert net.nodes["physical_optics"]["visited"] is True
 
     def test_empty_page_only_marks_visited(self):
         net = NotionNetwork()
         net.ensure_node("optics")
         absorb_label_page(net, label_page("optics", []), "optics")
-        assert net.nodes["optics"].visited is True
+        assert net.nodes["optics"]["visited"] is True
         assert len(net.nodes) == 1
         assert net.edges == {}
 
@@ -89,11 +89,11 @@ class TestAbsorbLabelPage:
         net = NotionNetwork()
         net.ensure_node("optics")
         absorb_label_page(net, label_page("optics", [["optics", "lasers"]]), "optics")
-        rates = {t: s.rate for t, s in net.nodes.items()}
+        rates = {t: s["rate"] for t, s in net.nodes.items()}
         weights = dict(net.edges)
         absorb_label_page(net, label_page("optics", [["optics", "lasers", "holography"]]), "optics")
         for tag, rate in rates.items():
-            assert net.nodes[tag].rate >= rate
+            assert net.nodes[tag]["rate"] >= rate
         for pair, w in weights.items():
             assert net.edges[pair] >= w
 
@@ -117,18 +117,18 @@ class TestSelectNextTag:
         net.ensure_node("physical_optics")
         absorb_label_page(net, page, "physical_optics")
         # interferometry also has rate 2 but fails the theme dictionary
-        assert net.nodes["interferometry"].rate == 2
+        assert net.nodes["interferometry"]["rate"] == 2
         assert select_next_tag(net, OPTICS_DICT) == "optics"
 
     def test_exhausted_frontier(self):
         net = NotionNetwork()
-        net.ensure_node("optics").visited = True
+        net.ensure_node("optics")["visited"] = True
         assert select_next_tag(net, OPTICS_DICT) is None
 
     def test_lexicographic_tie_break(self):
         net = NotionNetwork()
         for tag in ("crystal_optics", "acoustooptics"):
-            net.ensure_node(tag).rate = 1
+            net.ensure_node(tag)["rate"] = 1
         assert select_next_tag(net, OPTICS_DICT) == "acoustooptics"
 
 
@@ -144,7 +144,7 @@ class TestSoundTags:
         optics_config.depth = 1
         net = sound_tags(optics_config, fixture_fetcher.fetch, parse_label_page)
         assert [r.visited_tag for r in net.trace] == ["physical_optics"]
-        visited = [t for t, s in net.nodes.items() if s.visited]
+        visited = [t for t, s in net.nodes.items() if s["visited"]]
         assert visited == ["physical_optics"]
 
     def test_base_tag_without_pages(self, fixture_fetcher):
@@ -153,8 +153,8 @@ class TestSoundTags:
         net = sound_tags(config, fixture_fetcher.fetch, parse_label_page)
         assert set(net.nodes) == {"dark_matter"}
         stats = net.nodes["dark_matter"]
-        assert stats.visited is True
-        assert stats.rate == 0
+        assert stats["visited"] is True
+        assert stats["rate"] == 0
 
     def test_determinism(self, optics_config, fixture_fetcher):
         a = sound_tags(optics_config, fixture_fetcher.fetch, parse_label_page)
@@ -193,7 +193,7 @@ class TestSoundTags:
         config = memory_config(base_tags=["physical_optics", "wave_localization"], depth=1)
         config.fetch = fixture_fetcher.policy
         net = sound_tags(config, fixture_fetcher.fetch, parse_label_page)
-        visited = sorted(t for t, s in net.nodes.items() if s.visited)
+        visited = sorted(t for t, s in net.nodes.items() if s["visited"])
         assert visited == ["physical_optics", "wave_localization"]
         assert "phase_space_techniques" in net.nodes
 
@@ -209,5 +209,5 @@ class TestSoundTags:
             )
             net = sound_tags(config, corpus.fetch, parse_label_page)
             assert len(net.trace) <= depth
-            visited = [t for t, s in net.nodes.items() if s.visited]
+            visited = [t for t, s in net.nodes.items() if s["visited"]]
             assert len(visited) <= depth

@@ -3,7 +3,7 @@ import re
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from scholar_sounder.errors import EmptyTagError, ParseError
 from scholar_sounder.fetcher import AUTHOR_PROFILE, LABEL_SEARCH, PageRequest, RawPage, build_url
@@ -157,6 +157,80 @@ class TestParseAuthorPage:
         raw = fixture_fetcher.fetch(PageRequest(AUTHOR_PROFILE, "A_TUDOR"))
         with pytest.raises(ParseError):
             parse_author_page(make_raw(AUTHOR_PROFILE, "A_TUDOR", raw.body[:50]))
+
+
+LABEL_MARKER = '<div id="gsc_sa_ccl">'
+PROFILE_MARKER = '<div id="gsc_prf_in">'
+# Markup the extractors key off, plus constructs the stdlib HTML parser
+# rejects, for the fuzz tests below.
+FRAGMENTS = [
+    '<div class="gsc_1usr">', '<div class="gs_ai_cby">', "</div>", '<h3 class="gs_ai_name">',
+    '<a class="gs_ai_one_int">', '<a href="/citations?user=A1">', '<a href="?user=">',
+    '<a href="http://[::1?user=x">', "</a>", '<button class="gs_btnPR" data-after="t">',
+    '<a class="gsc_prf_inta">', '<td class="gsc_rsb_sc1">', '<td class="gsc_rsb_std">', "</td>",
+    '<li class="gsc_rsb_aa">', "</li>", "<span>", "</span>", "<![", "<!", "<?", "</", "<",
+    "&#", "&amp;", "王伟", "!!", "Optics", "Cited by 12", "Citations", "h-index", "12", "9" * 5000,
+]
+BODIES = st.lists(st.sampled_from(FRAGMENTS) | st.text(max_size=6), max_size=30).map("".join)
+
+
+class TestParsersRaiseOnlyParseError:
+    def test_labels_that_normalize_to_nothing_are_dropped(self):
+        authors = {"A_X": ("Author X", ["Optics", "王伟", "!!"], 3)}
+        html = render_label_page("optics", ["A_X"], authors=authors)
+        page = parse_label_page(make_raw(LABEL_SEARCH, "optics", html), "optics")
+        assert page.authors[0].labels == ["optics"]
+
+    def test_unlinked_label_entry_with_empty_name_is_dropped_and_counted(self):
+        html = render_label_page("optics", ["A_X"], authors={"A_X": ("王伟", ["Optics"], 3)})
+        html = html.replace("user=A_X&amp;", "user=&amp;")  # a link that names no author
+        page = parse_label_page(make_raw(LABEL_SEARCH, "optics", html), "optics")
+        assert page.authors == []
+        assert page.dropped == 1
+
+    def test_unlinked_coauthors_with_empty_names_are_dropped(self):
+        html = render_profile_page(
+            "A_X", "Author X", ["Optics"], 1, 1, [(None, "王伟"), (None, "!!"), (None, ""), ("B", "B")]
+        )
+        profile = parse_author_page(make_raw(AUTHOR_PROFILE, "A_X", html))
+        assert profile.coauthors == [("B", "B")]
+
+    def test_counts_too_long_to_be_real_are_ignored(self):
+        big = "9" * 5000  # int() refuses strings over 4,300 digits
+        authors = {"A_X": ("Author X", ["Optics"], big)}
+        html = render_label_page("optics", ["A_X"], authors=authors)
+        page = parse_label_page(make_raw(LABEL_SEARCH, "optics", html), "optics")
+        assert page.authors[0].cited_by is None
+        html = render_profile_page("A_X", "Author X", ["Optics"], big, 7, [])
+        profile = parse_author_page(make_raw(AUTHOR_PROFILE, "A_X", html))
+        assert (profile.cited_by, profile.h_index) == (None, 7)
+
+    @pytest.mark.parametrize("kind, marker", [
+        (LABEL_SEARCH, LABEL_MARKER), (AUTHOR_PROFILE, PROFILE_MARKER),
+    ], ids=["label", "profile"])
+    def test_markup_the_html_parser_rejects_raises_parse_error(self, kind, marker):
+        raw = make_raw(kind, "optics", f"<html>{marker}</div>\n<![foo</html>")
+        with pytest.raises(ParseError, match="malformed markup") as info:
+            parse_label_page(raw, "optics") if kind == LABEL_SEARCH else parse_author_page(raw)
+        assert info.value.offset == len(f"<html>{marker}</div>\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(before=BODIES, after=BODIES)
+    def test_label_page_fuzz(self, before, after):
+        raw = make_raw(LABEL_SEARCH, "optics", before + LABEL_MARKER + after)
+        try:
+            parse_label_page(raw, "optics")
+        except ParseError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(before=BODIES, after=BODIES)
+    def test_profile_page_fuzz(self, before, after):
+        raw = make_raw(AUTHOR_PROFILE, "A_X", before + PROFILE_MARKER + after)
+        try:
+            parse_author_page(raw)
+        except ParseError:
+            pass
 
 
 class TestGoldenStability:
