@@ -20,7 +20,7 @@ from . import TOOL_NAME, __version__, bundled_fixtures_dir
 from .analysis import connected_components, degree_stats, detect_communities, k_core, top_clusters
 from .config import Config, build_config, read_config_file
 from .coauthor_graph import sound_authors
-from .errors import ConfigError, ScholarSounderError, SoundingError
+from .errors import ConfigError, FormatError, ScholarSounderError, SoundingError
 from .export import (
     ExportBundle, _num, from_gexf, make_bundle, to_edge_csv, to_gexf, to_graphml, to_json_report,
 )
@@ -259,11 +259,18 @@ def _load_gexf(args) -> tuple[ExportBundle, Path]:
 
 
 def _cmd_analyze(args) -> int:
+    if args.kcore is not None and args.kcore < 1:
+        raise ConfigError("--k-core", "must be at least 1")
     bundle, out_dir = _load_gexf(args)
     report_path = out_dir / "report.json"
     report = {}
     if report_path.is_file():
-        report = json.loads(report_path.read_text("utf-8"))
+        try:
+            report = json.loads(report_path.read_text("utf-8"))
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{report_path} is not JSON: {exc}") from None
+        if not isinstance(report, dict):
+            raise FormatError(f"{report_path} does not hold a JSON object")
     sections = _analysis_sections(
         bundle.graph,
         seed=args.seed,

@@ -2,7 +2,10 @@
 
 GEXF 1.2 is the primary format and the only one with a reader; GraphML and
 edge CSV are write-only. Everything is emitted in canonical sorted order so
-identical inputs give byte-identical files.
+identical inputs give byte-identical files. The GEXF reader is a single
+streaming expat pass that fills the graph directly, with no element tree; it
+accepts the subset ``to_gexf`` writes and raises ``FormatError``, with a
+location where one applies, on anything else.
 """
 
 from __future__ import annotations
@@ -10,10 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Any
+from xml.parsers import expat
 from xml.sax.saxutils import escape, quoteattr
 
 from .analysis import Graph
@@ -170,105 +173,178 @@ def _local(tag: str) -> str:
 
 def from_gexf(document: str) -> ExportBundle:
     """Read back the GEXF subset that to_gexf emits. Anything else raises
-    FormatError."""
-    try:
-        root = ET.fromstring(document)
-    except ET.ParseError as exc:
-        raise FormatError(f"not well-formed XML: {exc}") from exc
-    if _local(root.tag) != "gexf":
-        raise FormatError(f"root element is <{_local(root.tag)}>, expected <gexf>")
+    FormatError.
 
+    One expat pass fills the graph as elements open; no element tree is
+    built. Elements are interpreted by position: every child of ``<nodes>``
+    is a node, of ``<edges>`` an edge, of ``<attributes>`` an attribute
+    declaration, and of a node's ``<attvalues>`` an attribute value;
+    anything else under ``<gexf>``, ``<meta>``, ``<graph>`` or a node is
+    skipped with its subtree. The text of ``<creator>`` and
+    ``<description>`` is read up to their first child element. A second
+    ``<graph>`` is rejected.
+    """
     metadata = {"config_digest": "", "tool_version": "", "created_at": ""}
-    graph_el = None
-    for child in root:
-        if _local(child.tag) == "meta":
-            for m in child:
-                if _local(m.tag) == "creator":
-                    metadata["tool_version"] = m.text or ""
-                elif _local(m.tag) == "description":
-                    for part in (m.text or "").split(";"):
-                        if "=" in part:
-                            k, v = part.split("=", 1)
-                            if k in metadata:
-                                metadata[k] = v
-        elif _local(child.tag) == "graph":
-            graph_el = child
-    if graph_el is None:
-        raise FormatError("no <graph> element")
-    if graph_el.get("defaultedgetype") != "undirected":
-        raise FormatError(
-            f"unsupported edge type {graph_el.get('defaultedgetype')!r}; "
-            "only undirected graphs are supported",
-            location="graph",
-        )
-
     schema: dict[str, str] = {}
     id_to_name: dict[str, str] = {}
     graph = Graph()
+    nodes = graph.nodes
     node_attributes: dict[str, dict[str, Any]] = {}
-    for section in graph_el:
-        kind = _local(section.tag)
-        if kind == "attributes":
-            if section.get("class") != "node":
-                raise FormatError(f"unsupported attribute class {section.get('class')!r}")
-            for i, attr in enumerate(section):
-                name, attr_id = attr.get("title"), attr.get("id")
-                if name is None or attr_id is None:
-                    raise FormatError("attribute without title or id", location=f"attribute {i}")
-                gexf_type = attr.get("type")
-                if gexf_type not in ("boolean", "integer", "double", "string"):
-                    raise FormatError(f"unsupported attribute type {gexf_type!r}", location=name)
-                schema[name] = gexf_type
-                id_to_name[attr_id] = name
-        elif kind == "nodes":
-            for node_el in section:
-                node_id = node_el.get("id")
-                if node_id is None:
-                    raise FormatError("node without id")
-                graph.add_node(node_id)
-                attrs: dict[str, Any] = {}
-                for sub in node_el:
-                    if _local(sub.tag) != "attvalues":
-                        continue
-                    for av in sub:
-                        ref = av.get("for")
-                        if ref not in id_to_name:
-                            raise FormatError(
-                                f"attvalue references unknown attribute id {ref!r}",
-                                location=f"node {node_id}",
-                            )
-                        name = id_to_name[ref]
-                        value = av.get("value", "")
-                        try:
-                            attrs[name] = _parse_value(value, schema[name])
-                        except ValueError:
-                            raise FormatError(
-                                f"bad {schema[name]} value {value!r} for {name!r}",
-                                location=f"node {node_id}",
-                            ) from None
-                node_attributes[node_id] = attrs
-                graph.nodes[node_id].update(attrs)
-        elif kind == "edges":
-            for edge_el in section:
-                if edge_el.get("type") == "directed":
-                    raise FormatError("directed edge", location=f"edge {edge_el.get('id')}")
-                a, b = edge_el.get("source"), edge_el.get("target")
-                if a is None or b is None or a not in graph.nodes or b not in graph.nodes:
+    # One context per open element; "skip" marks a subtree that is ignored.
+    stack = ["document"]
+    push, pop = stack.append, stack.pop
+    text: list[str] = []
+    node_id: str = ""
+    attrs: dict[str, Any] = {}
+    attribute_index = 0
+    seen_graph = False
+    parser = expat.ParserCreate(namespace_separator="}")
+
+    def start(tag, xml_attrs):
+        nonlocal node_id, attrs, attribute_index, seen_graph
+        context = stack[-1]
+        if context == "attvalues":
+            ref = xml_attrs.get("for")
+            if ref not in id_to_name:
+                raise FormatError(
+                    f"attvalue references unknown attribute id {ref!r}",
+                    location=f"node {node_id}",
+                )
+            name = id_to_name[ref]
+            value = xml_attrs.get("value", "")
+            try:
+                attrs[name] = _parse_value(value, schema[name])
+            except ValueError:
+                raise FormatError(
+                    f"bad {schema[name]} value {value!r} for {name!r}",
+                    location=f"node {node_id}",
+                ) from None
+            push("skip")
+        elif context == "edges":
+            if xml_attrs.get("type") == "directed":
+                raise FormatError("directed edge", location=f"edge {xml_attrs.get('id')}")
+            a, b = xml_attrs.get("source"), xml_attrs.get("target")
+            if a is None or b is None or a not in nodes or b not in nodes:
+                raise FormatError(
+                    f"edge endpoints {a!r}-{b!r} not declared",
+                    location=f"edge {xml_attrs.get('id')}",
+                )
+            try:
+                weight = float(xml_attrs.get("weight", "1"))
+            except ValueError:
+                raise FormatError(
+                    f"bad edge weight {xml_attrs.get('weight')!r}",
+                    location=f"edge {xml_attrs.get('id')}",
+                ) from None
+            try:
+                graph.add_edge(a, b, _num(weight))
+            except ValueError as exc:  # self-loop or duplicate pair
+                raise FormatError(str(exc), location=f"edge {xml_attrs.get('id')}") from None
+            push("skip")
+        elif context == "skip":
+            push("skip")
+        elif context == "node":
+            push("attvalues" if _local(tag) == "attvalues" else "skip")
+        elif context == "nodes":
+            node_id = xml_attrs.get("id")
+            if node_id is None:
+                raise FormatError("node without id")
+            graph.add_node(node_id)
+            attrs = {}
+            push("node")
+        elif context == "attributes":
+            name, attr_id = xml_attrs.get("title"), xml_attrs.get("id")
+            if name is None or attr_id is None:
+                raise FormatError(
+                    "attribute without title or id", location=f"attribute {attribute_index}"
+                )
+            gexf_type = xml_attrs.get("type")
+            if gexf_type not in ("boolean", "integer", "double", "string"):
+                raise FormatError(f"unsupported attribute type {gexf_type!r}", location=name)
+            schema[name] = gexf_type
+            id_to_name[attr_id] = name
+            attribute_index += 1
+            push("skip")
+        elif context == "graph":
+            kind = _local(tag)
+            if kind == "attributes":
+                if xml_attrs.get("class") != "node":
                     raise FormatError(
-                        f"edge endpoints {a!r}-{b!r} not declared",
-                        location=f"edge {edge_el.get('id')}",
+                        f"unsupported attribute class {xml_attrs.get('class')!r}"
                     )
-                try:
-                    weight = float(edge_el.get("weight", "1"))
-                except ValueError:
+                attribute_index = 0
+                push(kind)
+            else:
+                push(kind if kind in ("nodes", "edges") else "skip")
+        elif context == "meta":
+            kind = _local(tag)
+            if kind in ("creator", "description"):
+                text.clear()
+                parser.CharacterDataHandler = text.append
+                push(kind)
+            else:
+                push("skip")
+        elif context in ("creator", "description"):
+            parser.CharacterDataHandler = None  # text ends at the first child
+            push("skip")
+        elif context == "gexf":
+            kind = _local(tag)
+            if kind == "graph":
+                if seen_graph:
+                    raise FormatError("more than one <graph> element", location="graph")
+                seen_graph = True
+                if xml_attrs.get("defaultedgetype") != "undirected":
                     raise FormatError(
-                        f"bad edge weight {edge_el.get('weight')!r}",
-                        location=f"edge {edge_el.get('id')}",
-                    ) from None
-                try:
-                    graph.add_edge(a, b, _num(weight))
-                except ValueError as exc:  # self-loop or duplicate pair
-                    raise FormatError(str(exc), location=f"edge {edge_el.get('id')}") from None
+                        f"unsupported edge type {xml_attrs.get('defaultedgetype')!r}; "
+                        "only undirected graphs are supported",
+                        location="graph",
+                    )
+                push(kind)
+            else:
+                push("meta" if kind == "meta" else "skip")
+        else:  # the root element
+            if _local(tag) != "gexf":
+                raise FormatError(f"root element is <{_local(tag)}>, expected <gexf>")
+            push("gexf")
+
+    def end(tag):
+        context = pop()
+        if context == "skip":
+            return
+        if context == "node":
+            node_attributes[node_id] = attrs
+            nodes[node_id].update(attrs)
+        elif context == "creator":
+            parser.CharacterDataHandler = None
+            metadata["tool_version"] = "".join(text)
+        elif context == "description":
+            parser.CharacterDataHandler = None
+            for part in "".join(text).split(";"):
+                if "=" in part:
+                    k, v = part.split("=", 1)
+                    if k in metadata:
+                        metadata[k] = v
+
+    def skipped_entity(name, is_parameter_entity):
+        raise FormatError(
+            f"not well-formed XML: undefined entity &{name};: "
+            f"line {parser.CurrentLineNumber}, column {parser.CurrentColumnNumber}"
+        )
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.SkippedEntityHandler = skipped_entity
+    try:
+        parser.Parse(document, True)
+    except expat.ExpatError as exc:
+        raise FormatError(f"not well-formed XML: {exc}") from exc
+    finally:
+        # The handlers reach the parser through their closure; drop them so
+        # the parser, and with it the graph, is freed without a cycle pass.
+        parser.StartElementHandler = parser.EndElementHandler = None
+        parser.CharacterDataHandler = parser.SkippedEntityHandler = None
+    if not seen_graph:
+        raise FormatError("no <graph> element")
     return ExportBundle(graph=graph, node_attributes=node_attributes, metadata=metadata)
 
 

@@ -30,6 +30,10 @@ CACHE_ENV_VAR = "SCHOLAR_SOUNDER_CACHE"
 # Longest wait a Retry-After header can ask for before the next attempt.
 RETRY_AFTER_CEILING_S = 60
 
+# Seconds a live request may wait on connect or on each read before the
+# attempt counts as failed and is retried.
+REQUEST_TIMEOUT_S = 30
+
 
 @dataclass(frozen=True)
 class PageRequest:
@@ -227,7 +231,7 @@ class Fetcher:
             self._wait_politely(target_url, retry_after_s)
             retry_after_s = 0.0
             try:
-                with urllib.request.urlopen(target_url, timeout=30) as resp:
+                with urllib.request.urlopen(target_url, timeout=REQUEST_TIMEOUT_S) as resp:
                     status, headers, body = resp.status, resp.headers, resp.read()
             except urllib.error.HTTPError as exc:
                 exc.close()

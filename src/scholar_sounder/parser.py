@@ -246,11 +246,12 @@ def _marker_offset(body: bytes, marker: str) -> int:
 
 def _feed(extractor: HTMLParser, text: str):
     """Run an extractor over a whole page. The stdlib parser signals some
-    malformed markup (``<![foo``, say) with AssertionError."""
+    malformed markup (``<![foo``, say) with AssertionError, and a numeric
+    character reference too long for ``int`` with ValueError."""
     try:
         extractor.feed(text)
         extractor.close()
-    except AssertionError as exc:
+    except (AssertionError, ValueError) as exc:
         line, col = extractor.getpos()
         scanned = sum(len(part) + 1 for part in text.split("\n")[: line - 1]) + col
         raise ParseError(

@@ -342,6 +342,30 @@ class TestCliAnalyzeExport:
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"(at {location}" in err
 
+    @pytest.mark.parametrize("content", ["{not json", "[1, 2]"], ids=["not-json", "not-object"])
+    def test_analyze_bad_report_in_out_exits_two_with_one_line(
+        self, gexf_path, tmp_path, capsys, content
+    ):
+        out = tmp_path / "analysis"
+        out.mkdir()
+        (out / "report.json").write_text(content, "utf-8")
+        code = main(["analyze", "--in", str(gexf_path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "report.json" in err
+        assert (out / "report.json").read_text("utf-8") == content
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_analyze_non_positive_k_core_is_a_config_error(self, gexf_path, tmp_path, capsys, k):
+        out = tmp_path / "analysis"
+        code = main(["analyze", "--in", str(gexf_path), "--out", str(out), "--k-core", k])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--k-core" in err
+        assert not out.exists()
+
     def test_analyze_rejects_missing_input(self, tmp_path, capsys):
         code = main(["analyze", "--in", str(tmp_path / "nope.gexf"), "--out", str(tmp_path)])
         assert code == 2

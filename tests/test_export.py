@@ -1,8 +1,11 @@
 import csv
+import gc
 import io
 import json
 import random
 import re
+import weakref
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +21,8 @@ from scholar_sounder.export import (
     to_graphml,
     to_json_report,
 )
+
+import gexf_reference
 
 
 def small_bundle():
@@ -142,12 +147,9 @@ GEXF_FRAGMENTS = [
 ]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_from_gexf_raises_only_format_error_on_mutated_documents(data):
-    """Drop or replace XML attributes of a valid document, or splice text
-    into it; whatever from_gexf accepts, every writer can write back."""
-    doc = MIXED_GEXF
+def mutate(data, doc, fragments):
+    """Drop or replace XML attributes of doc, or splice text into it, one to
+    four times."""
     for _ in range(data.draw(st.integers(1, 4))):
         spans = [m.span() for m in XML_ATTRIBUTE.finditer(doc)]
         if spans and data.draw(st.booleans()):
@@ -155,13 +157,137 @@ def test_from_gexf_raises_only_format_error_on_mutated_documents(data):
         else:
             i = data.draw(st.integers(0, len(doc)))
             j = data.draw(st.integers(i, min(len(doc), i + 30)))
-        doc = doc[:i] + data.draw(st.sampled_from(GEXF_FRAGMENTS) | st.text(max_size=4)) + doc[j:]
+        doc = doc[:i] + data.draw(st.sampled_from(fragments) | st.text(max_size=4)) + doc[j:]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_from_gexf_raises_only_format_error_on_mutated_documents(data):
+    """Drop or replace XML attributes of a valid document, or splice text
+    into it; whatever from_gexf accepts, every writer can write back."""
+    doc = mutate(data, MIXED_GEXF, GEXF_FRAGMENTS)
     try:
         bundle = from_gexf(doc)
     except FormatError:
         return
     for writer in (to_gexf, to_graphml, to_edge_csv, to_json_report):
         writer(bundle)
+
+
+def read_outcome(reader, doc):
+    """None if reader raises FormatError, else everything a bundle holds."""
+    try:
+        bundle = reader(doc)
+    except FormatError:
+        return None
+    # repr, so that NaN values compare equal and 1, 1.0 and True do not.
+    return repr((bundle.canonical_form(), bundle.node_attributes, bundle.metadata,
+                 bundle.graph.nodes))
+
+
+def graph_elements(doc) -> int:
+    return sum(child.tag.rsplit("}", 1)[-1] == "graph" for child in ET.fromstring(doc))
+
+
+def assert_readers_agree(doc):
+    """The streaming reader and the element-tree reference both reject doc
+    or read the same bundle from it. The one allowed difference: the
+    streaming reader rejects a second <graph>, where the reference reads
+    the last one."""
+    expected = read_outcome(gexf_reference.from_gexf, doc)
+    got = read_outcome(from_gexf, doc)
+    if got is None and expected is not None and graph_elements(doc) > 1:
+        return
+    assert got == expected
+
+
+# Fragments that reach what the mutations above rarely do: namespace
+# prefixes, unknown elements where nodes and edges go, and markup inside
+# <creator> and <description>.
+ORACLE_FRAGMENTS = [
+    '<g:node xmlns:g="http://www.gexf.net/1.2draft" id="g"/>', '<g:x xmlns:g="urn:g"/>',
+    ' xmlns:g="urn:g"', ' g:id="c"', '<g:node id="c"/>', '<g:attvalues/>',
+    '<unknown id="u"/>', '<unknown source="a" target="b" weight="3"/>', '<b>x</b>', "<i/>",
+    '<attvalues><attvalue for="0" value="7"/></attvalues>',
+    '<other><attvalue for="0" value="7"/></other>',
+    '<graph defaultedgetype="undirected"/>',
+]
+START_TAG_ENDS = [m.end() for m in re.finditer(r"<[a-z][^>]*>", MIXED_GEXF)]
+
+
+class TestReaderAgreesWithReference:
+    @pytest.mark.parametrize("seed", range(25))
+    def test_random_bundles(self, seed):
+        assert_readers_agree(to_gexf(random_bundle(random.Random(seed), max_nodes=60)))
+
+    @pytest.mark.parametrize("stem", ["notion", "coauthors"])
+    def test_quick_start_files(self, quick_start_out, stem):
+        doc = (quick_start_out / f"{stem}.gexf").read_text("utf-8")
+        assert_readers_agree(doc)
+        assert to_gexf(from_gexf(doc)) == doc
+
+    @pytest.mark.parametrize("with_long", [False, True], ids=["accepted", "long-attribute"])
+    def test_networkx_file(self, tmp_path, with_long):
+        nx = pytest.importorskip("networkx")
+        g = nx.Graph()
+        g.add_node("a", name="A & <a>", score=0.5, flag=True)
+        g.add_node("b", name="B", score=2.0, flag=False)
+        g.add_node("c")
+        g.add_edge("a", "b", weight=2.0)
+        g.add_edge("b", "c", weight=1)
+        if with_long:
+            g.nodes["a"]["rank"] = 3  # written with GEXF type "long", which we reject
+        nx.write_gexf(g, tmp_path / "nx.gexf")
+        doc = (tmp_path / "nx.gexf").read_text("utf-8")
+        assert_readers_agree(doc)
+        assert (read_outcome(from_gexf, doc) is None) == with_long
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_documents(self, data):
+        doc = MIXED_GEXF
+        if data.draw(st.booleans()):
+            i = data.draw(st.sampled_from(START_TAG_ENDS))
+            doc = doc[:i] + data.draw(st.sampled_from(ORACLE_FRAGMENTS)) + doc[i:]
+        assert_readers_agree(mutate(data, doc, GEXF_FRAGMENTS + ORACLE_FRAGMENTS))
+
+    @pytest.mark.parametrize("doc", [
+        MIXED_GEXF.replace("<creator>t", "<creator>t<b>x</b>y"),
+        MIXED_GEXF.replace(";created_at", "<i/>;created_at"),
+        MIXED_GEXF.replace("<creator>t", "<creator><![CDATA[<t>]]><!-- c -->&amp;"),
+        MIXED_GEXF.replace("<nodes>", '<nodes><unknown id="u"/>'),
+        MIXED_GEXF.replace("</attvalues>", '</attvalues><other><attvalue for="0" value="7"/></other>'),
+        MIXED_GEXF.replace("<nodes>", '<nodes><node id="c"/>').replace(
+            "<edges>", '<edges><unknown source="b" target="c"/>'),
+        MIXED_GEXF.replace("<gexf ", '<gexf xmlns:g="urn:g" ').replace(
+            "<node ", "<g:node ").replace("</node>", "</g:node>"),
+        MIXED_GEXF.replace("<node ", "<g:node ").replace("</node>", "</g:node>"),
+        MIXED_GEXF.replace("<gexf ", '<!DOCTYPE gexf SYSTEM "x"><gexf ').replace(
+            "<creator>t", "<creator>t&undefined;"),
+    ], ids=["element-in-creator", "element-in-description", "cdata-in-creator",
+            "unknown-node-element", "attvalue-outside-attvalues", "unknown-edge-element",
+            "declared-prefix", "unbound-prefix", "undefined-entity"])
+    def test_hand_written_documents(self, doc):
+        assert_readers_agree(doc)
+
+    def test_second_graph_element_is_rejected(self):
+        doc = MIXED_GEXF.replace("</gexf>", '<graph defaultedgetype="undirected"/></gexf>')
+        assert gexf_reference.from_gexf(doc).graph.nodes == {}  # the last <graph> wins
+        with pytest.raises(FormatError, match="more than one <graph> element"):
+            from_gexf(doc)
+
+    def test_loaded_graph_dies_with_its_bundle(self):
+        was_enabled = gc.isenabled()
+        gc.disable()  # only reference counting may free the graph
+        try:
+            bundle = from_gexf(MIXED_GEXF)
+            graph = weakref.ref(bundle.graph)
+            del bundle
+            assert graph() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestGraphml:

@@ -2,10 +2,11 @@ import http.server
 import json
 import socket
 import threading
+import time
 
 import pytest
 
-from scholar_sounder import bundled_fixtures_dir
+from scholar_sounder import bundled_fixtures_dir, fetcher as fetcher_module
 from scholar_sounder.errors import FixtureMissingError, HttpStatusError, NetworkError
 from scholar_sounder.fetcher import (
     AUTHOR_PROFILE,
@@ -86,16 +87,21 @@ class TestFixtureMode:
 LABEL_PAGE = (bundled_fixtures_dir() / "labels" / "physical_optics" / "0.html").read_bytes()
 LABEL_REQUEST = PageRequest(LABEL_SEARCH, "physical_optics", 0)
 TRUNCATED = "truncated"  # script step: 200 announcing the full page, half of it sent
+STALL = "stall"  # script step: no response for STALL_S, then the connection closes
+STALL_S = 0.6
 
 
 class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
     """Answers each GET with the next step of the server's script: a
-    ``(status, body)`` pair, a ``(status, body, headers)`` triple, or
-    TRUNCATED."""
+    ``(status, body)`` pair, a ``(status, body, headers)`` triple,
+    TRUNCATED or STALL."""
 
     def do_GET(self):
         self.server.hits += 1
         step = self.server.script.pop(0)
+        if step == STALL:
+            time.sleep(STALL_S)
+            return
         status, body, *headers = (200, LABEL_PAGE) if step == TRUNCATED else step
         self.send_response(status)
         self.send_header("Content-Type", "text/html")
@@ -112,11 +118,12 @@ class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
 @pytest.fixture
 def scripted_server():
     """Start a loopback server that plays the given script, one step per
-    request; ``server.hits`` counts the requests it saw."""
+    request; ``server.hits`` counts the requests it saw. Each request gets
+    its own thread, so a stalled one does not hold up the retry after it."""
     servers = []
 
     def start(*script):
-        server = http.server.HTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
         server.script = list(script)
         server.hits = 0
         threading.Thread(
@@ -236,6 +243,28 @@ class TestLiveFaults:
         assert fetcher.fetch(LABEL_REQUEST).source == "live"
         (first, _), (second, _) = fetcher.request_log
         assert second - first >= 1.0
+
+    def test_stall_then_ok_is_retried(self, scripted_server, tmp_path, monkeypatch):
+        monkeypatch.setattr(fetcher_module, "REQUEST_TIMEOUT_S", 0.2)
+        server = scripted_server(STALL, (200, LABEL_PAGE))
+        fetcher = live_fetcher(server_url(server), tmp_path)
+        started = time.monotonic()
+        raw = fetcher.fetch(LABEL_REQUEST)
+        assert time.monotonic() - started < STALL_S  # the timeout ended the first attempt
+        assert raw.source == "live"
+        assert raw.body == LABEL_PAGE
+        assert server.hits == 2
+
+    def test_persistent_stall_gives_network_error(self, scripted_server, tmp_path, monkeypatch):
+        monkeypatch.setattr(fetcher_module, "REQUEST_TIMEOUT_S", 0.2)
+        attempts = FetchPolicy(mode="live").max_retries + 1
+        server = scripted_server(*[STALL] * attempts)
+        fetcher = live_fetcher(server_url(server), tmp_path)
+        started = time.monotonic()
+        with pytest.raises(NetworkError):
+            fetcher.fetch(LABEL_REQUEST)
+        assert time.monotonic() - started < STALL_S * attempts
+        assert server.hits == attempts
 
     def test_not_found_is_not_retried(self, scripted_server, tmp_path):
         server = scripted_server((404, b"gone"))

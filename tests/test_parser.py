@@ -214,6 +214,15 @@ class TestParsersRaiseOnlyParseError:
             parse_label_page(raw, "optics") if kind == LABEL_SEARCH else parse_author_page(raw)
         assert info.value.offset == len(f"<html>{marker}</div>\n")
 
+    @pytest.mark.parametrize("kind, marker", [
+        (LABEL_SEARCH, LABEL_MARKER), (AUTHOR_PROFILE, PROFILE_MARKER),
+    ], ids=["label", "profile"])
+    def test_overlong_character_reference_raises_parse_error(self, kind, marker):
+        raw = make_raw(kind, "optics", f"<html>{marker}</div>&#{'9' * 5000};</html>")
+        with pytest.raises(ParseError, match="malformed markup") as info:
+            parse_label_page(raw, "optics") if kind == LABEL_SEARCH else parse_author_page(raw)
+        assert info.value.offset == len(f"<html>{marker}</div>")
+
     @settings(max_examples=300, deadline=None)
     @given(before=BODIES, after=BODIES)
     def test_label_page_fuzz(self, before, after):
