@@ -7,7 +7,6 @@ import http.client
 import json
 import logging
 import os
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -129,12 +128,12 @@ def write_atomic(path: Path, data: bytes):
 
 
 class Fetcher:
-    """Serializes live network access behind one politeness gate; fixture
-    and cache reads run without coordination."""
+    """Reads pages from fixtures, or from the cache and then the live
+    service, spacing live requests by the politeness delay. One request at
+    a time: the tool never issues requests in parallel."""
 
     def __init__(self, policy: FetchPolicy):
         self.policy = policy
-        self._gate = threading.Lock()
         self._last_request_at: float | None = None
         # (monotonic timestamp, url) per network hit, for politeness audits
         self.request_log: list[tuple[float, str]] = []
@@ -190,20 +189,22 @@ class Fetcher:
         if not _has_marker(request, body):
             log.warning("ignoring cached page without marker: %s", html_path)
             return None
-        meta = {}
+        url, retrieved_at = build_url(request), datetime.now(timezone.utc)
         if meta_path.is_file():
-            meta = json.loads(meta_path.read_text("utf-8"))
-        retrieved = meta.get("retrieved_at")
+            try:
+                meta = json.loads(meta_path.read_bytes())
+                if not isinstance(meta, dict):
+                    raise ValueError("not a JSON object")
+                url = meta.get("url", url)
+                if not isinstance(url, str):
+                    raise ValueError("url is not a string")
+                if meta.get("retrieved_at"):
+                    retrieved_at = datetime.fromisoformat(meta["retrieved_at"])
+            except (OSError, ValueError, TypeError, RecursionError) as exc:
+                log.warning("ignoring cached page with an unreadable sidecar %s: %s", meta_path, exc)
+                return None
         return RawPage(
-            request=request,
-            url=meta.get("url", build_url(request)),
-            body=body,
-            retrieved_at=(
-                datetime.fromisoformat(retrieved)
-                if retrieved
-                else datetime.now(timezone.utc)
-            ),
-            source="cache",
+            request=request, url=url, body=body, retrieved_at=retrieved_at, source="cache"
         )
 
     def _write_cache(self, request: PageRequest, url: str, body: bytes, status: int):
@@ -269,11 +270,9 @@ class Fetcher:
         """Hold the request until min_delay_ms, or at_least_s if longer, has
         passed since the previous one started."""
         delay = max(self.policy.min_delay_ms / 1000.0, at_least_s)
-        with self._gate:
-            now = time.monotonic()
-            if self._last_request_at is not None:
-                remaining = self._last_request_at + delay - now
-                if remaining > 0:
-                    time.sleep(remaining)
-            self._last_request_at = time.monotonic()
-            self.request_log.append((self._last_request_at, url))
+        if self._last_request_at is not None:
+            remaining = self._last_request_at + delay - time.monotonic()
+            if remaining > 0:
+                time.sleep(remaining)
+        self._last_request_at = time.monotonic()
+        self.request_log.append((self._last_request_at, url))

@@ -3,10 +3,11 @@ normalization into the canonical underscore form (e.g. ``physical_optics``)."""
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 from dataclasses import dataclass
-from html.parser import HTMLParser
+from html import unescape
 from urllib.parse import parse_qs, urlparse
 
 from .errors import EmptyTagError, ParseError
@@ -90,12 +91,11 @@ def _count(text: str) -> int | None:
     return int(m.group()) if m and len(m.group()) <= 18 else None
 
 
-def _classes(attrs) -> set[str]:
-    d = dict(attrs)
-    return set((d.get("class") or "").split())
+def _classes(attrs: dict) -> list[str]:
+    return (attrs.get("class") or "").split()
 
 
-class _LabelPageExtractor(HTMLParser):
+class _LabelPageExtractor:
     """Pulls author blocks out of a label-search results page.
 
     Markers: results container ``gsc_sa_ccl``, one ``gsc_1usr`` div per
@@ -105,8 +105,6 @@ class _LabelPageExtractor(HTMLParser):
     """
 
     def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.container_seen = False
         self.blocks: list[dict] = []
         self.next_page_token: str | None = None
         self._block: dict | None = None
@@ -115,11 +113,8 @@ class _LabelPageExtractor(HTMLParser):
         self._in_interest = False
         self._in_cby = False
 
-    def handle_starttag(self, tag, attrs):
-        d = dict(attrs)
-        cls = _classes(attrs)
-        if d.get("id") == LABEL_RESULTS_MARKER:
-            self.container_seen = True
+    def handle_starttag(self, tag, d):
+        cls = _classes(d)
         if tag == "div" and "gsc_1usr" in cls:
             self._block = {"name": "", "author_id": None, "labels": [], "cited_by": None}
             self._depth = 1
@@ -138,7 +133,7 @@ class _LabelPageExtractor(HTMLParser):
                 self._block["author_id"] = _author_id_from_href(href)
                 self._in_name = True
         if tag == "button" and "gs_btnPR" in cls and "data-after" in d:
-            if d.get("disabled") is None and d["data-after"]:
+            if "disabled" not in d and d["data-after"]:
                 self.next_page_token = d["data-after"]
 
     def handle_endtag(self, tag):
@@ -166,16 +161,14 @@ class _LabelPageExtractor(HTMLParser):
                 self._block["cited_by"] = count
 
 
-class _AuthorPageExtractor(HTMLParser):
+class _AuthorPageExtractor:
     """Pulls name, interests, metrics, and the co-author sidebar out of a
     profile page. Markers: ``gsc_prf_in`` (name), ``gsc_prf_inta``
     (interest links), ``gsc_rsb_std`` metric cells keyed by the row header,
     ``gsc_rsb_aa`` co-author list items."""
 
     def __init__(self):
-        super().__init__(convert_charrefs=True)
         self.name = ""
-        self.name_seen = False
         self.labels: list[str] = []
         self.metrics: dict[str, int] = {}
         self.coauthors: list[dict] = []
@@ -187,11 +180,9 @@ class _AuthorPageExtractor(HTMLParser):
         self._coauthor: dict | None = None
         self._in_coauthor_name = False
 
-    def handle_starttag(self, tag, attrs):
-        d = dict(attrs)
-        cls = _classes(attrs)
+    def handle_starttag(self, tag, d):
+        cls = _classes(d)
         if d.get("id") == PROFILE_MARKER:
-            self.name_seen = True
             self._in_name = True
         if "gsc_prf_inta" in cls:
             self._in_interest = True
@@ -244,19 +235,211 @@ def _marker_offset(body: bytes, marker: str) -> int:
     return len(body) if pos < 0 else pos
 
 
-def _feed(extractor: HTMLParser, text: str):
-    """Run an extractor over a whole page. The stdlib parser signals some
-    malformed markup (``<![foo``, say) with AssertionError, and a numeric
-    character reference too long for ``int`` with ValueError."""
+# -- tokenizer ----------------------------------------------------------
+#
+# One pattern splits a page into the tokens the standard library's
+# html.parser finds when it is fed the whole page at once, in the same
+# chunks of text: text runs to the next "<"; a "<" that opens nothing is a
+# chunk of its own; a construct html.parser cannot complete (an unclosed
+# comment or quote, say) is text up to the next ">", or when no ">"
+# follows, up to the next "<". Every position starts some token, so
+# finditer walks the page without gaps; it starts again after the raw text
+# of a script or style element. The tokenization states of
+# https://html.spec.whatwg.org/multipage/parsing.html#tokenization are what
+# html.parser approximates.
+#
+# A construct that cannot complete costs a scan to the end of the page for
+# its terminator. Where html.parser pays that scan again at every later
+# "<" of the same kind, _feed narrows the pattern after the first failure
+# to the constructs that can still complete, so the rest of the page costs
+# what a well-formed page does and tokenizes the same.
+
+_TAG_NAME = r"[a-zA-Z][^\t\n\r\f />\x00]*"
+_SEPARATORS = r"(?:\s|/(?!>))*"
+# An attribute name follows a quote, space or slash; a quoted value may
+# hold ">".
+_ATTR_NAME = r"""(?<=['"\s/])[^\s/>][^\s/=>]*"""
+_VALUE = r"""'[^']*'|"[^"]*"|(?!['"])[^>\s]*"""
+# Marked-section keywords: "<![CDATA[ ... ]]>" and "<![if ...]>".
+_SECTION = r"(?ai:temp|cdata|ignore|include|rcdata)(?![-_.a-zA-Z0-9])"
+_MS_SECTION = r"(?ai:if|else|endif)(?![-_.a-zA-Z0-9])"
+
+# A start tag: the longest head a tag can have, taken whole (a lookahead
+# does not backtrack), then ">" ("start") or "/>" ("empty"). A head
+# followed by anything but those, a letter, "=", "/" or the end of the page
+# is no tag ("nottag"), and its text is data.
+_START = rf"""
+    (?P<start>(?=(?P<head><(?P<tag>{_TAG_NAME}){_SEPARATORS}
+        (?:{_ATTR_NAME}(?:\s*=+\s*(?:{_VALUE}))?{_SEPARATORS})*\s*))(?P=head))
+      (?:>|(?P<empty>/>)|(?P<nottag>)(?=[^a-zA-Z=/>]))
+  | </(?:\s*(?P<endtag>[a-zA-Z][-.a-zA-Z0-9:_]*)\s*>|(?P<endtag2>{_TAG_NAME})[^>]*>)
+"""
+# With no ">" left, a head ends at the end of the page or just before the
+# "=" of an unclosed quoted value, where it is no tag; or it is a bare tag
+# name before NUL, where it is data.
+_NOTTAG_BEFORE_NUL = rf"""(?P<nottag><{_TAG_NAME}(?<!['"])(?=\x00))"""
+# Comments, declarations, processing instructions, marked sections.
+_COMMENT = r"<!--.*?--\s*>"
+_OTHER_SKIPS = r"</[^>]*>|<\?[^>]*>|<!(?!--|\[)[^>]*>"
+_SECTION_SKIP = rf"<!\[{_SECTION}.*?\]\s*\]\s*>"
+_CONDITIONAL_SKIP = rf"<!\[{_MS_SECTION}.*?\]\s*>"
+_BAD_SECTION = rf"""
+    (?P<badsection><!\[(?!{_SECTION}|{_MS_SECTION})(?![a-zA-Z][-_.a-zA-Z0-9]*\s*\Z)
+      (?P<keyword>[a-zA-Z][-_.a-zA-Z0-9]*))
+  | (?P<nokeyword><!\[)(?=[^a-zA-Z])
+"""
+
+
+@functools.cache
+def _token_pattern(closed=True, comments=True, sections=True, conditionals=True, nul=True):
+    """The tokenizer, less what can no longer complete: comments unless
+    ``comments``, CDATA-like sections unless ``sections``, conditional
+    sections unless ``conditionals``, and every construct ending in ">"
+    unless ``closed``, when a tag name before NUL is left only if ``nul``."""
+    if closed:
+        skips = [_OTHER_SKIPS]
+        skips += [_COMMENT] if comments else []
+        skips += [_SECTION_SKIP] if sections else []
+        skips += [_CONDITIONAL_SKIP] if conditionals else []
+        markup = rf"{_START} | (?P<skip>{'|'.join(skips)}) |"
+        chars = r"<(?![a-zA-Z/!?])|<[^>]*>|<[^<]*(?=<)|<"
+    else:
+        markup = rf"{_NOTTAG_BEFORE_NUL} |" if nul else ""
+        chars = r"<(?![a-zA-Z/!?])|<[^<]*(?=<)|<"
+    return re.compile(
+        rf"(?P<text>[^<]+) | {markup} {_BAD_SECTION} | (?P<chars>{chars})", re.S | re.X
+    )
+
+
+def _narrowed(shape: tuple, failed: re.Match, chunk: str, text: str) -> tuple:
+    """The arguments of ``_token_pattern`` once the construct that
+    ``failed`` matched could not complete and became the data ``chunk``:
+    its terminator is missing from the rest of the page."""
+    if chunk[-1] != ">":  # "<[^>]*>" failed as well
+        return (False, True, True, True, text.find("\x00", failed.start()) >= 0)
+    _, comments, sections, conditionals, _ = shape
+    return (
+        True,
+        comments and not failed["comment"],
+        sections and not failed["section"],
+        conditionals and not failed["conditional"],
+        True,
+    )
+
+
+_TOKEN = _token_pattern()
+# A "<" whose construct could not complete, and the terminator it showed
+# missing from the rest of the page.
+_UNCOMPLETED = re.compile(
+    rf"<(?:(?P<comment>!--)|!\[(?:(?P<section>{_SECTION})|(?P<conditional>{_MS_SECTION}))"
+    r"|[a-zA-Z/!?])"
+)
+_ATTRIBUTE = re.compile(rf"({_ATTR_NAME})(\s*=+\s*({_VALUE}))?{_SEPARATORS}")
+_END_TAG = re.compile(r"</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>")
+# Elements whose content is raw text up to their end tag.
+_RAW_TEXT_END = {name: re.compile(rf"</\s*{name}\s*>", re.I) for name in ("script", "style")}
+
+
+def _offset(text: str, at: int) -> int:
+    return len(text[:at].encode("utf-8"))
+
+
+def _unescape(chunk: str, text: str, at: int) -> str:
+    """Character references in ``chunk`` (found at ``at``) resolved."""
     try:
-        extractor.feed(text)
-        extractor.close()
-    except (AssertionError, ValueError) as exc:
-        line, col = extractor.getpos()
-        scanned = sum(len(part) + 1 for part in text.split("\n")[: line - 1]) + col
-        raise ParseError(
-            f"malformed markup: {exc}", offset=len(text[:scanned].encode("utf-8"))
-        ) from None
+        return unescape(chunk)
+    except ValueError as exc:  # a decimal reference too long for int()
+        raise ParseError(f"malformed markup: {exc}", offset=_offset(text, at)) from None
+
+
+def _feed(extractor, text: str):
+    """Drive an extractor's handle_starttag(tag, attrs), handle_endtag(tag)
+    and handle_data(text) over a whole page. Tag and attribute names come
+    lower-cased; attrs is a dict, the last of repeated names winning, and
+    a valueless attribute maps to None. A marked section with an unknown
+    or missing keyword (``<![foo``) raises ParseError, as does a character
+    reference too long to resolve."""
+    on_start, on_end, on_data = (
+        extractor.handle_starttag, extractor.handle_endtag, extractor.handle_data
+    )
+    tokens = _TOKEN
+    shape = (True, True, True, True, True)  # _token_pattern's arguments
+    pos = 0
+    while True:
+        for m in tokens.finditer(text, pos):
+            kind = m.lastgroup
+            if kind == "text":
+                chunk = m.group()
+                on_data(_unescape(chunk, text, m.start()) if "&" in chunk else chunk)
+            elif kind == "start" or kind == "empty":
+                end = m.end()
+                tag_end = m.end("tag")
+                attrs = {}
+                if end - tag_end > 1:
+                    # Past the tag name only the head's attributes can
+                    # start a match.
+                    for name, given, value in _ATTRIBUTE.findall(text, tag_end, end):
+                        if not given:
+                            value = None
+                        else:
+                            if value[:1] in ("'", '"'):
+                                value = value[1:-1]
+                            if "&" in value:
+                                value = _unescape(value, text, m.start())
+                        attrs[name.lower()] = value
+                tag = m.group("tag").lower()
+                on_start(tag, attrs)
+                if kind == "empty":
+                    on_end(tag)
+                elif tag in _RAW_TEXT_END:
+                    pos = _raw_text(text, end, tag, on_end, on_data)
+                    if pos is None:
+                        return
+                    break
+            elif kind == "chars":
+                chunk = m.group()
+                on_data(_unescape(chunk, text, m.start()) if "&" in chunk else chunk)
+                failed = shape[0] and _UNCOMPLETED.match(text, m.start())
+                narrowed = _narrowed(shape, failed, chunk, text) if failed else shape
+                if narrowed != shape:
+                    shape = narrowed
+                    tokens = _token_pattern(*shape)
+                    pos = m.end()
+                    break
+            elif kind == "nottag":
+                on_data(m.group())
+            elif kind == "endtag" or kind == "endtag2":
+                on_end(m.group(kind).lower())
+            elif kind == "badsection":
+                raise ParseError(
+                    f"malformed markup: unknown marked section keyword {m.group('keyword')!r}",
+                    offset=_offset(text, m.start()),
+                )
+            elif kind == "nokeyword":
+                raise ParseError(
+                    "malformed markup: no keyword after '<!['", offset=_offset(text, m.end())
+                )
+        else:
+            return
+
+
+def _raw_text(text: str, pos: int, tag: str, on_end, on_data) -> int | None:
+    """Hand the raw text of a script or style element to ``on_data`` and
+    return where its end tag ends; None when it never ends, in which case
+    the rest of the page is dropped, as html.parser drops it."""
+    close = _RAW_TEXT_END[tag]
+    while True:
+        m = close.search(text, pos)
+        if m is None:
+            return None
+        if m.start() > pos:
+            on_data(text[pos:m.start()])
+        name = _END_TAG.match(m.group())
+        if name and name.group(1).lower() == tag:
+            on_end(tag)
+            return m.end()
+        on_data(m.group())  # matched only by case folding, as "</ſcript>"
+        pos = m.end()
 
 
 def parse_label_page(page, queried: str) -> LabelPage:
@@ -267,18 +450,38 @@ def parse_label_page(page, queried: str) -> LabelPage:
     counted in ``dropped``. Label strings come back normalized and
     deduplicated; labels that normalize to nothing are dropped.
     """
-    if page.request.kind != "label_search":
-        raise ValueError(f"expected a label-search page, got {page.request.kind}")
-    body = page.body
-    text = body.decode("utf-8", errors="replace")
-    if LABEL_RESULTS_MARKER not in text:
-        raise ParseError(
-            f"label results container '{LABEL_RESULTS_MARKER}' not found",
-            offset=_marker_offset(body, LABEL_RESULTS_MARKER),
-        )
+    text = _page_text(page, "label_search", LABEL_RESULTS_MARKER, "label results container")
     ex = _LabelPageExtractor()
     _feed(ex, text)
+    return _label_page(ex, queried)
 
+
+def parse_author_page(page) -> AuthorProfile:
+    """Parse an author profile page: labels, metrics, co-author sidebar.
+
+    Self-references in the co-author list are stripped; entries without a
+    profile link get the synthetic id ``name:<normalized name>``, or are
+    dropped when their name normalizes to nothing.
+    """
+    text = _page_text(page, "author_profile", PROFILE_MARKER, "profile marker")
+    ex = _AuthorPageExtractor()
+    _feed(ex, text)
+    return _author_profile(ex, page.request.key)
+
+
+def _page_text(page, kind: str, marker: str, what: str) -> str:
+    """The decoded body of a ``kind`` page; ParseError when it lacks
+    ``marker``."""
+    if page.request.kind != kind:
+        raise ValueError(f"expected a {kind} page, got {page.request.kind}")
+    text = page.body.decode("utf-8", errors="replace")
+    if marker not in text:
+        raise ParseError(f"{what} '{marker}' not found", offset=_marker_offset(page.body, marker))
+    return text
+
+
+def _label_page(ex, queried: str) -> LabelPage:
+    """The page an extractor's author blocks and pager describe."""
     authors: list[AuthorSummary] = []
     seen_ids: set[str] = set()
     dropped = 0
@@ -312,26 +515,8 @@ def parse_label_page(page, queried: str) -> LabelPage:
     )
 
 
-def parse_author_page(page) -> AuthorProfile:
-    """Parse an author profile page: labels, metrics, co-author sidebar.
-
-    Self-references in the co-author list are stripped; entries without a
-    profile link get the synthetic id ``name:<normalized name>``, or are
-    dropped when their name normalizes to nothing.
-    """
-    if page.request.kind != "author_profile":
-        raise ValueError(f"expected an author-profile page, got {page.request.kind}")
-    body = page.body
-    text = body.decode("utf-8", errors="replace")
-    if PROFILE_MARKER not in text:
-        raise ParseError(
-            f"profile marker '{PROFILE_MARKER}' not found",
-            offset=_marker_offset(body, PROFILE_MARKER),
-        )
-    ex = _AuthorPageExtractor()
-    _feed(ex, text)
-
-    author_id = page.request.key
+def _author_profile(ex, author_id: str) -> AuthorProfile:
+    """The profile an extractor collected for ``author_id``."""
     coauthors: list[tuple[str, str]] = []
     seen: set[str] = set()
     for c in ex.coauthors:

@@ -212,6 +212,32 @@ class TestCache:
         assert rerun.body == LABEL_PAGE
         assert server.hits == 1
 
+    @pytest.mark.parametrize("sidecar", [
+        b"{broken",
+        b'{"retrieved_at": "yesterday"}',
+        b"[]",
+        b'{"url": 5}',
+        b'{"retrieved_at": 5}',
+        b"\xff\xfe",
+    ], ids=["not-json", "bad-date", "array", "url-not-text", "date-not-text", "not-utf8"])
+    def test_corrupt_sidecar_is_a_miss_and_is_rewritten(
+        self, scripted_server, tmp_path, caplog, sidecar
+    ):
+        self._seed_cache(tmp_path, LABEL_REQUEST, LABEL_PAGE)
+        meta_path = tmp_path / "labels" / "physical_optics" / "0.html.meta.json"
+        meta_path.write_bytes(sidecar)
+        server = scripted_server((200, LABEL_PAGE))
+        with caplog.at_level("WARNING", logger="scholar_sounder.fetcher"):
+            raw = live_fetcher(server_url(server), tmp_path).fetch(LABEL_REQUEST)
+        assert raw.source == "live"
+        assert server.hits == 1
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and "sidecar" in warnings[0].getMessage()
+        assert json.loads(meta_path.read_bytes())["url"] == build_url(LABEL_REQUEST)
+        rerun = live_fetcher(server_url(server), tmp_path).fetch(LABEL_REQUEST)
+        assert rerun.source == "cache"
+        assert server.hits == 1
+
 
 class TestLiveFaults:
     def test_server_error_then_ok_is_retried(self, scripted_server, tmp_path):

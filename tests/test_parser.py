@@ -1,16 +1,27 @@
+import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
+import time
 from dataclasses import asdict
+from html.parser import HTMLParser
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scholar_sounder import parser
 from scholar_sounder.errors import EmptyTagError, ParseError
 from scholar_sounder.fetcher import AUTHOR_PROFILE, LABEL_SEARCH, PageRequest, RawPage, build_url
 from scholar_sounder.parser import normalize_tag, parse_author_page, parse_label_page
 
+import html_reference
 from conftest import load_golden
 from htmlgen import render_label_page, render_profile_page
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def make_raw(kind, key, body, page_index=0):
@@ -161,8 +172,8 @@ class TestParseAuthorPage:
 
 LABEL_MARKER = '<div id="gsc_sa_ccl">'
 PROFILE_MARKER = '<div id="gsc_prf_in">'
-# Markup the extractors key off, plus constructs the stdlib HTML parser
-# rejects, for the fuzz tests below.
+# Markup the extractors key off, plus constructs that html.parser rejected,
+# for the fuzz tests below.
 FRAGMENTS = [
     '<div class="gsc_1usr">', '<div class="gs_ai_cby">', "</div>", '<h3 class="gs_ai_name">',
     '<a class="gs_ai_one_int">', '<a href="/citations?user=A1">', '<a href="?user=">',
@@ -273,3 +284,257 @@ class TestGoldenStability:
         profile = parse_author_page(raw)
         canonical = json.loads(json.dumps(asdict(profile), sort_keys=True))
         assert canonical == load_golden(f"author_{author_id}.json")
+
+
+class TestPager:
+    @pytest.mark.parametrize("button, token", [
+        ('<button class="gs_btnPR" data-after="TOK">', "TOK"),
+        ('<button class="gs_btnPR" disabled data-after="TOK">', None),
+        ('<button class="gs_btnPR" disabled="" data-after="TOK">', None),
+        ('<button class="gs_btnPR" disabled="disabled" data-after="TOK">', None),
+    ], ids=["enabled", "bare-disabled", "empty-disabled", "disabled-disabled"])
+    def test_a_disabled_button_in_any_form_is_not_followed(self, button, token):
+        raw = make_raw(LABEL_SEARCH, "optics", f"{LABEL_MARKER}</div>{button}</button>")
+        assert parse_label_page(raw, "optics").next_page_token == token
+        assert html_reference.parse_label_page(raw, "optics").next_page_token == token
+
+
+class NoOp:
+    def handle_starttag(self, tag, attrs):
+        pass
+
+    def handle_endtag(self, tag):
+        pass
+
+    def handle_data(self, data):
+        pass
+
+
+class Recorder:
+    """An extractor that records the calls a tokenizer makes on it."""
+
+    def __init__(self):
+        self.calls = []
+
+    def handle_starttag(self, tag, attrs):
+        self.calls.append(("start", tag, dict(attrs)))
+
+    def handle_endtag(self, tag):
+        self.calls.append(("end", tag))
+
+    def handle_data(self, data):
+        self.calls.append(("data", data))
+
+
+class ReferenceRecorder(Recorder, HTMLParser):
+    def __init__(self):
+        Recorder.__init__(self)
+        HTMLParser.__init__(self)
+
+
+def token_calls(recorder, feed, text):
+    """The calls ``feed`` makes on ``recorder`` for ``text``, and the offset
+    of the ParseError it raised or None."""
+    try:
+        feed(recorder, text)
+    except ParseError as exc:
+        return recorder.calls, exc.offset
+    return recorder.calls, None
+
+
+def tokens(text):
+    return token_calls(Recorder(), parser._feed, text)
+
+
+def reference_tokens(text):
+    return token_calls(ReferenceRecorder(), html_reference._feed, text)
+
+
+class TestTokenizer:
+    """The tokenizer's handling of the constructs where html.parser, which
+    it reproduces, departs from the obvious."""
+
+    @pytest.mark.parametrize("text, calls", [
+        ("a &amp; b&lt;", [("data", "a & b<")]),
+        ('<p class="a>b">t</p>', [("start", "p", {"class": "a>b"}), ("data", "t"), ("end", "p")]),
+        ("<a href=?user=U1 disabled>", [("start", "a", {"href": "?user=U1", "disabled": None})]),
+        ('<A HREF=X Class="Y">', [("start", "a", {"href": "X", "class": "Y"})]),
+        ('<a b="1" b="2">', [("start", "a", {"b": "2"})]),
+        ("<br/><a / /><a b=/>", [("start", "br", {}), ("end", "br"), ("start", "a", {}),
+                                 ("end", "a"), ("start", "a", {"b": "/"})]),
+        ("Cited by 1<2", [("data", "Cited by 1"), ("data", "<"), ("data", "2")]),
+        ("<!-- x > y", [("data", "<!-- x >"), ("data", " y")]),
+        ('<a b="c <b>', [("data", '<a b="c <b>')]),
+        ('<a b="c', [("data", "<"), ("data", 'a b="c')]),
+        ("<script>if (a<b) {}</div></SCRIPT >z", [
+            ("start", "script", {}), ("data", "if (a<b) {}</div>"), ("end", "script"),
+            ("data", "z")]),
+        ("<style>a</ſtyle>b</style>", [
+            ("start", "style", {}), ("data", "a"), ("data", "</ſtyle>"), ("data", "b"),
+            ("end", "style")]),
+        ("<script>never <b>closed</b>", [("start", "script", {})]),
+        ("</ a></a b></></ a b>", [("end", "a"), ("end", "a")]),
+        ("<!doctype html><?php x ?><!--c--><![CDATA[x]]><![if x]>y", [("data", "y")]),
+        ("<a\x00>", [("data", "<a"), ("data", "\x00>")]),
+        ("x<", [("data", "x"), ("data", "<")]),
+        ("<!--a><b>c<!--d>", [("data", "<!--a>"), ("start", "b", {}), ("data", "c"),
+                              ("data", "<!--d>")]),
+        ("<![CDATA[a>b<i><![CDATA[c>", [("data", "<![CDATA[a>"), ("data", "b"),
+                                        ("start", "i", {}), ("data", "<![CDATA[c>")]),
+        ("<![if a>b<i><![if c>", [("data", "<![if a>"), ("data", "b"), ("start", "i", {}),
+                                  ("data", "<![if c>")]),
+        ("<b>t</b><a b<c", [("start", "b", {}), ("data", "t"), ("end", "b"), ("data", "<a b"),
+                            ("data", "<"), ("data", "c")]),
+        ("<a\x00<b <c\x00", [("data", "<a"), ("data", "\x00"), ("data", "<b "), ("data", "<c"),
+                            ("data", "\x00")]),
+        ("<a b='x><!--c--><![CDATA[d]]><![if e]>f", [("data", "<a b='x>"), ("data", "f")]),
+    ], ids=[
+        "character-references", "gt-in-quoted-value", "unquoted-and-valueless",
+        "upper-case-names", "last-repeated-attribute-wins", "self-closing",
+        "lone-lt-is-a-chunk", "unclosed-comment-is-text-to-next-gt",
+        "unclosed-quote-is-text-to-next-gt", "unclosed-quote-without-gt",
+        "script-raw-text", "raw-text-end-matched-by-case-folding", "unclosed-script-drops-the-rest",
+        "end-tag-forms", "skipped-constructs", "nul-after-tag-name", "lt-at-end",
+        "comments-never-closed", "sections-never-closed", "conditional-sections-never-closed",
+        "no-gt-left", "no-gt-left-nul-after-tag-name", "skipped-after-an-unclosed-quote",
+    ])
+    def test_tokens(self, text, calls):
+        assert tokens(text) == (calls, None)
+
+    @pytest.mark.parametrize("text, offset", [
+        ("ab\n<![foo</x>", 3),
+        ("é<![1", 5),
+        ("<p>&#" + "9" * 5000 + ";", 3),
+        ('é<a title="&#' + "9" * 5000 + ';">', 2),
+    ], ids=["unknown-section-keyword", "no-section-keyword", "overlong-reference-in-text",
+            "overlong-reference-in-attribute"])
+    def test_rejected_markup_raises_at_its_byte_offset(self, text, offset):
+        assert tokens(text)[1] == offset
+
+    def test_marked_section_open_at_the_end_is_text(self):
+        assert tokens("<![foo") == ([("data", "<"), ("data", "![foo")], None)
+
+    @pytest.mark.parametrize("construct", [
+        "<a b='", "<a", "<!--", "</a", "<!--x>", "<![CDATA[x>", "<![if x>", "<?x",
+    ])
+    def test_constructs_that_never_complete_cost_linear_time(self, construct):
+        # html.parser rescans to the end of the page for every repetition:
+        # 20,000 of "<a b='" take it over a minute.
+        text = construct * 20_000
+        start = time.process_time()
+        parser._feed(NoOp(), text)
+        assert time.process_time() - start < 1.0
+
+
+# The fuzz fragments plus the constructs where a tokenizer is most likely to
+# go wrong.
+REFERENCE_FRAGMENTS = FRAGMENTS + [
+    "<![foo", "<![CDATA[x]]>", '<a class="x', '<a class="x>', "&#" + "9" * 5000 + ";",
+    "<script>", "</script>", "<style>", "</STYLE>", '<script><div class="gs_ai_cby">', "<b",
+    "Cited by 1<2", '<a href="?user=A>B">', "<a href=?user=U1>", '<DIV CLASS="gsc_1usr">',
+    '<A HREF="?user=A2">', "<TD CLASS=gsc_rsb_std>", "<button class=gs_btnPR disabled data-after=x>",
+    "<br/>", "<a b=/>", "<!--", "-->", "<!doctype html>", "'", '"', "=", "/>", ">", " ", "\n",
+    "<!--x>", "<![CDATA[x>", "<![if x>", "]]>", "]>", "<a", "\x00",
+]
+# html.parser reads malformed markup differently from one Python release to
+# another (the 2025 security releases changed unclosed comments, tags and
+# script elements at the end of the input), so malformed markup is compared
+# only on the release whose html.parser the tokenizer reproduces.
+# TestTokenizer pins the same behaviour on every release.
+REFERENCE_RELEASE_ONLY = pytest.mark.skipif(
+    sys.version_info[:3] != (3, 11, 7),
+    reason="the tokenizer reproduces html.parser of Python 3.11.7 on malformed markup",
+)
+REFERENCE_BODIES = st.lists(
+    st.sampled_from(REFERENCE_FRAGMENTS) | st.text(max_size=6), max_size=30
+).map("".join)
+
+
+def load_bench_corpus():
+    spec = importlib.util.spec_from_file_location("bench_corpus", ROOT / "bench" / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestAgreesWithReference:
+    """The package parses every page as the html.parser-driven extractors of
+    tests/html_reference.py do: the same LabelPage or AuthorProfile, or a
+    ParseError at the same offset."""
+
+    def assert_tree_agrees(self, root: Path, expected_pages: int):
+        pages = list(html_reference.pages(root))
+        assert len(pages) == expected_pages
+        for path, request in pages:
+            assert html_reference.compare(request, path.read_bytes()) is None, path
+
+    def test_bundled_fixtures(self, fixtures_dir):
+        self.assert_tree_agrees(fixtures_dir, 15)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_bench_corpus(self, tmp_path, seed):
+        counts = load_bench_corpus().build_fixture_tree(ROOT, seed, tmp_path)["counts"]
+        self.assert_tree_agrees(tmp_path, counts["label_pages"] + counts["profiles"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.lists(st.tuples(
+            st.text(max_size=12), st.lists(st.text(max_size=10), max_size=4),
+            st.integers(0, 10**6) | st.text(max_size=5),
+        ), max_size=6),
+        token=st.none() | st.text(max_size=8),
+        h_index=st.none() | st.integers(0, 200),
+    )
+    def test_rendered_pages(self, entries, token, h_index):
+        authors = {f"A{i}": (name, ["Optics", *labels], cited)
+                   for i, (name, labels, cited) in enumerate(entries)}
+        html = render_label_page("optics", list(authors), next_token=token, authors=authors)
+        assert html_reference.compare(PageRequest(LABEL_SEARCH, "optics"), html.encode()) is None
+        for aid, (name, labels, cited) in authors.items():
+            coauthors = [(None if i % 3 else other, authors[other][0])
+                         for i, other in enumerate(authors)]
+            html = render_profile_page(aid, name, labels, cited, h_index, coauthors)
+            request = PageRequest(AUTHOR_PROFILE, aid)
+            assert html_reference.compare(request, html.encode()) is None
+
+    @REFERENCE_RELEASE_ONLY
+    @settings(max_examples=300, deadline=None)
+    @given(before=REFERENCE_BODIES, after=REFERENCE_BODIES)
+    def test_label_page_fuzz(self, before, after):
+        body = (before + LABEL_MARKER + after).encode()
+        assert html_reference.compare(PageRequest(LABEL_SEARCH, "optics"), body) is None
+
+    @REFERENCE_RELEASE_ONLY
+    @settings(max_examples=300, deadline=None)
+    @given(before=REFERENCE_BODIES, after=REFERENCE_BODIES)
+    def test_profile_page_fuzz(self, before, after):
+        body = (before + PROFILE_MARKER + after).encode()
+        assert html_reference.compare(PageRequest(AUTHOR_PROFILE, "A_X"), body) is None
+
+    @REFERENCE_RELEASE_ONLY
+    @settings(max_examples=500, deadline=None)
+    @given(REFERENCE_BODIES)
+    def test_token_stream(self, text):
+        assert tokens(text) == reference_tokens(text)
+
+
+class TestReferenceTreeChecker:
+    def test_script_on_the_bundled_fixtures(self, fixtures_dir):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        run = subprocess.run(
+            [sys.executable, str(ROOT / "tests" / "html_reference.py"), str(fixtures_dir)],
+            capture_output=True, text=True, env=env,
+        )
+        assert (run.returncode, run.stdout) == (0, "15 pages parse the same\n")
+
+    def test_first_disagreement_is_reported(self, fixtures_dir, monkeypatch, capsys):
+        monkeypatch.setattr(parser._AuthorPageExtractor, "handle_data", lambda self, data: None)
+        assert html_reference.main([str(fixtures_dir)]) == 1
+        out = capsys.readouterr().out
+        assert out == (
+            f"{fixtures_dir / 'authors' / 'A_CHAVEZ.html'}: name: "
+            "package '', reference 'Sabino Chavez-Cerda'\n"
+        )
+
+    def test_a_tree_without_pages_is_an_error(self, tmp_path):
+        assert html_reference.main([str(tmp_path)]) == 2
