@@ -13,9 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from typing import Any
+from dataclasses import dataclass
 from xml.parsers import expat
 from xml.sax.saxutils import escape, quoteattr
 
@@ -27,15 +25,17 @@ GEXF_NS = "http://www.gexf.net/1.2draft"
 
 @dataclass
 class ExportBundle:
+    """A graph ready to write: its node maps hold the values the files
+    carry, and ``metadata`` fills the file header."""
+
     graph: Graph
-    node_attributes: dict[str, dict[str, Any]]
-    metadata: dict[str, str] = field(default_factory=dict)
+    metadata: dict[str, str]
 
     def attribute_schema(self) -> dict[str, str]:
         """Attribute name -> GEXF type, inferred over all values. Every key
         used anywhere appears exactly once here."""
         by_name: dict[str, list] = {}
-        for attrs in self.node_attributes.values():
+        for attrs in self.graph.nodes.values():
             for name, value in attrs.items():
                 by_name.setdefault(name, []).append(value)
         return {name: _infer_type(values) for name, values in sorted(by_name.items())}
@@ -43,7 +43,7 @@ class ExportBundle:
     def canonical_form(self) -> dict:
         """Comparable form: everything except the creation timestamp."""
         return {
-            "nodes": {n: _canon_attrs(self.node_attributes.get(n, {})) for n in sorted(self.graph.nodes)},
+            "nodes": {n: _canon_attrs(attrs) for n, attrs in sorted(self.graph.nodes.items())},
             "edges": {f"{a}|{b}": _num(w) for (a, b), w in sorted(self.graph.edges.items())},
             "metadata": {k: v for k, v in self.metadata.items() if k != "created_at"},
         }
@@ -51,9 +51,13 @@ class ExportBundle:
 
 def make_bundle(graph: Graph, config_digest: str = "", tool_version: str = "",
                 created_at: str | None = None) -> ExportBundle:
-    """Bundle a graph for export, lifting node attribute maps: None-valued
-    attributes are dropped and list values joined with ``|``."""
-    node_attributes = {
+    """Bundle a graph for export. The bundle's graph shares the edge map and
+    holds export values in its node maps: None-valued attributes are dropped
+    and list values joined with ``|``. The files carry a creation timestamp
+    only when ``created_at`` is given, so identical graphs give identical
+    bytes."""
+    export = Graph()
+    export.nodes = {
         node: {
             k: "|".join(v) if isinstance(v, list) else v
             for k, v in attrs.items()
@@ -61,12 +65,13 @@ def make_bundle(graph: Graph, config_digest: str = "", tool_version: str = "",
         }
         for node, attrs in graph.nodes.items()
     }
+    export.edges = graph.edges
     metadata = {
         "config_digest": config_digest,
         "tool_version": tool_version,
-        "created_at": created_at or datetime.now(timezone.utc).isoformat(),
+        "created_at": created_at or "",
     }
-    return ExportBundle(graph=graph, node_attributes=node_attributes, metadata=metadata)
+    return ExportBundle(graph=export, metadata=metadata)
 
 
 def _infer_type(values) -> str:
@@ -121,13 +126,14 @@ def to_gexf(bundle: ExportBundle) -> str:
     schema = bundle.attribute_schema()
     attr_ids = {name: str(i) for i, name in enumerate(schema)}
     meta = bundle.metadata
+    stamp = meta.get("created_at", "")
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<gexf xmlns="{GEXF_NS}" version="1.2">',
-        f'  <meta lastmodifieddate="{escape(meta.get("created_at", "")[:10])}">',
+        f"  <meta lastmodifieddate={quoteattr(stamp[:10])}>" if stamp else "  <meta>",
         f'    <creator>{escape(meta.get("tool_version", ""))}</creator>',
-        f'    <description>config_digest={escape(meta.get("config_digest", ""))};'
-        f'created_at={escape(meta.get("created_at", ""))}</description>',
+        f'    <description>config_digest={escape(meta.get("config_digest", ""))}'
+        f'{";created_at=" + escape(stamp) if stamp else ""}</description>',
         "  </meta>",
         '  <graph defaultedgetype="undirected" mode="static">',
         '    <attributes class="node">',
@@ -138,8 +144,7 @@ def to_gexf(bundle: ExportBundle) -> str:
         )
     lines.append("    </attributes>")
     lines.append("    <nodes>")
-    for node in sorted(bundle.graph.nodes):
-        attrs = bundle.node_attributes.get(node, {})
+    for node, attrs in sorted(bundle.graph.nodes.items()):
         label = str(attrs.get("label", node))
         open_tag = f"      <node id={quoteattr(node)} label={quoteattr(label)}"
         if not attrs:
@@ -182,20 +187,19 @@ def from_gexf(document: str) -> ExportBundle:
     anything else under ``<gexf>``, ``<meta>``, ``<graph>`` or a node is
     skipped with its subtree. The text of ``<creator>`` and
     ``<description>`` is read up to their first child element. A second
-    ``<graph>`` is rejected.
+    ``<graph>`` and a repeated node id are rejected.
     """
     metadata = {"config_digest": "", "tool_version": "", "created_at": ""}
     schema: dict[str, str] = {}
     id_to_name: dict[str, str] = {}
     graph = Graph()
     nodes = graph.nodes
-    node_attributes: dict[str, dict[str, Any]] = {}
     # One context per open element; "skip" marks a subtree that is ignored.
     stack = ["document"]
     push, pop = stack.append, stack.pop
     text: list[str] = []
     node_id: str = ""
-    attrs: dict[str, Any] = {}
+    attrs: dict = {}
     attribute_index = 0
     seen_graph = False
     parser = expat.ParserCreate(namespace_separator="}")
@@ -249,8 +253,9 @@ def from_gexf(document: str) -> ExportBundle:
             node_id = xml_attrs.get("id")
             if node_id is None:
                 raise FormatError("node without id")
-            graph.add_node(node_id)
-            attrs = {}
+            if node_id in nodes:
+                raise FormatError(f"repeated node id {node_id!r}", location=f"node {node_id}")
+            attrs = nodes[node_id] = {}
             push("node")
         elif context == "attributes":
             name, attr_id = xml_attrs.get("title"), xml_attrs.get("id")
@@ -311,10 +316,7 @@ def from_gexf(document: str) -> ExportBundle:
         context = pop()
         if context == "skip":
             return
-        if context == "node":
-            node_attributes[node_id] = attrs
-            nodes[node_id].update(attrs)
-        elif context == "creator":
+        if context == "creator":
             parser.CharacterDataHandler = None
             metadata["tool_version"] = "".join(text)
         elif context == "description":
@@ -345,7 +347,7 @@ def from_gexf(document: str) -> ExportBundle:
         parser.CharacterDataHandler = parser.SkippedEntityHandler = None
     if not seen_graph:
         raise FormatError("no <graph> element")
-    return ExportBundle(graph=graph, node_attributes=node_attributes, metadata=metadata)
+    return ExportBundle(graph=graph, metadata=metadata)
 
 
 # -- GraphML (write-only) ----------------------------------------------
@@ -366,8 +368,7 @@ def to_graphml(bundle: ExportBundle) -> str:
     lines.append('  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>')
     lines.append('  <graph edgedefault="undirected">')
     key_ids = {name: f"d{i}" for i, name in enumerate(schema)}
-    for node in sorted(bundle.graph.nodes):
-        attrs = bundle.node_attributes.get(node, {})
+    for node, attrs in sorted(bundle.graph.nodes.items()):
         if not attrs:
             lines.append(f"    <node id={quoteattr(node)}/>")
             continue

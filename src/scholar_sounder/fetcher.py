@@ -4,14 +4,12 @@ fixture corpus for offline runs."""
 from __future__ import annotations
 
 import http.client
-import json
 import logging
 import os
 import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import FixtureMissingError, HttpStatusError, NetworkError
@@ -57,9 +55,7 @@ class PageRequest:
 @dataclass
 class RawPage:
     request: PageRequest
-    url: str
     body: bytes
-    retrieved_at: datetime
     source: str  # "live" | "cache" | "fixture"
 
 
@@ -71,7 +67,7 @@ class FetchPolicy:
     min_delay_ms: int = 2000
     max_pages_per_label: int = 5
     max_retries: int = 2
-    # Test seam: where live requests actually go. RawPage.url stays canonical.
+    # Test seam: where live requests actually go; build_url keeps the canonical URL.
     base_url: str = BASE_URL
 
     def __post_init__(self):
@@ -165,66 +161,33 @@ class Fetcher:
         path = root / _relative_page_path(request)
         if not path.is_file():
             raise FixtureMissingError(path)
-        return RawPage(
-            request=request,
-            url=build_url(request),
-            body=path.read_bytes(),
-            retrieved_at=datetime.now(timezone.utc),
-            source="fixture",
-        )
+        return RawPage(request=request, body=path.read_bytes(), source="fixture")
 
-    # -- cache --------------------------------------------------------
-
-    def _cache_paths(self, request: PageRequest) -> tuple[Path, Path]:
-        base = self.policy.cache_dir / _relative_page_path(request)
-        return base, base.with_suffix(base.suffix + ".meta.json")
+    # -- cache: one file per page, holding its body only --------------
 
     def _read_cache(self, request: PageRequest) -> RawPage | None:
         if self.policy.cache_dir is None:
             return None
-        html_path, meta_path = self._cache_paths(request)
-        if not html_path.is_file():
+        path = self.policy.cache_dir / _relative_page_path(request)
+        if not path.is_file():
             return None
-        body = html_path.read_bytes()
+        body = path.read_bytes()
         if not _has_marker(request, body):
-            log.warning("ignoring cached page without marker: %s", html_path)
+            log.warning("ignoring cached page without marker: %s", path)
             return None
-        url, retrieved_at = build_url(request), datetime.now(timezone.utc)
-        if meta_path.is_file():
-            try:
-                meta = json.loads(meta_path.read_bytes())
-                if not isinstance(meta, dict):
-                    raise ValueError("not a JSON object")
-                url = meta.get("url", url)
-                if not isinstance(url, str):
-                    raise ValueError("url is not a string")
-                if meta.get("retrieved_at"):
-                    retrieved_at = datetime.fromisoformat(meta["retrieved_at"])
-            except (OSError, ValueError, TypeError, RecursionError) as exc:
-                log.warning("ignoring cached page with an unreadable sidecar %s: %s", meta_path, exc)
-                return None
-        return RawPage(
-            request=request, url=url, body=body, retrieved_at=retrieved_at, source="cache"
-        )
+        return RawPage(request=request, body=body, source="cache")
 
-    def _write_cache(self, request: PageRequest, url: str, body: bytes, status: int):
+    def _write_cache(self, request: PageRequest, body: bytes):
         if self.policy.cache_dir is None:
             return
-        html_path, meta_path = self._cache_paths(request)
-        html_path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(html_path, body)
-        meta = {
-            "url": url,
-            "retrieved_at": datetime.now(timezone.utc).isoformat(),
-            "http_status": status,
-        }
-        write_atomic(meta_path, (json.dumps(meta, sort_keys=True) + "\n").encode("utf-8"))
+        path = self.policy.cache_dir / _relative_page_path(request)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_atomic(path, body)
 
     # -- live ---------------------------------------------------------
 
     def _fetch_live(self, request: PageRequest, page_token: str | None) -> RawPage:
-        canonical_url = build_url(request, page_token)
-        target_url = canonical_url.replace(BASE_URL, self.policy.base_url, 1)
+        target_url = build_url(request, page_token).replace(BASE_URL, self.policy.base_url, 1)
         attempts = self.policy.max_retries + 1
         last_exc: Exception | None = None
         retry_after_s = 0.0
@@ -256,14 +219,8 @@ class Fetcher:
                     f"page at {target_url} lacks marker '{_expected_marker(request)}'",
                     status=status,
                 )
-            self._write_cache(request, canonical_url, body, status)
-            return RawPage(
-                request=request,
-                url=canonical_url,
-                body=body,
-                retrieved_at=datetime.now(timezone.utc),
-                source="live",
-            )
+            self._write_cache(request, body)
+            return RawPage(request=request, body=body, source="live")
         raise NetworkError(f"giving up on {target_url} after {attempts} attempts: {last_exc}")
 
     def _wait_politely(self, url: str, at_least_s: float = 0.0):

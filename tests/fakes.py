@@ -4,10 +4,9 @@ as the bundled fixtures."""
 from __future__ import annotations
 
 import random
-from datetime import datetime, timezone
 
 from scholar_sounder.errors import FixtureMissingError
-from scholar_sounder.fetcher import AUTHOR_PROFILE, LABEL_SEARCH, RawPage, build_url
+from scholar_sounder.fetcher import AUTHOR_PROFILE, LABEL_SEARCH, RawPage
 
 from htmlgen import render_label_page, render_profile_page
 
@@ -30,13 +29,7 @@ class InMemoryCorpus:
             html = self.profiles.get(request.key)
         if html is None:
             raise FixtureMissingError(f"<memory:{request.key}/{request.page_index}>")
-        return RawPage(
-            request=request,
-            url=build_url(request),
-            body=html.encode("utf-8"),
-            retrieved_at=datetime.now(timezone.utc),
-            source="fixture",
-        )
+        return RawPage(request=request, body=html.encode("utf-8"), source="fixture")
 
 
 def random_label_corpus(rng: random.Random, n_tags: int = 50, theme_words=("optics", "laser")):

@@ -53,7 +53,6 @@ def from_gexf(document: str) -> ExportBundle:
     schema: dict[str, str] = {}
     id_to_name: dict[str, str] = {}
     graph = Graph()
-    node_attributes: dict[str, dict[str, Any]] = {}
     for section in graph_el:
         kind = _local(section.tag)
         if kind == "attributes":
@@ -73,6 +72,8 @@ def from_gexf(document: str) -> ExportBundle:
                 node_id = node_el.get("id")
                 if node_id is None:
                     raise FormatError("node without id")
+                if node_id in graph.nodes:
+                    raise FormatError(f"repeated node id {node_id!r}", location=f"node {node_id}")
                 graph.add_node(node_id)
                 attrs: dict[str, Any] = {}
                 for sub in node_el:
@@ -94,7 +95,6 @@ def from_gexf(document: str) -> ExportBundle:
                                 f"bad {schema[name]} value {value!r} for {name!r}",
                                 location=f"node {node_id}",
                             ) from None
-                node_attributes[node_id] = attrs
                 graph.nodes[node_id].update(attrs)
         elif kind == "edges":
             for edge_el in section:
@@ -117,4 +117,4 @@ def from_gexf(document: str) -> ExportBundle:
                     graph.add_edge(a, b, _num(weight))
                 except ValueError as exc:  # self-loop or duplicate pair
                     raise FormatError(str(exc), location=f"edge {edge_el.get('id')}") from None
-    return ExportBundle(graph=graph, node_attributes=node_attributes, metadata=metadata)
+    return ExportBundle(graph=graph, metadata=metadata)

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import sys
 from dataclasses import asdict
-from datetime import datetime, timezone
 from html.parser import HTMLParser
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
 from scholar_sounder import parser
 from scholar_sounder.errors import ParseError
-from scholar_sounder.fetcher import AUTHOR_PROFILE, LABEL_SEARCH, PageRequest, RawPage, build_url
+from scholar_sounder.fetcher import AUTHOR_PROFILE, LABEL_SEARCH, PageRequest, RawPage
 from scholar_sounder.parser import LABEL_RESULTS_MARKER, PROFILE_MARKER, _count
 
 
@@ -244,7 +243,7 @@ def first_difference(a, b, field: str = ""):
 def compare(request: PageRequest, body: bytes):
     """The first difference between the package's parse of a page and the
     reference parse, or None."""
-    page = RawPage(request, build_url(request), body, datetime.now(timezone.utc), "fixture")
+    page = RawPage(request, body, "fixture")
     if request.kind == LABEL_SEARCH:
         return first_difference(
             outcome(parser.parse_label_page, page, request.key),

@@ -328,7 +328,9 @@ class TestCliAnalyzeExport:
          '<edge id="1" source="acoustooptics" target="acoustooptics"', "edge 1"),
         ('<attribute id="0" title="depth_discovered" type="integer"/>',
          '<attribute id="0" type="integer"/>', "attribute 0"),
-    ], ids=["weight", "integer", "duplicate-edge", "self-loop", "untitled-attribute"])
+        ("</nodes>", '<node id="acoustooptics"/></nodes>', "node acoustooptics"),
+    ], ids=["weight", "integer", "duplicate-edge", "self-loop", "untitled-attribute",
+            "repeated-node"])
     def test_bad_gexf_values_exit_two_with_one_line(
         self, gexf_path, tmp_path, capsys, command, old, new, location
     ):

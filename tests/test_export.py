@@ -96,6 +96,30 @@ class TestGexf:
         bundle = make_bundle(g, "d", "v", created_at="2026-01-01T00:00:00+00:00")
         assert to_gexf(bundle) == to_gexf(bundle)
 
+    def test_stamp_is_written_only_when_given(self):
+        g = Graph()
+        g.add_node("x", rate=1)
+        plain = to_gexf(make_bundle(g, "d", "v"))
+        assert "  <meta>\n" in plain and "<description>config_digest=d</description>" in plain
+        assert "lastmodifieddate" not in plain and "created_at" not in plain
+        stamped = to_gexf(make_bundle(g, "d", "v", created_at="2026-01-01T00:00:00+00:00"))
+        assert '<meta lastmodifieddate="2026-01-01">' in stamped
+        assert "config_digest=d;created_at=2026-01-01T00:00:00+00:00</description>" in stamped
+        assert from_gexf(stamped).metadata["created_at"] == "2026-01-01T00:00:00+00:00"
+
+    def test_stamp_with_a_quote_stays_well_formed(self):
+        doc = to_gexf(make_bundle(Graph(), "d", "v", created_at='2026"01'))
+        assert from_gexf(doc).metadata["created_at"] == '2026"01'
+
+    def test_bundle_holds_export_values_and_shares_edges(self):
+        g = Graph()
+        g.add_node("a", labels=["x", "y"], h_index=None)
+        g.add_edge("a", "b", 2)
+        bundle = make_bundle(g)
+        assert bundle.graph.nodes == {"a": {"labels": "x|y"}, "b": {}}
+        assert bundle.graph.edges is g.edges
+        assert g.nodes["a"] == {"labels": ["x", "y"], "h_index": None}
+
     def test_directed_graph_rejected(self):
         doc = to_gexf(small_bundle()).replace(
             'defaultedgetype="undirected"', 'defaultedgetype="directed"'
@@ -121,7 +145,7 @@ class TestGexf:
         bundle = small_bundle()
         schema = bundle.attribute_schema()
         used = set()
-        for attrs in bundle.node_attributes.values():
+        for attrs in bundle.graph.nodes.values():
             used |= set(attrs)
         assert used == set(schema)
         assert schema == {"rate": "integer", "visited": "boolean"}
@@ -182,8 +206,7 @@ def read_outcome(reader, doc):
     except FormatError:
         return None
     # repr, so that NaN values compare equal and 1, 1.0 and True do not.
-    return repr((bundle.canonical_form(), bundle.node_attributes, bundle.metadata,
-                 bundle.graph.nodes))
+    return repr((bundle.canonical_form(), bundle.metadata, bundle.graph.nodes))
 
 
 def graph_elements(doc) -> int:
@@ -265,9 +288,10 @@ class TestReaderAgreesWithReference:
         MIXED_GEXF.replace("<node ", "<g:node ").replace("</node>", "</g:node>"),
         MIXED_GEXF.replace("<gexf ", '<!DOCTYPE gexf SYSTEM "x"><gexf ').replace(
             "<creator>t", "<creator>t&undefined;"),
+        MIXED_GEXF.replace("</nodes>", '<node id="a"/></nodes>'),
     ], ids=["element-in-creator", "element-in-description", "cdata-in-creator",
             "unknown-node-element", "attvalue-outside-attvalues", "unknown-edge-element",
-            "declared-prefix", "unbound-prefix", "undefined-entity"])
+            "declared-prefix", "unbound-prefix", "undefined-entity", "repeated-node"])
     def test_hand_written_documents(self, doc):
         assert_readers_agree(doc)
 

@@ -1,5 +1,4 @@
 import http.server
-import json
 import socket
 import threading
 import time
@@ -70,7 +69,6 @@ class TestFixtureMode:
         expected = (fixtures_dir / "labels" / "physical_optics" / "0.html").read_bytes()
         assert raw.source == "fixture"
         assert raw.body == expected
-        assert raw.url == build_url(raw.request)
 
     def test_missing_fixture(self, fixture_fetcher):
         with pytest.raises(FixtureMissingError):
@@ -81,7 +79,6 @@ class TestFixtureMode:
         a = fixture_fetcher.fetch(req)
         b = fixture_fetcher.fetch(req)
         assert a.body == b.body
-        assert a.url == b.url
 
 
 LABEL_PAGE = (bundled_fixtures_dir() / "labels" / "physical_optics" / "0.html").read_bytes()
@@ -156,12 +153,6 @@ class TestCache:
         path = cache_dir / "labels" / req.key / f"{req.page_index}.html"
         path.parent.mkdir(parents=True)
         path.write_bytes(body)
-        meta = {
-            "url": build_url(req),
-            "retrieved_at": "2026-01-01T00:00:00+00:00",
-            "http_status": 200,
-        }
-        path.with_suffix(".html.meta.json").write_text(json.dumps(meta), "utf-8")
 
     def test_live_mode_serves_from_cache_without_network(self, tmp_path):
         req = PageRequest(LABEL_SEARCH, "optics", 0)
@@ -194,6 +185,12 @@ class TestCache:
         policy = FetchPolicy(mode="live", cache_dir=tmp_path / "explicit")
         assert policy.cache_dir == tmp_path / "explicit"
 
+    def test_live_fetch_writes_one_file_per_page(self, scripted_server, tmp_path):
+        server = scripted_server((200, LABEL_PAGE))
+        live_fetcher(server_url(server), tmp_path).fetch(LABEL_REQUEST)
+        files = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert files == [tmp_path / "labels" / "physical_optics" / "0.html"]
+
     def test_cached_page_without_marker_is_refetched_and_replaced(
         self, scripted_server, tmp_path
     ):
@@ -207,6 +204,7 @@ class TestCache:
         html_path = tmp_path / "labels" / "physical_optics" / "0.html"
         assert html_path.read_bytes() == LABEL_PAGE
         assert not list(tmp_path.rglob("*.tmp"))
+        assert not list(tmp_path.rglob("*.meta.json"))
         rerun = live_fetcher(server_url(server), tmp_path).fetch(LABEL_REQUEST)
         assert rerun.source == "cache"
         assert rerun.body == LABEL_PAGE
@@ -223,20 +221,20 @@ class TestCache:
     def test_corrupt_sidecar_is_a_miss_and_is_rewritten(
         self, scripted_server, tmp_path, caplog, sidecar
     ):
+        """Older versions wrote a ``.meta.json`` sidecar beside each cached
+        page. One left over, whatever it holds, is never opened: the page is
+        a cache hit, with no warning, and the sidecar stays as it was."""
         self._seed_cache(tmp_path, LABEL_REQUEST, LABEL_PAGE)
         meta_path = tmp_path / "labels" / "physical_optics" / "0.html.meta.json"
         meta_path.write_bytes(sidecar)
-        server = scripted_server((200, LABEL_PAGE))
+        server = scripted_server()
         with caplog.at_level("WARNING", logger="scholar_sounder.fetcher"):
             raw = live_fetcher(server_url(server), tmp_path).fetch(LABEL_REQUEST)
-        assert raw.source == "live"
-        assert server.hits == 1
-        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
-        assert len(warnings) == 1 and "sidecar" in warnings[0].getMessage()
-        assert json.loads(meta_path.read_bytes())["url"] == build_url(LABEL_REQUEST)
-        rerun = live_fetcher(server_url(server), tmp_path).fetch(LABEL_REQUEST)
-        assert rerun.source == "cache"
-        assert server.hits == 1
+        assert raw.source == "cache"
+        assert raw.body == LABEL_PAGE
+        assert server.hits == 0
+        assert not [r for r in caplog.records if r.levelname == "WARNING"]
+        assert meta_path.read_bytes() == sidecar
 
 
 class TestLiveFaults:

@@ -28,6 +28,24 @@ def test_imports_only_the_standard_library(path):
     assert not outside
 
 
+def imported_names(tree):
+    """Every name an import statement in ``tree`` binds, except those of
+    ``from __future__`` imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text("utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = set(imported_names(tree)) - used
+    assert not unused, f"imported but never used: {sorted(unused)}"
+
+
 def test_no_runtime_dependencies_declared():
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text("utf-8"))["project"]

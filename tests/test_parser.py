@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from scholar_sounder import parser
 from scholar_sounder.errors import EmptyTagError, ParseError
-from scholar_sounder.fetcher import AUTHOR_PROFILE, LABEL_SEARCH, PageRequest, RawPage, build_url
+from scholar_sounder.fetcher import AUTHOR_PROFILE, LABEL_SEARCH, PageRequest, RawPage
 from scholar_sounder.parser import normalize_tag, parse_author_page, parse_label_page
 
 import html_reference
@@ -25,14 +25,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def make_raw(kind, key, body, page_index=0):
-    from datetime import datetime, timezone
-
-    req = PageRequest(kind, key, page_index)
     return RawPage(
-        request=req,
-        url=build_url(req),
+        request=PageRequest(kind, key, page_index),
         body=body if isinstance(body, bytes) else body.encode("utf-8"),
-        retrieved_at=datetime.now(timezone.utc),
         source="fixture",
     )
 

@@ -1,13 +1,12 @@
 """The README quick-start run (`all` on the bundled fixtures) must produce
-the same bytes from one change to the next. GEXF files are compared with
-their `<meta>` block removed, since it carries the creation timestamp.
+the same bytes from one change to the next, and from one run to the next:
+only `run_manifest.json` carries clock time.
 
 After a deliberate change to the outputs, refresh the golden with
 ``PYTHONPATH=src python3 tests/test_quickstart_digests.py``."""
 
 import hashlib
 import json
-import re
 import tempfile
 from pathlib import Path
 
@@ -25,22 +24,30 @@ QUICKSTART_CONFIG = {
 }
 
 
-def quickstart_digests(work: Path) -> dict[str, str]:
+def run_quickstart(work: Path, out_name: str = "out") -> Path:
     config = work / "config.json"
     config.write_text(json.dumps(QUICKSTART_CONFIG), "utf-8")
-    out = work / "out"
+    out = work / out_name
     assert main(["all", "--config", str(config), "--fixtures", "bundled", "--out", str(out)]) == 3
-    digests = {}
-    for name in FILES:
-        data = (out / name).read_bytes()
-        if name.endswith(".gexf"):
-            data = re.sub(rb"\n *<meta .*?</meta>", b"", data, count=1, flags=re.S)
-        digests[name] = hashlib.sha256(data).hexdigest()
-    return digests
+    return out
+
+
+def quickstart_digests(work: Path) -> dict[str, str]:
+    out = run_quickstart(work)
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FILES}
 
 
 def test_quickstart_outputs_match_pinned_digests(tmp_path):
     assert quickstart_digests(tmp_path) == json.loads(GOLDEN.read_text("utf-8"))
+
+
+def test_reruns_into_other_directories_give_identical_outputs(tmp_path):
+    manifests = [
+        json.loads((run_quickstart(tmp_path, name) / "run_manifest.json").read_text("utf-8"))
+        for name in ("first", "second")
+    ]
+    assert manifests[0]["outputs"] == manifests[1]["outputs"]
+    assert {entry["path"] for entry in manifests[0]["outputs"]} == set(FILES)
 
 
 if __name__ == "__main__":
