@@ -13,11 +13,16 @@ def canonical_pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+def canonical_number(value):
+    """The form numbers take in files and reports: an integral float as an int."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
 class Graph:
     """Undirected weighted graph with per-node attribute maps.
 
-    Edges live under canonical (sorted) pair keys; self-loops and duplicate
-    pairs are rejected at insertion.
+    Edges live under canonical (sorted) pair keys. ``add_edge`` rejects
+    self-loops and duplicate pairs; ``add_weight`` accumulates evidence.
     """
 
     def __init__(self):
@@ -36,6 +41,13 @@ class Graph:
         self.add_node(a)
         self.add_node(b)
         self.edges[pair] = weight
+
+    def add_weight(self, a: str, b: str, amount=1):
+        """Add ``amount`` to the weight of the pair, creating the edge if
+        needed; a self-pair is ignored and no node is created."""
+        if a != b:
+            pair = canonical_pair(a, b)
+            self.edges[pair] = self.edges.get(pair, 0) + amount
 
     def adjacency(self) -> dict[str, dict[str, float]]:
         adj: dict[str, dict[str, float]] = {n: {} for n in self.nodes}
@@ -56,6 +68,16 @@ class Graph:
 
     def total_weight(self) -> float:
         return sum(self.edges.values())
+
+    def to_canonical_dict(self) -> dict:
+        """Comparable form: sorted nodes and attributes, sorted ``"a|b"`` edges."""
+        return {
+            "nodes": {
+                n: {k: canonical_number(v) for k, v in sorted(attrs.items())}
+                for n, attrs in sorted(self.nodes.items())
+            },
+            "edges": {f"{a}|{b}": canonical_number(w) for (a, b), w in sorted(self.edges.items())},
+        }
 
 
 @dataclass
@@ -229,11 +251,9 @@ def propagation_sweep(adjacency: list[list[tuple[int, float]]], labels: list[int
     return changed
 
 
-def top_clusters(g: Graph, p: Partition, n: int) -> list[ClusterReport]:
-    """The n largest communities (ties by smallest member id), with internal
-    edge counts and weights recomputed from the edge list in one pass."""
-    if n < 0:
-        raise ValueError("n must not be negative")
+def top_clusters(g: Graph, p: Partition) -> list[ClusterReport]:
+    """Every community, largest first (ties by smallest member id), with
+    internal edge counts and weights recomputed from the edge list in one pass."""
     if set(p.assignment) != set(g.nodes):
         raise ValueError("partition does not cover the graph")
     communities = p.communities()
@@ -255,4 +275,4 @@ def top_clusters(g: Graph, p: Partition, n: int) -> list[ClusterReport]:
         for cid, members in communities.items()
     ]
     reports.sort(key=lambda r: (-r.size, r.members[0]))
-    return reports[:n]
+    return reports

@@ -12,20 +12,24 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import sys
+from dataclasses import astuple, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import TOOL_NAME, __version__, bundled_fixtures_dir
-from .analysis import connected_components, degree_stats, detect_communities, k_core, top_clusters
+from .analysis import (
+    canonical_number, connected_components, degree_stats, detect_communities, k_core, top_clusters,
+)
 from .config import Config, build_config, read_config_file
 from .coauthor_graph import sound_authors
 from .errors import ConfigError, FormatError, ScholarSounderError, SoundingError
 from .export import (
-    ExportBundle, _num, from_gexf, make_bundle, to_edge_csv, to_gexf, to_graphml, to_json_report,
+    ExportBundle, from_gexf, make_bundle, to_edge_csv, to_gexf, to_graphml, to_json_report,
 )
 from .fetcher import Fetcher, write_atomic
-from .notion_graph import sound_tags, write_trace
+from .notion_graph import TraceRecord, sound_tags
 from .parser import parse_author_page, parse_label_page
 
 log = logging.getLogger(__name__)
@@ -109,10 +113,6 @@ def _merge_flags(data: dict, args) -> dict:
     return merged
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 class RunContext:
     def __init__(self, config: Config):
         self.config = config
@@ -122,11 +122,10 @@ class RunContext:
         self.fetcher = Fetcher(config.fetch)
         config.out_dir.mkdir(parents=True, exist_ok=True)
 
-    def write(self, name: str, text: str) -> Path:
+    def write(self, name: str, text: str):
         path = self.config.out_dir / name
         path.write_text(text, "utf-8")
         self.outputs.append(path)
-        return path
 
     def finish_manifest(self):
         manifest = {
@@ -140,7 +139,8 @@ class RunContext:
                 "warnings": self.warnings,
             },
             "outputs": [
-                {"path": p.name, "sha256": _sha256(p)} for p in sorted(set(self.outputs))
+                {"path": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+                for p in sorted(set(self.outputs))
             ],
         }
         text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -152,35 +152,23 @@ def _analysis_sections(graph, seed: int, kcore=None, min_weight=0.0, communities
     stats = degree_stats(graph)
     sections["degree_stats"] = {
         "degree": stats.degree,
-        "weighted_degree": {n: _num(w) for n, w in stats.weighted_degree.items()},
+        "weighted_degree": {n: canonical_number(w) for n, w in stats.weighted_degree.items()},
         "histogram": {str(k): v for k, v in sorted(stats.histogram.items())},
     }
     sections["components"] = [sorted(c) for c in connected_components(graph)]
     if communities:
         partition = detect_communities(graph, seed=seed)
         count = len(set(partition.assignment.values()))
-        clusters = top_clusters(graph, partition, n=count)
-        sections["communities"] = {
-            "count": count,
-            "assignment": partition.assignment,
-            "sweeps": partition.sweeps,
-            "converged": partition.converged,
-        }
+        sections["communities"] = {"count": count, **vars(partition)}
         sections["top_clusters"] = [
-            {
-                "community_id": c.community_id,
-                "size": c.size,
-                "members": c.members,
-                "internal_edges": c.internal_edges,
-                "internal_weight": _num(c.internal_weight),
-            }
-            for c in clusters
+            {**vars(c), "internal_weight": canonical_number(c.internal_weight)}
+            for c in top_clusters(graph, partition)
         ]
     if kcore is not None:
         core = k_core(graph, kcore, min_weight)
         sections["kcore"] = {
             "k": kcore,
-            "min_weight": _num(min_weight),
+            "min_weight": canonical_number(min_weight),
             "nodes": sorted(core.nodes),
             "edges": len(core.edges),
         }
@@ -194,60 +182,42 @@ def _write_network(ctx: RunContext, stem: str, net):
     ctx.write(f"edges_{stem}.csv", to_edge_csv(bundle))
 
 
-def _run_sound_tags(ctx: RunContext) -> dict:
-    net = sound_tags(ctx.config, ctx.fetcher.fetch, parse_label_page)
-    _write_network(ctx, "notion", net)
-    trace_path = ctx.config.out_dir / "trace.tsv"
-    write_trace(net.trace, trace_path)
-    ctx.outputs.append(trace_path)
-    return _analysis_sections(net, ctx.config.seed)
-
-
-def _run_sound_authors(ctx: RunContext) -> dict:
-    net = sound_authors(
-        ctx.config, ctx.fetcher.fetch, parse_author_page, parse_label=parse_label_page
-    )
-    ctx.warnings += net.report.failures
-    _write_network(ctx, "coauthors", net)
-    trace_path = ctx.config.out_dir / "trace.tsv"
-    if trace_path not in ctx.outputs:  # no tag sounding wrote it in this run
-        write_trace([], trace_path)
-        ctx.outputs.append(trace_path)
-    report_lines = [
-        f"# profiles_fetched={net.report.profiles_fetched}",
-        f"# stubs={net.report.stubs}",
-        f"# failures={net.report.failures}",
-        f"# reciprocal_edges={net.report.reciprocal_edges}",
-    ]
-    with trace_path.open("a", encoding="utf-8") as fh:
-        fh.write("\n".join(report_lines) + "\n")
-    return {
-        "coauthors": _analysis_sections(net, ctx.config.seed),
-        "coauthor_run": {
-            "profiles_fetched": net.report.profiles_fetched,
-            "stubs": net.report.stubs,
-            "failures": net.report.failures,
-            "reciprocal_edges": net.report.reciprocal_edges,
-        },
-    }
-
-
 def _cmd_sound(args, which: str) -> int:
+    """Run the phases ``which`` names. ``trace.tsv`` holds a header, one row per
+    tag visit, then ``# name=value`` co-author run counts; it is written once,
+    and on an aborted run holds what the finished phases produced."""
     config = build_config(_merge_flags(read_config_file(args.config), args))
     ctx = RunContext(config)
+    report: dict = {"metadata": {"config_digest": config.digest()}}
+    trace: list[str] = []  # trace.tsv lines; empty until a phase finishes
+    header = "\t".join(f.name for f in fields(TraceRecord))
     try:
-        report_sections: dict = {"metadata": {"config_digest": config.digest()}}
         if which in ("sound-tags", "all"):
-            report_sections.update(_run_sound_tags(ctx))
+            net = sound_tags(config, ctx.fetcher.fetch, parse_label_page)
+            _write_network(ctx, "notion", net)
+            trace = [header] + ["\t".join(map(str, astuple(r))) for r in net.trace]
+            report.update(_analysis_sections(net, config.seed))
         if which in ("sound-authors", "all"):
-            report_sections.update(_run_sound_authors(ctx))
+            net = sound_authors(
+                config, ctx.fetcher.fetch, parse_author_page, parse_label=parse_label_page
+            )
+            ctx.warnings += net.report.failures
+            _write_network(ctx, "coauthors", net)
+            run = vars(net.report)
+            trace = (trace or [header]) + [f"# {name}={value}" for name, value in run.items()]
+            report["coauthors"] = _analysis_sections(net, config.seed)
+            report["coauthor_run"] = run
+        del net  # serialising report.json is the run's memory peak: free the graph first
     except SoundingError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        ctx.finish_manifest()
-        return EXIT_ABORTED
-    ctx.write("report.json", json.dumps(report_sections, indent=2, sort_keys=True) + "\n")
+        status = EXIT_ABORTED
+    else:
+        ctx.write("report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+        status = EXIT_PARTIAL if ctx.warnings else EXIT_OK
+    if trace:
+        ctx.write("trace.tsv", "\n".join(trace) + "\n")
     ctx.finish_manifest()
-    return EXIT_PARTIAL if ctx.warnings else EXIT_OK
+    return status
 
 
 def _load_gexf(args) -> tuple[ExportBundle, Path]:
@@ -261,6 +231,8 @@ def _load_gexf(args) -> tuple[ExportBundle, Path]:
 def _cmd_analyze(args) -> int:
     if args.kcore is not None and args.kcore < 1:
         raise ConfigError("--k-core", "must be at least 1")
+    if not math.isfinite(args.min_weight):
+        raise ConfigError("--min-weight", "must be a finite number")
     bundle, out_dir = _load_gexf(args)
     report_path = out_dir / "report.json"
     report = {}

@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .analysis import Graph, canonical_pair
-from .errors import FetchError, ParseError
+from .errors import FetchError, ParseError, ScholarSounderError, SoundingError
 from .fetcher import AUTHOR_PROFILE, PageRequest
 from .notion_graph import fetch_label_pages
 from .parser import AuthorSummary
@@ -48,31 +48,26 @@ class CoauthorNetwork(Graph):
     def is_reciprocal(self, a: str, b: str) -> bool:
         return self.edges.get(canonical_pair(a, b)) == 2
 
-    def add_listing(self, lister: str, listed: str):
-        """One more direction attests the pair. Each profile is fetched once
-        and lists a co-author once, so the weight is 1 or 2."""
-        if lister == listed:
-            return
-        pair = canonical_pair(lister, listed)
-        self.edges[pair] = self.edges.get(pair, 0) + 1
-
     def to_canonical_dict(self) -> dict:
-        return {
-            "nodes": {aid: dict(attrs) for aid, attrs in sorted(self.nodes.items())},
-            "edges": {
-                f"{a}|{b}": {"weight": w, "reciprocal": w == 2}
-                for (a, b), w in sorted(self.edges.items())
-            },
-        }
+        canonical = super().to_canonical_dict()
+        edges = canonical["edges"]
+        for pair, w in edges.items():
+            edges[pair] = {"weight": w, "reciprocal": w == 2}
+        return canonical
 
 
 def seed_authors(config, fetch, parse) -> list[AuthorSummary]:
     """Author summaries from the base tags' result pages, deduplicated by
-    id, keeping first-seen document order."""
+    id, keeping first-seen document order. A fetch or parse failure aborts
+    with the base tag attached, as in ``sound_tags``."""
     seeds: list[AuthorSummary] = []
     seen: set[str] = set()
     for base in config.base_tags:
-        for page in fetch_label_pages(base, config, fetch, parse):
+        try:
+            pages = fetch_label_pages(base, config, fetch, parse)
+        except ScholarSounderError as exc:
+            raise SoundingError(base, exc) from exc
+        for page in pages:
             for author in page.authors:
                 if author.author_id not in seen:
                     seen.add(author.author_id)
@@ -123,7 +118,9 @@ def sound_authors(config, fetch, parse_profile, seeds=None, parse_label=None) ->
                 net.admit(coauthor_id, coauthor_name, hop)
                 if hop <= config.hop_limit:
                     queue.append(coauthor_id)
-            net.add_listing(author_id, coauthor_id)
+            # One more direction attests the pair. Each profile is fetched
+            # once and lists a co-author once, so the weight is 1 or 2.
+            net.add_weight(author_id, coauthor_id)
 
     _finalize_report(net)
     return net

@@ -13,11 +13,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from xml.parsers import expat
 from xml.sax.saxutils import escape, quoteattr
 
-from .analysis import Graph
+from .analysis import Graph, canonical_number
 from .errors import FormatError
 
 GEXF_NS = "http://www.gexf.net/1.2draft"
@@ -43,8 +44,7 @@ class ExportBundle:
     def canonical_form(self) -> dict:
         """Comparable form: everything except the creation timestamp."""
         return {
-            "nodes": {n: _canon_attrs(attrs) for n, attrs in sorted(self.graph.nodes.items())},
-            "edges": {f"{a}|{b}": _num(w) for (a, b), w in sorted(self.graph.edges.items())},
+            **self.graph.to_canonical_dict(),
             "metadata": {k: v for k, v in self.metadata.items() if k != "created_at"},
         }
 
@@ -84,15 +84,6 @@ def _infer_type(values) -> str:
     return "string"
 
 
-def _num(w):
-    f = float(w)
-    return int(f) if f.is_integer() else f
-
-
-def _canon_attrs(attrs: dict) -> dict:
-    return {k: (_num(v) if isinstance(v, float) else v) for k, v in sorted(attrs.items())}
-
-
 def _fmt_value(value, gexf_type: str) -> str:
     if gexf_type == "boolean":
         return "true" if value else "false"
@@ -111,10 +102,6 @@ def _parse_value(text: str, gexf_type: str):
     if gexf_type == "double":
         return float(text)
     return text
-
-
-def _fmt_weight(w) -> str:
-    return str(_num(w))
 
 
 # -- GEXF -------------------------------------------------------------
@@ -164,7 +151,7 @@ def to_gexf(bundle: ExportBundle) -> str:
     for i, ((a, b), w) in enumerate(sorted(bundle.graph.edges.items())):
         lines.append(
             f'      <edge id="{i}" source={quoteattr(a)} target={quoteattr(b)} '
-            f'weight="{_fmt_weight(w)}"/>'
+            f'weight="{canonical_number(w)}"/>'
         )
     lines.append("    </edges>")
     lines.append("  </graph>")
@@ -186,8 +173,10 @@ def from_gexf(document: str) -> ExportBundle:
     declaration, and of a node's ``<attvalues>`` an attribute value;
     anything else under ``<gexf>``, ``<meta>``, ``<graph>`` or a node is
     skipped with its subtree. The text of ``<creator>`` and
-    ``<description>`` is read up to their first child element. A second
-    ``<graph>`` and a repeated node id are rejected.
+    ``<description>`` is read up to their first child element. A node's XML
+    ``label`` other than its id is kept as the attribute ``label``, which a
+    declared ``label`` attvalue overrides. A second ``<graph>``, a repeated
+    node id and a non-finite edge weight are rejected.
     """
     metadata = {"config_digest": "", "tool_version": "", "created_at": ""}
     schema: dict[str, str] = {}
@@ -236,12 +225,14 @@ def from_gexf(document: str) -> ExportBundle:
             try:
                 weight = float(xml_attrs.get("weight", "1"))
             except ValueError:
+                weight = math.nan
+            if not math.isfinite(weight):
                 raise FormatError(
                     f"bad edge weight {xml_attrs.get('weight')!r}",
                     location=f"edge {xml_attrs.get('id')}",
-                ) from None
+                )
             try:
-                graph.add_edge(a, b, _num(weight))
+                graph.add_edge(a, b, canonical_number(weight))
             except ValueError as exc:  # self-loop or duplicate pair
                 raise FormatError(str(exc), location=f"edge {xml_attrs.get('id')}") from None
             push("skip")
@@ -255,7 +246,8 @@ def from_gexf(document: str) -> ExportBundle:
                 raise FormatError("node without id")
             if node_id in nodes:
                 raise FormatError(f"repeated node id {node_id!r}", location=f"node {node_id}")
-            attrs = nodes[node_id] = {}
+            label = xml_attrs.get("label", node_id)
+            attrs = nodes[node_id] = {} if label == node_id else {"label": label}
             push("node")
         elif context == "attributes":
             name, attr_id = xml_attrs.get("title"), xml_attrs.get("id")
@@ -382,7 +374,7 @@ def to_graphml(bundle: ExportBundle) -> str:
     for (a, b), w in sorted(bundle.graph.edges.items()):
         lines.append(
             f"    <edge source={quoteattr(a)} target={quoteattr(b)}>"
-            f'<data key="weight">{_fmt_weight(w)}</data></edge>'
+            f'<data key="weight">{canonical_number(w)}</data></edge>'
         )
     lines.append("  </graph>")
     lines.append("</graphml>")
@@ -397,7 +389,7 @@ def to_edge_csv(bundle: ExportBundle) -> str:
     writer = csv.writer(buf)
     writer.writerow(["source", "target", "weight"])
     for (a, b), w in sorted(bundle.graph.edges.items()):
-        writer.writerow([a, b, _fmt_weight(w)])
+        writer.writerow([a, b, canonical_number(w)])
     return buf.getvalue()
 
 
@@ -408,7 +400,7 @@ def to_json_report(bundle: ExportBundle, analysis_outputs: dict | None = None) -
         "graph": {
             "nodes": len(bundle.graph.nodes),
             "edges": len(bundle.graph.edges),
-            "total_weight": _num(bundle.graph.total_weight()),
+            "total_weight": canonical_number(bundle.graph.total_weight()),
         },
         "metadata": dict(bundle.metadata),
     }

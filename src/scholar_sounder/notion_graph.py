@@ -48,20 +48,8 @@ class NotionNetwork(Graph):
     def ensure_node(self, tag: str, depth: int = 0) -> dict:
         return self.nodes.setdefault(tag, {"rate": 0, "visited": False, "depth_discovered": depth})
 
-    def add_edge_evidence(self, a: str, b: str, count: int = 1):
-        if a == b:
-            return
-        pair = canonical_pair(a, b)
-        self.edges[pair] = self.edges.get(pair, 0) + count
-
     def weight(self, a: str, b: str) -> int:
         return self.edges.get(canonical_pair(a, b), 0)
-
-    def to_canonical_dict(self) -> dict:
-        return {
-            "nodes": {t: dict(attrs) for t, attrs in sorted(self.nodes.items())},
-            "edges": {f"{a}|{b}": w for (a, b), w in sorted(self.edges.items())},
-        }
 
 
 def absorb_label_page(
@@ -84,12 +72,12 @@ def absorb_label_page(
             net.ensure_node(tag, depth + 1)["rate"] += 1
         if edge_policy == EDGE_POLICY_STAR:
             for tag in others:
-                net.add_edge_evidence(current, tag)
+                net.add_weight(current, tag)
         elif edge_policy == EDGE_POLICY_CLIQUE:
             labels = author.labels
             for i in range(len(labels)):
                 for j in range(i + 1, len(labels)):
-                    net.add_edge_evidence(labels[i], labels[j])
+                    net.add_weight(labels[i], labels[j])
         else:
             raise ValueError(f"unknown edge policy: {edge_policy!r}")
     return net
@@ -171,13 +159,3 @@ def sound_tags(config, fetch, parse) -> NotionNetwork:
             current = None
     return net
 
-
-def write_trace(trace: list[TraceRecord], path):
-    """Write the visit trace as tab-separated lines under a header row."""
-    lines = ["iteration\tbase_tag\tvisited_tag\tpages_fetched\tnew_nodes\tnew_edges"]
-    lines += [
-        f"{r.iteration}\t{r.base_tag}\t{r.visited_tag}\t{r.pages_fetched}"
-        f"\t{r.new_nodes}\t{r.new_edges}"
-        for r in trace
-    ]
-    path.write_text("\n".join(lines) + "\n", "utf-8")

@@ -5,11 +5,12 @@ the package imports this module."""
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+import math
 from typing import Any
 
-from scholar_sounder.analysis import Graph
+from scholar_sounder.analysis import Graph, canonical_number
 from scholar_sounder.errors import FormatError
-from scholar_sounder.export import ExportBundle, _num, _parse_value
+from scholar_sounder.export import ExportBundle, _parse_value
 
 
 def _local(tag: str) -> str:
@@ -76,6 +77,8 @@ def from_gexf(document: str) -> ExportBundle:
                     raise FormatError(f"repeated node id {node_id!r}", location=f"node {node_id}")
                 graph.add_node(node_id)
                 attrs: dict[str, Any] = {}
+                if node_el.get("label", node_id) != node_id:
+                    attrs["label"] = node_el.get("label")
                 for sub in node_el:
                     if _local(sub.tag) != "attvalues":
                         continue
@@ -109,12 +112,14 @@ def from_gexf(document: str) -> ExportBundle:
                 try:
                     weight = float(edge_el.get("weight", "1"))
                 except ValueError:
+                    weight = math.nan
+                if not math.isfinite(weight):
                     raise FormatError(
                         f"bad edge weight {edge_el.get('weight')!r}",
                         location=f"edge {edge_el.get('id')}",
-                    ) from None
+                    )
                 try:
-                    graph.add_edge(a, b, _num(weight))
+                    graph.add_edge(a, b, canonical_number(weight))
                 except ValueError as exc:  # self-loop or duplicate pair
                     raise FormatError(str(exc), location=f"edge {edge_el.get('id')}") from None
     return ExportBundle(graph=graph, metadata=metadata)

@@ -99,7 +99,7 @@ def k_core_oracle(g: Graph, k: int):
     return best
 
 
-def top_clusters_oracle(g: Graph, p: Partition, n: int):
+def top_clusters_oracle(g: Graph, p: Partition):
     """Per-community scan of the whole edge list."""
     reports = []
     for cid, members in p.communities().items():
@@ -107,7 +107,7 @@ def top_clusters_oracle(g: Graph, p: Partition, n: int):
         internal = [w for (a, b), w in g.edges.items() if a in member_set and b in member_set]
         reports.append(ClusterReport(cid, len(members), sorted(members), len(internal), sum(internal)))
     reports.sort(key=lambda r: (-r.size, r.members[0]))
-    return reports[:n]
+    return reports
 
 
 def induces_connected_subgraph(g: Graph, members) -> bool:
@@ -145,6 +145,30 @@ def modularity(g: Graph, blocks):
 
 
 # -- tests --------------------------------------------------------------
+
+
+class TestGraph:
+    def test_add_weight_accumulates_skips_self_pairs_and_adds_no_node(self):
+        g = Graph()
+        g.add_weight("b", "a")
+        g.add_weight("a", "b", 2)
+        g.add_weight("a", "a")
+        assert g.edges == {("a", "b"): 3}
+        assert g.nodes == {}
+
+    def test_canonical_dict_sorts_and_writes_integral_floats_as_ints(self):
+        g = Graph()
+        g.add_node("b", score=2.0, flag=True, name="B")
+        g.add_node("a", score=0.5)
+        g.add_edge("b", "a", 3.0)
+        canonical = g.to_canonical_dict()
+        assert canonical == {
+            "nodes": {"a": {"score": 0.5}, "b": {"flag": True, "name": "B", "score": 2}},
+            "edges": {"a|b": 3},
+        }
+        assert list(canonical["nodes"]) == ["a", "b"]
+        assert list(canonical["nodes"]["b"]) == ["flag", "name", "score"]
+        assert type(canonical["edges"]["a|b"]) is int
 
 
 class TestDegreeStats:
@@ -370,19 +394,19 @@ class TestTopClusters:
     def test_largest_first(self):
         g = make_graph([("a", "b"), ("b", "c"), ("x", "y")])
         p = Partition({"a": 0, "b": 0, "c": 0, "x": 1, "y": 1})
-        top = top_clusters(g, p, 1)
-        assert len(top) == 1
-        assert top[0].members == ["a", "b", "c"]
+        top = top_clusters(g, p)
+        assert [c.members for c in top] == [["a", "b", "c"], ["x", "y"]]
 
-    def test_n_clamped_to_community_count(self):
+    def test_every_community_is_reported(self):
         g = make_graph([("a", "b")])
         p = Partition({"a": 0, "b": 1})
-        assert len(top_clusters(g, p, 10)) == 2
+        assert len(top_clusters(g, p)) == 2
 
     def test_two_triangle_internal_counts(self):
         g = two_triangles_with_bridge()
         p = detect_communities(g, seed=0)
-        top = top_clusters(g, p, 2)
+        top = top_clusters(g, p)
+        assert len(top) == 2
         for cluster in top:
             assert cluster.size == 3
             assert cluster.internal_edges == 3
@@ -391,10 +415,10 @@ class TestTopClusters:
     def test_partition_must_cover_graph(self):
         g = make_graph([("a", "b")])
         with pytest.raises(ValueError):
-            top_clusters(g, Partition({"a": 0}), 1)
+            top_clusters(g, Partition({"a": 0}))
 
     def test_empty_graph_has_no_clusters(self):
-        assert top_clusters(Graph(), Partition({}), 0) == []
+        assert top_clusters(Graph(), Partition({})) == []
 
     @pytest.mark.parametrize("seed", range(50))
     def test_single_pass_matches_per_community_scan(self, seed):
@@ -402,8 +426,7 @@ class TestTopClusters:
         g = random_graph(rng, max_nodes=30, edge_prob=0.2, weighted=True)
         k = rng.randint(1, max(1, len(g.nodes)))
         p = Partition({node: rng.randrange(k) for node in g.nodes})
-        n = rng.randint(1, k + 1)
-        assert top_clusters(g, p, n) == top_clusters_oracle(g, p, n)
+        assert top_clusters(g, p) == top_clusters_oracle(g, p)
 
 
 class TestNetworkxSecondOpinion:

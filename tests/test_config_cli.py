@@ -1,16 +1,18 @@
 import json
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from scholar_sounder import bundled_fixtures_dir
+from scholar_sounder import bundled_fixtures_dir, coauthor_graph
 from scholar_sounder.analysis import Graph
 from scholar_sounder.cli import main
 from scholar_sounder.config import build_config, read_config_file
-from scholar_sounder.errors import ConfigError, NetworkError
+from scholar_sounder.errors import ConfigError, NetworkError, ParseError, SoundingError
 from scholar_sounder.export import from_gexf, make_bundle, to_gexf
 from scholar_sounder.fetcher import CACHE_ENV_VAR, Fetcher
+from scholar_sounder.notion_graph import TraceRecord
 
 FIXTURES_DIR = bundled_fixtures_dir()
 
@@ -137,7 +139,7 @@ class TestCliSoundTags:
     def test_trace_starts_with_base_tag(self, tmp_path):
         _, out = self.run_sound_tags(tmp_path)
         lines = (out / "trace.tsv").read_text("utf-8").splitlines()
-        assert lines[0].startswith("iteration\t")
+        assert lines[0].split("\t") == [f.name for f in fields(TraceRecord)]
         assert lines[1].split("\t")[2] == "physical_optics"
         assert lines[2].split("\t")[2] == "optics"
 
@@ -258,6 +260,42 @@ class TestCliSoundAuthors:
         both = (tmp_path / "all" / "trace.tsv").read_text("utf-8")
         assert both == tags + "# profiles_fetched=6\n# stubs=4\n# failures=3\n# reciprocal_edges=3\n"
 
+    @pytest.mark.parametrize("command", ["sound-tags", "sound-authors", "all"])
+    def test_unparsable_base_tag_page_aborts_with_tag_and_manifest(
+        self, tmp_path, capsys, command
+    ):
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(FIXTURES_DIR, fixtures)
+        (fixtures / "labels" / "physical_optics" / "0.html").write_text(
+            "<html><body>no results</body></html>", "utf-8"
+        )
+        config, out = write_config(tmp_path), tmp_path / "out"
+        code = main([command, "--config", str(config), "--fixtures", str(fixtures), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sounding failed at 'physical_optics': ")
+        assert err.count("\n") == 1
+        manifest = json.loads((out / "run_manifest.json").read_text("utf-8"))
+        assert manifest["outputs"] == []
+        assert not (out / "report.json").exists()
+
+    def test_abort_in_author_phase_keeps_the_tag_phase_outputs(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path)
+        main(["sound-tags", "--config", str(config), "--out", str(tmp_path / "tags")])
+
+        def fail(config, fetch, parse):
+            raise SoundingError("physical_optics", ParseError("no results"))
+
+        monkeypatch.setattr(coauthor_graph, "seed_authors", fail)
+        out = tmp_path / "out"
+        assert main(["all", "--config", str(config), "--out", str(out)]) == 2
+        trace = (out / "trace.tsv").read_bytes()
+        assert trace == (tmp_path / "tags" / "trace.tsv").read_bytes()
+        manifest = json.loads((out / "run_manifest.json").read_text("utf-8"))
+        assert [entry["path"] for entry in manifest["outputs"]] == [
+            "edges_notion.csv", "notion.gexf", "notion.graphml", "trace.tsv",
+        ]
+
 
     def test_coauthor_name_that_normalizes_to_nothing_does_not_abort(self, tmp_path):
         fixtures = tmp_path / "fixtures"
@@ -329,8 +367,10 @@ class TestCliAnalyzeExport:
         ('<attribute id="0" title="depth_discovered" type="integer"/>',
          '<attribute id="0" type="integer"/>', "attribute 0"),
         ("</nodes>", '<node id="acoustooptics"/></nodes>', "node acoustooptics"),
+        ('weight="1"', 'weight="nan"', "edge"),
+        ('weight="1"', 'weight="inf"', "edge"),
     ], ids=["weight", "integer", "duplicate-edge", "self-loop", "untitled-attribute",
-            "repeated-node"])
+            "repeated-node", "nan-weight", "inf-weight"])
     def test_bad_gexf_values_exit_two_with_one_line(
         self, gexf_path, tmp_path, capsys, command, old, new, location
     ):
@@ -366,6 +406,21 @@ class TestCliAnalyzeExport:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "--k-core" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_analyze_non_finite_min_weight_is_a_config_error(
+        self, gexf_path, tmp_path, capsys, weight
+    ):
+        out = tmp_path / "analysis"
+        code = main([
+            "analyze", "--in", str(gexf_path), "--out", str(out), "--k-core", "1",
+            f"--min-weight={weight}",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--min-weight" in err
         assert not out.exists()
 
     def test_analyze_rejects_missing_input(self, tmp_path, capsys):

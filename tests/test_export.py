@@ -14,6 +14,7 @@ from scholar_sounder.analysis import Graph, detect_communities
 from scholar_sounder.cli import main
 from scholar_sounder.errors import FormatError
 from scholar_sounder.export import (
+    GEXF_NS,
     from_gexf,
     make_bundle,
     to_edge_csv,
@@ -237,6 +238,21 @@ ORACLE_FRAGMENTS = [
     '<graph defaultedgetype="undirected"/>',
 ]
 START_TAG_ENDS = [m.end() for m in re.finditer(r"<[a-z][^>]*>", MIXED_GEXF)]
+# Labels other than the ids, as Gephi and networkx write them.
+LABELLED_GEXF = f"""<?xml version="1.0" encoding="UTF-8"?>
+<gexf xmlns="{GEXF_NS}" version="1.2">
+  <graph defaultedgetype="undirected" mode="static">
+    <attributes class="node"/>
+    <nodes>
+      <node id="n1" label="Alice Smith"/>
+      <node id="n2" label="n2"/>
+    </nodes>
+    <edges>
+      <edge id="0" source="n1" target="n2" weight="1.0"/>
+    </edges>
+  </graph>
+</gexf>
+"""
 
 
 class TestReaderAgreesWithReference:
@@ -289,10 +305,33 @@ class TestReaderAgreesWithReference:
         MIXED_GEXF.replace("<gexf ", '<!DOCTYPE gexf SYSTEM "x"><gexf ').replace(
             "<creator>t", "<creator>t&undefined;"),
         MIXED_GEXF.replace("</nodes>", '<node id="a"/></nodes>'),
+        LABELLED_GEXF,
+        MIXED_GEXF.replace('label="a">', 'label="Alice &amp; Co">'),
     ], ids=["element-in-creator", "element-in-description", "cdata-in-creator",
             "unknown-node-element", "attvalue-outside-attvalues", "unknown-edge-element",
-            "declared-prefix", "unbound-prefix", "undefined-entity", "repeated-node"])
+            "declared-prefix", "unbound-prefix", "undefined-entity", "repeated-node",
+            "label", "label-with-attributes"])
     def test_hand_written_documents(self, doc):
+        assert_readers_agree(doc)
+
+    def test_labels_survive_re_export(self):
+        bundle = from_gexf(LABELLED_GEXF)
+        assert bundle.graph.nodes == {"n1": {"label": "Alice Smith"}, "n2": {}}
+        doc = to_gexf(bundle)
+        assert '<node id="n1" label="Alice Smith">' in doc
+        assert from_gexf(doc).canonical_form() == bundle.canonical_form()
+
+    def test_declared_label_attribute_wins_over_the_xml_label(self):
+        doc = LABELLED_GEXF.replace(
+            '<attributes class="node"/>',
+            '<attributes class="node"><attribute id="0" title="label" type="string"/>'
+            "</attributes>",
+        ).replace(
+            '<node id="n1" label="Alice Smith"/>',
+            '<node id="n1" label="Alice Smith"><attvalues>'
+            '<attvalue for="0" value="A. Smith"/></attvalues></node>',
+        )
+        assert from_gexf(doc).graph.nodes["n1"] == {"label": "A. Smith"}
         assert_readers_agree(doc)
 
     def test_second_graph_element_is_rejected(self):

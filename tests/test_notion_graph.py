@@ -5,6 +5,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from scholar_sounder.config import build_config
+from scholar_sounder.export import make_bundle
 from scholar_sounder.notion_graph import (
     EDGE_POLICY_CLIQUE,
     NotionNetwork,
@@ -137,6 +138,9 @@ class TestSoundTags:
         net = sound_tags(optics_config, fixture_fetcher.fetch, parse_label_page)
         golden = load_golden("notion_network.json")
         assert net.to_canonical_dict() == golden["network"]
+        bundle_form = make_bundle(net).canonical_form()
+        del bundle_form["metadata"]
+        assert bundle_form == net.to_canonical_dict()
         assert [json.loads(json.dumps(asdict(r))) for r in net.trace] == golden["trace"]
         assert [r.visited_tag for r in net.trace][:2] == ["physical_optics", "optics"]
 

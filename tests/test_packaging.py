@@ -2,6 +2,7 @@
 
 import ast
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,20 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = set(imported_names(tree)) - used
     assert not unused, f"imported but never used: {sorted(unused)}"
+
+
+def test_every_benchmark_span_target_exists():
+    """bench/spans.py wraps package names by attribute; a renamed or
+    deleted one would otherwise only fail a traced benchmark run."""
+    path = ROOT / "bench" / "spans.py"
+    spans = types.ModuleType("bench_spans")  # executed from source: no bytecode is written
+    exec(compile(path.read_text("utf-8"), str(path), "exec"), spans.__dict__)
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr, _, _ in spans.TARGETS
+        if attr not in owner.__dict__
+    ]
+    assert not missing
 
 
 def test_no_runtime_dependencies_declared():
