@@ -111,7 +111,7 @@ class ClusterReport:
 
 def degree_stats(g: Graph) -> DegreeStats:
     degree = {n: 0 for n in g.nodes}
-    weighted = {n: 0.0 for n in g.nodes}
+    weighted = dict.fromkeys(g.nodes, 0)  # int sums stay exact past the float range
     for (a, b), w in g.edges.items():
         degree[a] += 1
         degree[b] += 1

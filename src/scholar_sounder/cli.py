@@ -40,21 +40,30 @@ EXIT_ABORTED = 2
 EXIT_PARTIAL = 3
 
 
+def _fixtures_dir(value: str) -> str:
+    """``--fixtures`` value: ``bundled`` names the corpus shipped with the package."""
+    return str(bundled_fixtures_dir()) if value == "bundled" else value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=TOOL_NAME, description=__doc__)
     parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_run_flags(p):
+        # Each dest is the config key the flag overrides (see config.build_config).
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--mode", choices=["live", "fixture"])
-        p.add_argument("--fixtures", help="fixture corpus dir, or 'bundled'")
-        p.add_argument("--cache", help="cache dir for live mode")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--mode", dest="fetch.mode", choices=["live", "fixture"])
+        p.add_argument(
+            "--fixtures", dest="fetch.fixtures_dir", type=_fixtures_dir,
+            help="fixture corpus dir, or 'bundled'",
+        )
+        p.add_argument("--cache", dest="fetch.cache_dir", help="cache dir for live mode")
+        p.add_argument("--out", dest="out_dir", help="output directory")
         p.add_argument("--depth", type=int)
         p.add_argument("--hop-limit", type=int, dest="hop_limit")
-        p.add_argument("--delay-ms", type=int, dest="delay_ms")
-        p.add_argument("--max-pages", type=int, dest="max_pages")
+        p.add_argument("--delay-ms", type=int, dest="fetch.min_delay_ms")
+        p.add_argument("--max-pages", type=int, dest="fetch.max_pages_per_label")
         p.add_argument("--seed", type=int)
         p.add_argument("--verbose", action="store_true")
 
@@ -82,35 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true")
 
     return parser
-
-
-def _merge_flags(data: dict, args) -> dict:
-    """Overlay CLI flags onto the raw config mapping (flags win), so the
-    merged result goes through the one validation path in build_config."""
-    fetch = dict(data.get("fetch", {}))
-    if getattr(args, "mode", None):
-        fetch["mode"] = args.mode
-    if getattr(args, "fixtures", None):
-        fetch["fixtures_dir"] = (
-            str(bundled_fixtures_dir()) if args.fixtures == "bundled" else args.fixtures
-        )
-    if getattr(args, "cache", None):
-        fetch["cache_dir"] = args.cache
-    if getattr(args, "delay_ms", None) is not None:
-        fetch["min_delay_ms"] = args.delay_ms
-    if getattr(args, "max_pages", None) is not None:
-        fetch["max_pages_per_label"] = args.max_pages
-    merged = dict(data)
-    merged["fetch"] = fetch
-    if getattr(args, "out", None):
-        merged["out_dir"] = args.out
-    if getattr(args, "depth", None) is not None:
-        merged["depth"] = args.depth
-    if getattr(args, "hop_limit", None) is not None:
-        merged["hop_limit"] = args.hop_limit
-    if getattr(args, "seed", None) is not None:
-        merged["seed"] = args.seed
-    return merged
 
 
 class RunContext:
@@ -186,7 +166,8 @@ def _cmd_sound(args, which: str) -> int:
     """Run the phases ``which`` names. ``trace.tsv`` holds a header, one row per
     tag visit, then ``# name=value`` co-author run counts; it is written once,
     and on an aborted run holds what the finished phases produced."""
-    config = build_config(_merge_flags(read_config_file(args.config), args))
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "verbose")}
+    config = build_config(read_config_file(args.config), flags)
     ctx = RunContext(config)
     report: dict = {"metadata": {"config_digest": config.digest()}}
     trace: list[str] = []  # trace.tsv lines; empty until a phase finishes

@@ -10,7 +10,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 
-from .analysis import Graph, canonical_pair
+from .analysis import Graph
 from .errors import FetchError, ParseError, ScholarSounderError, SoundingError
 from .fetcher import AUTHOR_PROFILE, PageRequest
 from .notion_graph import fetch_label_pages
@@ -44,9 +44,6 @@ class CoauthorNetwork(Graph):
             author_id, name=name, labels=list(labels), cited_by=cited_by, h_index=None,
             hop=hop, stub=True, fetch_failed=False,
         )
-
-    def is_reciprocal(self, a: str, b: str) -> bool:
-        return self.edges.get(canonical_pair(a, b)) == 2
 
     def to_canonical_dict(self) -> dict:
         canonical = super().to_canonical_dict()

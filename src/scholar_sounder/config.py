@@ -1,13 +1,16 @@
-"""Run configuration: a single JSON file, validated and normalized, with
-flag overrides applied by the CLI. Precedence: flags > file > defaults.
-The SCHOLAR_SOUNDER_CACHE environment variable applies only when neither
-``--cache`` nor ``fetch.cache_dir`` sets the cache directory."""
+"""Run configuration: a single JSON file that ``build_config`` merges with the
+CLI flags and validates in one place. Precedence: flags > file >
+SCHOLAR_SOUNDER_CACHE (for ``fetch.cache_dir`` only) > the defaults declared
+on ``Config`` and ``FetchPolicy``. Integer fields must be JSON integers (not
+bools, floats or strings), and unknown keys, at the top level or under
+``fetch``, are rejected."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, EmptyTagError
@@ -15,6 +18,18 @@ from .fetcher import FetchPolicy
 from .parser import normalize_tag
 
 MAX_DICTIONARY_WORDS = 10
+
+CACHE_ENV_VAR = "SCHOLAR_SOUNDER_CACHE"
+
+# Fields that say where files live, not what a run computes: the digest leaves
+# them out. ``base_url`` is a test seam, not a setting, so no file or flag sets it.
+LOCATIONS = ("out_dir", "fixtures_dir", "cache_dir", "base_url")
+
+# Lower bound of each integer setting, by config key; None means any integer.
+INTEGER_BOUNDS = {
+    "depth": 1, "hop_limit": 0, "author_cap": 1, "seed": None,
+    "fetch.min_delay_ms": 1, "fetch.max_pages_per_label": 1, "fetch.max_retries": 0,
+}
 
 
 @dataclass
@@ -30,23 +45,13 @@ class Config:
     seed: int = 0
 
     def digest(self) -> str:
-        payload = {
-            "base_tags": self.base_tags,
-            "dictionary": self.dictionary,
-            "depth": self.depth,
-            "hop_limit": self.hop_limit,
-            "author_cap": self.author_cap,
-            "edge_policy": self.edge_policy,
-            "seed": self.seed,
-            "fetch": {
-                "mode": self.fetch.mode,
-                "min_delay_ms": self.fetch.min_delay_ms,
-                "max_pages_per_label": self.fetch.max_pages_per_label,
-                "max_retries": self.fetch.max_retries,
-            },
-        }
+        payload = {**_settings(self), "fetch": _settings(self.fetch)}
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
+
+
+def _settings(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in LOCATIONS}
 
 
 def _require(condition: bool, fieldname: str, reason: str):
@@ -54,14 +59,32 @@ def _require(condition: bool, fieldname: str, reason: str):
         raise ConfigError(fieldname, reason)
 
 
-def build_config(data: dict) -> Config:
-    """Validate a raw config mapping and apply defaults."""
-    known = {
-        "base_tags", "dictionary", "depth", "hop_limit", "author_cap",
-        "edge_policy", "fetch", "out_dir", "seed",
-    }
-    for key in data:
-        _require(key in known, key, "unknown field")
+def _field(config: Config, key: str):
+    """The object and attribute name that the config key ``key`` names."""
+    section, _, name = key.rpartition(".")
+    return (config.fetch if section else config), name
+
+
+def build_config(data: dict, flags: dict | None = None) -> Config:
+    """Lay ``flags`` over the raw config mapping ``data``, fill what neither
+    sets from the dataclass defaults and validate every field.
+
+    ``flags`` maps config keys to values, fetch keys as ``fetch.<key>``; a
+    value of ``None`` or ``""`` leaves the key unset."""
+    _require(isinstance(data, dict), "<file>", "top level must be an object")
+    fetch = data.get("fetch", {})
+    _require(isinstance(fetch, dict), "fetch", "must be a mapping")
+    data, fetch = dict(data), dict(fetch)
+    for key, value in (flags or {}).items():
+        if value is not None and value != "":
+            section, _, name = key.rpartition(".")
+            (fetch if section else data)[name] = value
+    for prefix, section, cls in (("", data, Config), ("fetch.", fetch, FetchPolicy)):
+        known = {f.name for f in fields(cls)} - {"base_url"}
+        for key in section:
+            _require(key in known, prefix + key, "unknown field")
+    if fetch.get("cache_dir") is None:
+        fetch["cache_dir"] = os.environ.get(CACHE_ENV_VAR) or None
 
     raw_tags = data.get("base_tags")
     _require(isinstance(raw_tags, list) and raw_tags, "base_tags", "must be a nonempty list")
@@ -82,57 +105,34 @@ def build_config(data: dict) -> Config:
     dictionary = [str(w).lower() for w in raw_dict]
     _require(all(w.strip() for w in dictionary), "dictionary", "words must be nonempty")
 
-    depth = data.get("depth", 5)
-    _require(isinstance(depth, int) and depth >= 1, "depth", "must be an integer >= 1")
-    hop_limit = data.get("hop_limit", 1)
-    _require(isinstance(hop_limit, int) and hop_limit >= 0, "hop_limit", "must be an integer >= 0")
-    author_cap = data.get("author_cap", 500)
-    _require(isinstance(author_cap, int) and author_cap >= 1, "author_cap", "must be an integer >= 1")
-    edge_policy = data.get("edge_policy", "star")
-    _require(edge_policy in ("star", "clique"), "edge_policy", "must be 'star' or 'clique'")
-    seed = data.get("seed", 0)
-    _require(isinstance(seed, int), "seed", "must be an integer")
-
-    fetch_data = data.get("fetch", {})
-    _require(isinstance(fetch_data, dict), "fetch", "must be a mapping")
-    try:
-        fetch = FetchPolicy(
-            mode=fetch_data.get("mode", "fixture"),
-            fixtures_dir=fetch_data.get("fixtures_dir"),
-            cache_dir=fetch_data.get("cache_dir"),
-            min_delay_ms=int(fetch_data.get("min_delay_ms", 2000)),
-            max_pages_per_label=int(fetch_data.get("max_pages_per_label", 5)),
-            max_retries=int(fetch_data.get("max_retries", 2)),
+    config = Config(**{
+        **data, "base_tags": base_tags, "dictionary": dictionary, "fetch": FetchPolicy(**fetch),
+    })
+    for key, minimum in INTEGER_BOUNDS.items():
+        value = getattr(*_field(config, key))
+        _require(type(value) is int, key, "must be an integer")
+        _require(minimum is None or value >= minimum, key, f"must be at least {minimum}")
+    _require(config.edge_policy in ("star", "clique"), "edge_policy", "must be 'star' or 'clique'")
+    _require(config.fetch.mode in ("live", "fixture"), "fetch.mode", "must be 'live' or 'fixture'")
+    if config.fetch.mode == "fixture":
+        _require(
+            config.fetch.fixtures_dir is not None, "fetch.fixtures_dir", "required in fixture mode"
         )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("fetch", str(exc))
-    _require(fetch.min_delay_ms > 0, "fetch.min_delay_ms", "must be positive")
-    _require(fetch.max_pages_per_label > 0, "fetch.max_pages_per_label", "must be positive")
-    _require(fetch.max_retries >= 0, "fetch.max_retries", "must be non-negative")
-    if fetch.mode == "fixture":
-        _require(fetch.fixtures_dir is not None, "fetch.fixtures_dir", "required in fixture mode")
-
-    return Config(
-        base_tags=base_tags,
-        dictionary=dictionary,
-        depth=depth,
-        hop_limit=hop_limit,
-        author_cap=author_cap,
-        edge_policy=edge_policy,
-        fetch=fetch,
-        out_dir=Path(data.get("out_dir", "out")),
-        seed=seed,
-    )
+    for key in ("out_dir", "fetch.fixtures_dir", "fetch.cache_dir"):
+        owner, name = _field(config, key)
+        value = getattr(owner, name)
+        if value is not None or owner is config:  # None leaves a fetch path unset
+            _require(isinstance(value, (str, Path)), key, "must be a string")
+            setattr(owner, name, Path(value))
+    return config
 
 
 def read_config_file(path) -> dict:
-    """Raw (unvalidated) config mapping from a JSON file."""
+    """Raw (unvalidated) config value from a JSON file."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError("<path>", f"no such file: {path}")
     try:
-        data = json.loads(path.read_text("utf-8"))
+        return json.loads(path.read_text("utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"invalid JSON: {exc}")
-    _require(isinstance(data, dict), "<file>", "top level must be an object")
-    return data

@@ -22,8 +22,6 @@ AUTHOR_PROFILE = "author_profile"
 
 BASE_URL = "https://scholar.google.com"
 
-CACHE_ENV_VAR = "SCHOLAR_SOUNDER_CACHE"
-
 # Longest wait a Retry-After header can ask for before the next attempt.
 RETRY_AFTER_CEILING_S = 60
 
@@ -69,16 +67,6 @@ class FetchPolicy:
     max_retries: int = 2
     # Test seam: where live requests actually go; build_url keeps the canonical URL.
     base_url: str = BASE_URL
-
-    def __post_init__(self):
-        if self.mode not in ("live", "fixture"):
-            raise ValueError(f"unknown fetch mode: {self.mode!r}")
-        if self.fixtures_dir is not None:
-            self.fixtures_dir = Path(self.fixtures_dir)
-        if self.cache_dir is None:  # a flag or the config file beats the env var
-            self.cache_dir = os.environ.get(CACHE_ENV_VAR) or None
-        if self.cache_dir is not None:
-            self.cache_dir = Path(self.cache_dir)
 
 
 def build_url(request: PageRequest, page_token: str | None = None) -> str:

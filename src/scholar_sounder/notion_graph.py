@@ -8,7 +8,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .analysis import Graph, canonical_pair
+from .analysis import Graph
 from .errors import FixtureMissingError, ScholarSounderError, SoundingError
 from .fetcher import LABEL_SEARCH, PageRequest
 from .parser import LabelPage
@@ -47,9 +47,6 @@ class NotionNetwork(Graph):
 
     def ensure_node(self, tag: str, depth: int = 0) -> dict:
         return self.nodes.setdefault(tag, {"rate": 0, "visited": False, "depth_discovered": depth})
-
-    def weight(self, a: str, b: str) -> int:
-        return self.edges.get(canonical_pair(a, b), 0)
 
 
 def absorb_label_page(

@@ -1,3 +1,4 @@
+import argparse
 import json
 import shutil
 from dataclasses import fields
@@ -7,11 +8,11 @@ import pytest
 
 from scholar_sounder import bundled_fixtures_dir, coauthor_graph
 from scholar_sounder.analysis import Graph
-from scholar_sounder.cli import main
-from scholar_sounder.config import build_config, read_config_file
+from scholar_sounder.cli import build_parser, main
+from scholar_sounder.config import CACHE_ENV_VAR, Config, build_config, read_config_file
 from scholar_sounder.errors import ConfigError, NetworkError, ParseError, SoundingError
 from scholar_sounder.export import from_gexf, make_bundle, to_gexf
-from scholar_sounder.fetcher import CACHE_ENV_VAR, Fetcher
+from scholar_sounder.fetcher import Fetcher, FetchPolicy
 from scholar_sounder.notion_graph import TraceRecord
 
 FIXTURES_DIR = bundled_fixtures_dir()
@@ -80,6 +81,13 @@ class TestBuildConfig:
     def test_bad_edge_policy_rejected(self):
         with pytest.raises(ConfigError, match="edge_policy"):
             build_config(minimal_data(edge_policy="mesh"))
+
+    def test_flags_beat_the_file_and_unset_flags_leave_it(self):
+        data = minimal_data(depth=3, out_dir="from_file", seed=4)
+        flags = {"depth": 2, "fetch.min_delay_ms": 7, "out_dir": "", "seed": None}
+        config = build_config(data, flags)
+        assert (config.depth, config.fetch.min_delay_ms) == (2, 7)
+        assert (config.out_dir, config.seed) == (Path("from_file"), 4)
 
     def test_digest_stable_and_sensitive(self):
         a = build_config(minimal_data())
@@ -197,6 +205,41 @@ class TestCliSoundTags:
         assert code == 0
         manifest = json.loads((out / "run_manifest.json").read_text("utf-8"))
         assert manifest["counts"]["cache_hits"] == 1
+
+    def test_empty_out_flag_is_ignored(self, tmp_path):
+        file_out = tmp_path / "file_out"
+        config = write_config(tmp_path, out_dir=str(file_out))
+        assert main(["sound-tags", "--config", str(config), "--out", "", "--depth", "1"]) == 0
+        assert (file_out / "notion.gexf").is_file()
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"fetch": "x"}, "fetch"),
+        ({"fetch": 5}, "fetch"),
+        ({"fetch": ["ab"]}, "fetch"),
+        ({"fetch": {"min_delay": 1}}, "fetch.min_delay"),
+        ({"fetch": {"min_delay_ms": True}}, "fetch.min_delay_ms"),
+        ({"fetch": {"min_delay_ms": "5"}}, "fetch.min_delay_ms"),
+        ({"fetch": {"max_pages_per_label": 2.9}}, "fetch.max_pages_per_label"),
+        ({"fetch": {"max_retries": 5.0}}, "fetch.max_retries"),
+        ({"fetch": {"max_retries": -1}}, "fetch.max_retries"),
+        ({"fetch": {"base_url": "http://x"}}, "fetch.base_url"),
+        ({"depth": True}, "depth"),
+        ({"seed": True}, "seed"),
+    ], ids=[
+        "fetch-string", "fetch-number", "fetch-list", "fetch-typo", "delay-bool", "delay-string",
+        "pages-float", "retries-integral-float", "retries-negative", "base-url", "depth-bool",
+        "seed-bool",
+    ])
+    def test_bad_config_exits_one_with_one_line(self, tmp_path, capsys, overrides, field):
+        out = tmp_path / "out"
+        code = main([
+            "sound-tags", "--config", str(write_config(tmp_path, **overrides)),
+            "--fixtures", "bundled", "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field '{field}': ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = main(["sound-tags", "--config", str(tmp_path / "nope.json")])
@@ -408,6 +451,21 @@ class TestCliAnalyzeExport:
         assert "--k-core" in err
         assert not out.exists()
 
+    def test_analyze_weighted_degree_past_the_float_range_stays_strict_json(self, tmp_path):
+        graph = Graph()
+        graph.add_edge("a", "b", 1e308)
+        graph.add_edge("a", "c", 1e308)
+        gexf = tmp_path / "huge.gexf"
+        gexf.write_text(to_gexf(make_bundle(graph)), "utf-8")
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--in", str(gexf), "--out", str(out), "--communities"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads((out / "report.json").read_text("utf-8"), parse_constant=reject)
+        assert report["degree_stats"]["weighted_degree"]["a"] == 2 * int(1e308)
+
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
     def test_analyze_non_finite_min_weight_is_a_config_error(
         self, gexf_path, tmp_path, capsys, weight
@@ -463,6 +521,19 @@ class TestCliAnalyzeExport:
 
 
 class TestCliUsage:
+    def test_every_run_flag_sets_a_config_key(self):
+        keys = {f.name for f in fields(Config)} - {"fetch"}
+        keys |= {f"fetch.{f.name}" for f in fields(FetchPolicy)} - {"fetch.base_url"}
+        commands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        for command in ("sound-tags", "sound-authors", "all"):
+            dests = {
+                a.dest for a in commands[command]._actions if not isinstance(a, argparse._HelpAction)
+            }
+            assert {"config", "verbose"} <= dests
+            assert dests - {"config", "verbose"} <= keys, command
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

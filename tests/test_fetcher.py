@@ -6,10 +6,10 @@ import time
 import pytest
 
 from scholar_sounder import bundled_fixtures_dir, fetcher as fetcher_module
+from scholar_sounder.config import CACHE_ENV_VAR, build_config
 from scholar_sounder.errors import FixtureMissingError, HttpStatusError, NetworkError
 from scholar_sounder.fetcher import (
     AUTHOR_PROFILE,
-    CACHE_ENV_VAR,
     LABEL_SEARCH,
     FetchPolicy,
     Fetcher,
@@ -175,14 +175,19 @@ class TestCache:
         assert fetcher.fetch(req).body == fetcher.fetch(req).body
         assert fetcher.cache_hits == 2
 
+    @staticmethod
+    def live_policy(**fetch) -> FetchPolicy:
+        data = {"base_tags": ["optics"], "dictionary": ["optics"], "fetch": {"mode": "live", **fetch}}
+        return build_config(data).fetch
+
     def test_env_var_fills_unset_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "envcache"))
-        policy = FetchPolicy(mode="live")
+        policy = self.live_policy()
         assert policy.cache_dir == tmp_path / "envcache"
 
     def test_explicit_cache_dir_beats_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "envcache"))
-        policy = FetchPolicy(mode="live", cache_dir=tmp_path / "explicit")
+        policy = self.live_policy(cache_dir=str(tmp_path / "explicit"))
         assert policy.cache_dir == tmp_path / "explicit"
 
     def test_live_fetch_writes_one_file_per_page(self, scripted_server, tmp_path):

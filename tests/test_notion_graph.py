@@ -4,13 +4,13 @@ from dataclasses import asdict, replace
 
 import pytest
 
+from scholar_sounder.analysis import canonical_pair
 from scholar_sounder.config import build_config
 from scholar_sounder.export import make_bundle
 from scholar_sounder.notion_graph import (
     EDGE_POLICY_CLIQUE,
     NotionNetwork,
     absorb_label_page,
-    canonical_pair,
     select_next_tag,
     sound_tags,
     theme_matches,
@@ -67,8 +67,8 @@ class TestAbsorbLabelPage:
         net = NotionNetwork()
         net.ensure_node("physical_optics")
         absorb_label_page(net, page, "physical_optics")
-        assert net.weight("physical_optics", "optics") == 2
-        assert net.weight("physical_optics", "polarization") == 1
+        assert net.edges[canonical_pair("physical_optics", "optics")] == 2
+        assert net.edges[canonical_pair("physical_optics", "polarization")] == 1
         assert net.nodes["physical_optics"]["visited"] is True
 
     def test_empty_page_only_marks_visited(self):
@@ -103,9 +103,9 @@ class TestAbsorbLabelPage:
         net.ensure_node("optics")
         page = label_page("optics", [["optics", "lasers", "holography"]])
         absorb_label_page(net, page, "optics", edge_policy=EDGE_POLICY_CLIQUE)
-        assert net.weight("lasers", "holography") == 1
-        assert net.weight("optics", "lasers") == 1
-        assert net.weight("optics", "holography") == 1
+        assert net.edges[canonical_pair("lasers", "holography")] == 1
+        assert net.edges[canonical_pair("optics", "lasers")] == 1
+        assert net.edges[canonical_pair("optics", "holography")] == 1
 
 
 class TestSelectNextTag:
