@@ -90,8 +90,9 @@ def build_config(data: dict, flags: dict | None = None) -> Config:
     _require(isinstance(raw_tags, list) and raw_tags, "base_tags", "must be a nonempty list")
     base_tags = []
     for i, raw in enumerate(raw_tags):
+        _require(isinstance(raw, str), f"base_tags[{i}]", "must be a string")
         try:
-            base_tags.append(normalize_tag(str(raw)))
+            base_tags.append(normalize_tag(raw))
         except EmptyTagError:
             raise ConfigError(f"base_tags[{i}]", "normalizes to nothing")
 
@@ -102,7 +103,9 @@ def build_config(data: dict, flags: dict | None = None) -> Config:
         "dictionary",
         f"at most {MAX_DICTIONARY_WORDS} words, got {len(raw_dict)}",
     )
-    dictionary = [str(w).lower() for w in raw_dict]
+    for i, word in enumerate(raw_dict):
+        _require(isinstance(word, str), f"dictionary[{i}]", "must be a string")
+    dictionary = [w.lower() for w in raw_dict]
     _require(all(w.strip() for w in dictionary), "dictionary", "words must be nonempty")
 
     config = Config(**{

@@ -2,7 +2,9 @@
 
 GEXF 1.2 is the primary format and the only one with a reader; GraphML and
 edge CSV are write-only. Everything is emitted in canonical sorted order so
-identical inputs give byte-identical files. The GEXF reader is a single
+identical inputs give byte-identical files. The XML writers quote each node
+id once and escape only string values; their ``escape`` and ``quoteattr``
+write what ``xml.sax.saxutils`` writes. The GEXF reader is a single
 streaming expat pass that fills the graph directly, with no element tree; it
 accepts the subset ``to_gexf`` writes and raises ``FormatError``, with a
 location where one applies, on anything else.
@@ -16,7 +18,6 @@ import json
 import math
 from dataclasses import dataclass
 from xml.parsers import expat
-from xml.sax.saxutils import escape, quoteattr
 
 from .analysis import Graph, canonical_number
 from .errors import FormatError
@@ -84,24 +85,40 @@ def _infer_type(values) -> str:
     return "string"
 
 
-def _fmt_value(value, gexf_type: str) -> str:
-    if gexf_type == "boolean":
-        return "true" if value else "false"
-    if gexf_type == "double":
-        return repr(float(value))
-    return str(value)
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
 
 
-def _parse_value(text: str, gexf_type: str):
-    if gexf_type == "boolean":
-        if text not in ("true", "false"):
-            raise ValueError(text)
-        return text == "true"
-    if gexf_type == "integer":
-        return int(text)
-    if gexf_type == "double":
-        return float(text)
-    return text
+# The text a value of each type is written as, and the parser that reads it
+# back. Only strings can hold markup.
+_FORMATS = {
+    "boolean": lambda value: "true" if value else "false",
+    "integer": str,
+    "double": lambda value: repr(float(value)),
+    "string": str,
+}
+_PARSERS = {"boolean": _parse_bool, "integer": int, "double": float, "string": str}
+
+
+def escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` escaped, as ``xml.sax.saxutils.escape``
+    writes it. Importing that module loads ``urllib.request`` and the HTTP stack."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(text: str) -> str:
+    """``text`` as a quoted XML attribute value, as ``xml.sax.saxutils.quoteattr``
+    writes it: escaped, with line breaks and tabs as character references, in
+    double quotes unless it holds one, then in single quotes unless it holds
+    both, then in double quotes with ``&quot;``."""
+    text = escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
 
 
 # -- GEXF -------------------------------------------------------------
@@ -111,7 +128,6 @@ def to_gexf(bundle: ExportBundle) -> str:
     """GEXF 1.2 document: undirected, weighted, with a declared node
     attribute schema. Byte-stable for identical bundles."""
     schema = bundle.attribute_schema()
-    attr_ids = {name: str(i) for i, name in enumerate(schema)}
     meta = bundle.metadata
     stamp = meta.get("created_at", "")
     lines = [
@@ -125,38 +141,44 @@ def to_gexf(bundle: ExportBundle) -> str:
         '  <graph defaultedgetype="undirected" mode="static">',
         '    <attributes class="node">',
     ]
-    for name, gexf_type in schema.items():
-        lines.append(
-            f'      <attribute id="{attr_ids[name]}" title={quoteattr(name)} type="{gexf_type}"/>'
+    # Per attribute: the start of its attvalue element, its formatter and
+    # whether the text needs escaping.
+    columns = {}
+    for i, (name, gexf_type) in enumerate(schema.items()):
+        lines.append(f'      <attribute id="{i}" title={quoteattr(name)} type="{gexf_type}"/>')
+        columns[name] = (
+            f'          <attvalue for="{i}" value=', _FORMATS[gexf_type], gexf_type == "string"
         )
     lines.append("    </attributes>")
     lines.append("    <nodes>")
+    quoted = {}  # node id -> its quoted form, reused for the label and the edges
     for node, attrs in sorted(bundle.graph.nodes.items()):
-        label = str(attrs.get("label", node))
-        open_tag = f"      <node id={quoteattr(node)} label={quoteattr(label)}"
+        quoted_id = quoted[node] = quoteattr(node)
+        label = attrs.get("label", node)
+        quoted_label = quoted_id if label == node else quoteattr(str(label))
+        open_tag = f"      <node id={quoted_id} label={quoted_label}"
         if not attrs:
             lines.append(open_tag + "/>")
             continue
         lines.append(open_tag + ">")
         lines.append("        <attvalues>")
         for name in sorted(attrs):
-            lines.append(
-                f'          <attvalue for="{attr_ids[name]}" '
-                f"value={quoteattr(_fmt_value(attrs[name], schema[name]))}/>"
-            )
+            start, fmt, markup = columns[name]
+            value = quoteattr(fmt(attrs[name])) if markup else f'"{fmt(attrs[name])}"'
+            lines.append(f"{start}{value}/>")
         lines.append("        </attvalues>")
         lines.append("      </node>")
     lines.append("    </nodes>")
     lines.append("    <edges>")
     for i, ((a, b), w) in enumerate(sorted(bundle.graph.edges.items())):
+        # An endpoint without a node entry (see Graph.add_weight) is quoted here.
+        source = quoted.get(a) or quoteattr(a)
+        target = quoted.get(b) or quoteattr(b)
         lines.append(
-            f'      <edge id="{i}" source={quoteattr(a)} target={quoteattr(b)} '
-            f'weight="{canonical_number(w)}"/>'
+            f'      <edge id="{i}" source={source} target={target} weight="{canonical_number(w)}"/>'
         )
-    lines.append("    </edges>")
-    lines.append("  </graph>")
-    lines.append("</gexf>")
-    return "\n".join(lines) + "\n"
+    lines += ["    </edges>", "  </graph>", "</gexf>", ""]
+    return "\n".join(lines)  # the empty last line ends the text with a newline, uncopied
 
 
 def _local(tag: str) -> str:
@@ -182,7 +204,7 @@ def from_gexf(document: str) -> ExportBundle:
     schema: dict[str, str] = {}
     id_to_name: dict[str, str] = {}
     graph = Graph()
-    nodes = graph.nodes
+    nodes, edges = graph.nodes, graph.edges
     # One context per open element; "skip" marks a subtree that is ignored.
     stack = ["document"]
     push, pop = stack.append, stack.pop
@@ -206,7 +228,7 @@ def from_gexf(document: str) -> ExportBundle:
             name = id_to_name[ref]
             value = xml_attrs.get("value", "")
             try:
-                attrs[name] = _parse_value(value, schema[name])
+                attrs[name] = _PARSERS[schema[name]](value)
             except ValueError:
                 raise FormatError(
                     f"bad {schema[name]} value {value!r} for {name!r}",
@@ -231,10 +253,12 @@ def from_gexf(document: str) -> ExportBundle:
                     f"bad edge weight {xml_attrs.get('weight')!r}",
                     location=f"edge {xml_attrs.get('id')}",
                 )
-            try:
-                graph.add_edge(a, b, canonical_number(weight))
-            except ValueError as exc:  # self-loop or duplicate pair
-                raise FormatError(str(exc), location=f"edge {xml_attrs.get('id')}") from None
+            if a == b:
+                raise FormatError(f"self-loop on {a!r}", location=f"edge {xml_attrs.get('id')}")
+            pair = (a, b) if a <= b else (b, a)  # analysis.canonical_pair, one call less per edge
+            if pair in edges:
+                raise FormatError(f"duplicate edge {pair}", location=f"edge {xml_attrs.get('id')}")
+            edges[pair] = canonical_number(weight)
             push("skip")
         elif context == "skip":
             push("skip")
@@ -352,33 +376,38 @@ def to_graphml(bundle: ExportBundle) -> str:
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
     ]
+    # Per attribute: the start of its data element, its formatter and
+    # whether the text needs escaping.
+    columns = {}
     for i, (name, gexf_type) in enumerate(schema.items()):
         lines.append(
             f'  <key id="d{i}" for="node" attr.name={quoteattr(name)} '
             f'attr.type="{type_map[gexf_type]}"/>'
         )
+        columns[name] = (f'      <data key="d{i}">', _FORMATS[gexf_type], gexf_type == "string")
     lines.append('  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>')
     lines.append('  <graph edgedefault="undirected">')
-    key_ids = {name: f"d{i}" for i, name in enumerate(schema)}
+    quoted = {}  # node id -> its quoted form, reused for the edges
     for node, attrs in sorted(bundle.graph.nodes.items()):
+        quoted_id = quoted[node] = quoteattr(node)
         if not attrs:
-            lines.append(f"    <node id={quoteattr(node)}/>")
+            lines.append(f"    <node id={quoted_id}/>")
             continue
-        lines.append(f"    <node id={quoteattr(node)}>")
+        lines.append(f"    <node id={quoted_id}>")
         for name in sorted(attrs):
-            lines.append(
-                f'      <data key="{key_ids[name]}">'
-                f"{escape(_fmt_value(attrs[name], schema[name]))}</data>"
-            )
+            start, fmt, markup = columns[name]
+            value = escape(fmt(attrs[name])) if markup else fmt(attrs[name])
+            lines.append(f"{start}{value}</data>")
         lines.append("    </node>")
     for (a, b), w in sorted(bundle.graph.edges.items()):
+        source = quoted.get(a) or quoteattr(a)
+        target = quoted.get(b) or quoteattr(b)
         lines.append(
-            f"    <edge source={quoteattr(a)} target={quoteattr(b)}>"
+            f"    <edge source={source} target={target}>"
             f'<data key="weight">{canonical_number(w)}</data></edge>'
         )
-    lines.append("  </graph>")
-    lines.append("</graphml>")
-    return "\n".join(lines) + "\n"
+    lines += ["  </graph>", "</graphml>", ""]
+    return "\n".join(lines)  # the empty last line ends the text with a newline, uncopied
 
 
 # -- CSV / JSON ---------------------------------------------------------

@@ -3,12 +3,9 @@ fixture corpus for offline runs."""
 
 from __future__ import annotations
 
-import http.client
 import logging
 import os
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -175,6 +172,11 @@ class Fetcher:
     # -- live ---------------------------------------------------------
 
     def _fetch_live(self, request: PageRequest, page_token: str | None) -> RawPage:
+        # Imported here, so fixture and analysis runs never load the HTTP and TLS stack.
+        import http.client
+        import urllib.error
+        import urllib.request
+
         target_url = build_url(request, page_token).replace(BASE_URL, self.policy.base_url, 1)
         attempts = self.policy.max_retries + 1
         last_exc: Exception | None = None

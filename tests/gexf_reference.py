@@ -10,7 +10,19 @@ from typing import Any
 
 from scholar_sounder.analysis import Graph, canonical_number
 from scholar_sounder.errors import FormatError
-from scholar_sounder.export import ExportBundle, _parse_value
+from scholar_sounder.export import ExportBundle
+
+
+def _parse_value(text: str, gexf_type: str):
+    if gexf_type == "boolean":
+        if text not in ("true", "false"):
+            raise ValueError(text)
+        return text == "true"
+    if gexf_type == "integer":
+        return int(text)
+    if gexf_type == "double":
+        return float(text)
+    return text
 
 
 def _local(tag: str) -> str:

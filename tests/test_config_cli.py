@@ -225,10 +225,19 @@ class TestCliSoundTags:
         ({"fetch": {"base_url": "http://x"}}, "fetch.base_url"),
         ({"depth": True}, "depth"),
         ({"seed": True}, "seed"),
+        ({"base_tags": ["physical optics", None]}, "base_tags[1]"),
+        ({"base_tags": [5]}, "base_tags[0]"),
+        ({"base_tags": [True]}, "base_tags[0]"),
+        ({"base_tags": [["physical optics"]]}, "base_tags[0]"),
+        ({"dictionary": ["optics", None]}, "dictionary[1]"),
+        ({"dictionary": [1.5]}, "dictionary[0]"),
+        ({"dictionary": ["optics", True]}, "dictionary[1]"),
+        ({"dictionary": [["optics"]]}, "dictionary[0]"),
     ], ids=[
         "fetch-string", "fetch-number", "fetch-list", "fetch-typo", "delay-bool", "delay-string",
         "pages-float", "retries-integral-float", "retries-negative", "base-url", "depth-bool",
-        "seed-bool",
+        "seed-bool", "tag-null", "tag-number", "tag-bool", "tag-list", "word-null",
+        "word-number", "word-bool", "word-list",
     ])
     def test_bad_config_exits_one_with_one_line(self, tmp_path, capsys, overrides, field):
         out = tmp_path / "out"

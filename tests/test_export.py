@@ -2,10 +2,12 @@ import csv
 import gc
 import io
 import json
+import math
 import random
 import re
 import weakref
 import xml.etree.ElementTree as ET
+from xml.sax import saxutils
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,14 +17,17 @@ from scholar_sounder.cli import main
 from scholar_sounder.errors import FormatError
 from scholar_sounder.export import (
     GEXF_NS,
+    escape,
     from_gexf,
     make_bundle,
+    quoteattr,
     to_edge_csv,
     to_gexf,
     to_graphml,
     to_json_report,
 )
 
+import export_reference
 import gexf_reference
 
 
@@ -314,6 +319,36 @@ class TestReaderAgreesWithReference:
     def test_hand_written_documents(self, doc):
         assert_readers_agree(doc)
 
+    @pytest.mark.parametrize("doc, error", [
+        (MIXED_GEXF.replace('source="a" target="b"', 'source="a" target="a"'),
+         "self-loop on 'a' (at edge 0)"),
+        (MIXED_GEXF.replace(
+            '<edge id="0" source="a" target="b" weight="2"/>',
+            '<edge id="0" source="a" target="b" weight="2"/>'
+            '<edge id="1" source="b" target="a" weight="1"/>',
+        ), "duplicate edge ('a', 'b') (at edge 1)"),
+        (MIXED_GEXF.replace('weight="2"', 'weight="2.5"'), None),
+        (MIXED_GEXF.replace(
+            "</attributes>", '<attribute id="4" title="rate" type="string"/></attributes>'
+        ), None),
+    ], ids=["self-loop", "same-pair-reversed", "non-integral-weight", "redeclared-attribute"])
+    def test_readers_give_the_same_error_or_graph(self, doc, error):
+        """Stricter than assert_readers_agree: a rejection must carry the
+        same message and location."""
+        def outcome(reader):
+            try:
+                reader(doc)
+            except FormatError as exc:
+                return str(exc), exc.location
+            return read_outcome(reader, doc)
+
+        got = outcome(from_gexf)
+        assert got == outcome(gexf_reference.from_gexf)
+        if error is None:
+            assert isinstance(got, str)
+        else:
+            assert got[0] == error
+
     def test_labels_survive_re_export(self):
         bundle = from_gexf(LABELLED_GEXF)
         assert bundle.graph.nodes == {"n1": {"label": "Alice Smith"}, "n2": {}}
@@ -351,6 +386,98 @@ class TestReaderAgreesWithReference:
         finally:
             if was_enabled:
                 gc.enable()
+
+
+# Text that quoting must handle: both quote characters, markup, line breaks
+# and tabs, non-ASCII and a CDATA end.
+HOSTILE_PIECES = ['"', "'", "<", ">", "&", "\n", "\r", "\t", "é", "中", "]]>", "a", " "]
+HOSTILE_TEXT = st.lists(st.sampled_from(HOSTILE_PIECES), max_size=5).map("".join)
+ATTRIBUTE_VALUES = (
+    HOSTILE_TEXT
+    | st.integers(-(10 ** 20), 10 ** 20)
+    | st.booleans()
+    | st.floats()
+    | st.sampled_from([math.inf, -math.inf, -0.0, 0.5])
+    | st.lists(HOSTILE_TEXT, max_size=3)
+    | st.none()
+)
+
+
+@st.composite
+def hostile_bundles(draw):
+    """Bundles whose ids, labels, attribute names, string values and
+    metadata hold hostile text, with labels of every type, mixed attribute
+    types and edge endpoints that have no node entry."""
+    g = Graph()
+    ids = draw(st.lists(HOSTILE_TEXT, max_size=8, unique=True))
+    for node in ids:
+        attrs = draw(st.dictionaries(
+            st.sampled_from(["label", "name", "h<&>", "n'q\"", "rate"]), ATTRIBUTE_VALUES,
+            max_size=4,
+        ))
+        if draw(st.booleans()):
+            attrs["label"] = node
+        g.add_node(node, **attrs)
+    endpoints = ids + draw(st.lists(HOSTILE_TEXT, max_size=2))
+    if endpoints:
+        for a, b, w in draw(st.lists(st.tuples(
+            st.sampled_from(endpoints), st.sampled_from(endpoints),
+            st.sampled_from([1, 2, 0.5, 3.0, 1e20]),
+        ), max_size=12)):
+            g.add_weight(a, b, w)
+    return make_bundle(
+        g, config_digest=draw(HOSTILE_TEXT), tool_version=draw(HOSTILE_TEXT),
+        created_at=draw(st.none() | HOSTILE_TEXT),
+    )
+
+
+def hostile_bundle():
+    """One bundle with each case the writers special-case, by hand."""
+    g = Graph()
+    g.add_node('"q"', label="it's", name='both "\'', score=math.inf)
+    g.add_node("<a&b>", label=5, name="line\nbreak\r\ttab", score=-0.0)
+    g.add_node("]]>", label="]]>", name="café 中", score=0.5)
+    g.add_node("5", label=5, name="<![CDATA[x]]>", score=-math.inf)
+    g.add_node("plain", score=3)
+    g.add_node("bare")
+    g.add_edge('"q"', "<a&b>", 2)
+    g.add_weight("]]>", "no 'node' entry", 0.5)
+    g.add_weight('"q"', "\n", 1)
+    return make_bundle(g, config_digest="d<&>", tool_version='t"\'', created_at="2026-01-01\n&")
+
+
+class TestWritersAgreeWithReference:
+    """to_gexf and to_graphml write the bytes of the xml.sax-based writers
+    they replaced."""
+
+    def assert_writers_agree(self, bundle):
+        assert to_gexf(bundle) == export_reference.to_gexf(bundle)
+        assert to_graphml(bundle) == export_reference.to_graphml(bundle)
+
+    def test_hostile_bundle(self):
+        bundle = hostile_bundle()
+        assert bundle.attribute_schema() == {
+            "label": "string", "name": "string", "score": "double",
+        }
+        self.assert_writers_agree(bundle)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_bundles(self, seed):
+        self.assert_writers_agree(random_bundle(random.Random(seed)))
+
+    def test_mixed_bundle(self):
+        self.assert_writers_agree(mixed_bundle())
+
+    @settings(max_examples=300, deadline=None)
+    @given(hostile_bundles())
+    def test_hostile_bundles(self, bundle):
+        self.assert_writers_agree(bundle)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text() | HOSTILE_TEXT)
+    def test_quoting_matches_saxutils(self, text):
+        assert escape(text) == saxutils.escape(text)
+        assert quoteattr(text) == saxutils.quoteattr(text)
 
 
 class TestGraphml:

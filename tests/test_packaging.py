@@ -1,6 +1,9 @@
 """The package runs on the Python standard library alone."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -65,3 +68,49 @@ def test_no_runtime_dependencies_declared():
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text("utf-8"))["project"]
     assert project.get("dependencies", []) == []
+
+
+# Modules that only a live fetch needs (``xml.sax.saxutils`` imports
+# ``urllib.request``, and with it the rest of this list).
+LIVE_ONLY_MODULES = ["http.client", "urllib.request", "ssl", "email.parser", "xml.sax"]
+
+IMPORT_PROBE = """
+import json, sys
+from scholar_sounder.cli import main
+
+def loaded():
+    return [name for name in json.loads(sys.argv[1]) if name in sys.modules]
+
+seen = {"import": loaded()}
+out = sys.argv[2]
+seen["exit_codes"] = [
+    main(["all", "--config", sys.argv[3], "--fixtures", "bundled", "--out", out]),
+    main(["analyze", "--in", out + "/coauthors.gexf", "--communities", "--out", out + "/a"]),
+] + [
+    main(["export", "--in", out + "/coauthors.gexf", "--format", fmt, "--out", out + "/e"])
+    for fmt in ("gexf", "graphml", "csv", "json")
+]
+seen["runs"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_offline_runs_never_load_the_http_stack(tmp_path):
+    """Fixture runs, analyze and export import no HTTP, TLS or SAX module."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "base_tags": ["physical optics"],
+        "dictionary": ["optics", "optical", "photonics", "laser"],
+        "fetch": {"mode": "fixture"},
+    }), "utf-8")
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(LIVE_ONLY_MODULES), str(out), str(config)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    # The quick start ends with warnings (exit 3); analyze and the exports succeed.
+    assert json.loads(result.stdout.splitlines()[-1]) == {
+        "import": [], "exit_codes": [3, 0, 0, 0, 0, 0], "runs": [],
+    }
