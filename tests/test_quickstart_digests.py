@@ -1,8 +1,9 @@
 """The README quick-start run (`all` on the bundled fixtures) must produce
 the same bytes from one change to the next, and from one run to the next:
-only `run_manifest.json` carries clock time.
+only `run_manifest.json` carries clock time. The `analyze` reports with a
+k-core and communities on the two quick-start GEXF files are pinned too.
 
-After a deliberate change to the outputs, refresh the golden with
+After a deliberate change to the outputs, refresh the goldens with
 ``PYTHONPATH=src python3 tests/test_quickstart_digests.py``."""
 
 import hashlib
@@ -13,6 +14,7 @@ from pathlib import Path
 from scholar_sounder.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "quickstart_sha256.json"
+KCORE_GOLDEN = Path(__file__).parent / "golden" / "quickstart_kcore_sha256.json"
 FILES = [
     "notion.graphml", "coauthors.graphml", "edges_notion.csv", "edges_coauthors.csv",
     "report.json", "trace.tsv", "notion.gexf", "coauthors.gexf",
@@ -37,6 +39,21 @@ def quickstart_digests(work: Path) -> dict[str, str]:
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FILES}
 
 
+def kcore_report_digests(work: Path) -> dict[str, str]:
+    """SHA-256 of the ``analyze --k-core 2 --min-weight 2 --communities``
+    report.json of each quick-start network."""
+    out = run_quickstart(work)
+    digests = {}
+    for stem in ("notion", "coauthors"):
+        analysis = work / f"analyze_{stem}"
+        assert main([
+            "analyze", "--in", str(out / f"{stem}.gexf"), "--out", str(analysis),
+            "--k-core", "2", "--min-weight", "2", "--communities",
+        ]) == 0
+        digests[stem] = hashlib.sha256((analysis / "report.json").read_bytes()).hexdigest()
+    return digests
+
+
 def test_quickstart_outputs_match_pinned_digests(tmp_path):
     assert quickstart_digests(tmp_path) == json.loads(GOLDEN.read_text("utf-8"))
 
@@ -50,7 +67,12 @@ def test_reruns_into_other_directories_give_identical_outputs(tmp_path):
     assert {entry["path"] for entry in manifests[0]["outputs"]} == set(FILES)
 
 
+def test_kcore_reports_match_pinned_digests(tmp_path):
+    assert kcore_report_digests(tmp_path) == json.loads(KCORE_GOLDEN.read_text("utf-8"))
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as work:
-        digests = quickstart_digests(Path(work))
-    GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", "utf-8")
+    for golden, digests_of in [(GOLDEN, quickstart_digests), (KCORE_GOLDEN, kcore_report_digests)]:
+        with tempfile.TemporaryDirectory() as work:
+            digests = digests_of(Path(work))
+        golden.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", "utf-8")
