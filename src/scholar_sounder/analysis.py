@@ -1,7 +1,11 @@
 """Graph filtering and clustering: degree statistics, connected components,
 weight-thresholded k-core extraction, deterministic asynchronous label
-propagation into connected communities, and top-cluster reports. All
-operations treat the input graph as immutable."""
+propagation into connected communities, and top-cluster reports.
+
+Every operation takes the shared index that ``indexed_adjacency`` builds
+once per graph, not a ``Graph``: sorted node ids, and per node index its
+neighbours in ascending order. Operations work on node indices, read the
+index without changing it, and return ids only in their results."""
 
 from __future__ import annotations
 
@@ -49,23 +53,6 @@ class Graph:
             pair = canonical_pair(a, b)
             self.edges[pair] = self.edges.get(pair, 0) + amount
 
-    def adjacency(self) -> dict[str, dict[str, float]]:
-        adj: dict[str, dict[str, float]] = {n: {} for n in self.nodes}
-        for (a, b), w in self.edges.items():
-            adj[a][b] = w
-            adj[b][a] = w
-        return adj
-
-    def subgraph(self, keep: set[str]) -> "Graph":
-        g = Graph()
-        for n in self.nodes:
-            if n in keep:
-                g.add_node(n, **self.nodes[n])
-        for (a, b), w in self.edges.items():
-            if a in keep and b in keep:
-                g.edges[(a, b)] = w
-        return g
-
     def total_weight(self) -> float:
         return sum(self.edges.values())
 
@@ -78,6 +65,11 @@ class Graph:
             },
             "edges": {f"{a}|{b}": canonical_number(w) for (a, b), w in sorted(self.edges.items())},
         }
+
+
+# per node index, its (neighbor index, weight) pairs in ascending neighbor order
+Adjacency = list[list[tuple[int, float]]]
+Index = tuple[list[str], Adjacency]  # (sorted node ids, adjacency by index)
 
 
 @dataclass
@@ -109,69 +101,84 @@ class ClusterReport:
     internal_weight: float
 
 
-def degree_stats(g: Graph) -> DegreeStats:
-    degree = {n: 0 for n in g.nodes}
-    weighted = dict.fromkeys(g.nodes, 0)  # int sums stay exact past the float range
+def indexed_adjacency(g: Graph) -> Index:
+    """Sorted node ids, and per node index its (neighbor index, weight)
+    pairs in ascending neighbor order, so that weight sums do not depend on
+    edge insertion order."""
+    order = sorted(g.nodes)
+    index = {node: i for i, node in enumerate(order)}
+    adjacency: Adjacency = [[] for _ in order]
     for (a, b), w in g.edges.items():
-        degree[a] += 1
-        degree[b] += 1
-        weighted[a] += w
-        weighted[b] += w
+        i, j = index[a], index[b]
+        adjacency[i].append((j, w))
+        adjacency[j].append((i, w))
+    for nbrs in adjacency:
+        nbrs.sort()
+    return order, adjacency
+
+
+def degree_stats(index: Index) -> DegreeStats:
+    order, adjacency = index
+    degree = {node: len(nbrs) for node, nbrs in zip(order, adjacency)}
+    # int sums stay exact past the float range
+    weighted = {node: sum(w for _, w in nbrs) for node, nbrs in zip(order, adjacency)}
     histogram: dict[int, int] = {}
     for d in degree.values():
         histogram[d] = histogram.get(d, 0) + 1
     return DegreeStats(degree=degree, weighted_degree=weighted, histogram=histogram)
 
 
-def connected_components(g: Graph) -> list[set[str]]:
-    """Components ordered by size descending, then by smallest member id."""
-    adj = g.adjacency()
-    seen: set[str] = set()
-    components: list[set[str]] = []
-    for start in sorted(g.nodes):
-        if start in seen:
+def split_components(adjacency: Adjacency, labels: list[int]) -> list[int]:
+    """Per node index, its component in the graph of the edges whose ends
+    have equal labels; components are numbered from 0 by first appearance
+    in index order."""
+    component = [-1] * len(adjacency)
+    count = 0
+    for start, label in enumerate(labels):
+        if component[start] >= 0:
             continue
-        comp = {start}
+        component[start] = count
         stack = [start]
-        seen.add(start)
         while stack:
-            for nbr in adj[stack.pop()]:
-                if nbr not in seen:
-                    seen.add(nbr)
-                    comp.add(nbr)
+            for nbr, _ in adjacency[stack.pop()]:
+                if component[nbr] < 0 and labels[nbr] == label:
+                    component[nbr] = count
                     stack.append(nbr)
-        components.append(comp)
-    components.sort(key=lambda c: (-len(c), min(c)))
-    return components
+        count += 1
+    return component
 
 
-def k_core(g: Graph, k: int, min_weight: float = 0.0) -> Graph:
+def connected_components(index: Index) -> list[list[str]]:
+    """Sorted member ids of each component, largest first, then by
+    smallest member id."""
+    order, adjacency = index
+    members: dict[int, list[str]] = {}
+    for node, cid in zip(order, split_components(adjacency, [0] * len(order))):
+        members.setdefault(cid, []).append(node)
+    return sorted(members.values(), key=lambda c: (-len(c), c[0]))
+
+
+def k_core(index: Index, k: int, min_weight: float = 0.0) -> tuple[list[str], int]:
     """Drop edges lighter than min_weight, then peel nodes of degree < k
-    until every remaining node has degree >= k."""
+    until every remaining node has degree >= k. Returns the sorted ids that
+    remain and the number of kept edges among them."""
     if k < 1:
         raise ValueError("k must be positive")
-    adj: dict[str, set[str]] = {n: set() for n in g.nodes}
-    for (a, b), w in g.edges.items():
-        if w >= min_weight:
-            adj[a].add(b)
-            adj[b].add(a)
-    alive = set(g.nodes)
-    pending = [n for n in alive if len(adj[n]) < k]
+    order, adjacency = index
+    degree = [sum(w >= min_weight for _, w in nbrs) for nbrs in adjacency]
+    # a node is queued once: at the start, or when its degree falls to k - 1
+    pending = [i for i, d in enumerate(degree) if d < k]
     while pending:
-        node = pending.pop()
-        if node not in alive:
-            continue
-        alive.discard(node)
-        for nbr in adj[node]:
-            adj[nbr].discard(node)
-            if nbr in alive and len(adj[nbr]) < k:
-                pending.append(nbr)
-    out = g.subgraph(alive)
-    out.edges = {p: w for p, w in out.edges.items() if w >= min_weight}
-    return out
+        for nbr, w in adjacency[pending.pop()]:
+            if w >= min_weight:
+                degree[nbr] -= 1
+                if degree[nbr] == k - 1:
+                    pending.append(nbr)
+    core = [i for i, d in enumerate(degree) if d >= k]
+    return [order[i] for i in core], sum(degree[i] for i in core) // 2
 
 
-def detect_communities(g: Graph, seed: int = 0) -> Partition:
+def detect_communities(index: Index, seed: int = 0) -> Partition:
     """Deterministic weighted label propagation with connected communities.
 
     Every node starts with its own label. Each sweep visits the nodes in
@@ -188,7 +195,7 @@ def detect_communities(g: Graph, seed: int = 0) -> Partition:
     (the canonical run); any other seed shuffles the numbering, which
     exists only to probe the result's sensitivity to labeling.
     """
-    order, adjacency = indexed_adjacency(g)
+    order, adjacency = index
     labels = list(range(len(order)))
     if seed != 0:
         random.Random(seed).shuffle(labels)
@@ -196,43 +203,13 @@ def detect_communities(g: Graph, seed: int = 0) -> Partition:
     while not converged and sweeps < 100:
         sweeps += 1
         converged = not propagation_sweep(adjacency, labels)
-    # split label classes into connected components, numbered by first
-    # appearance over sorted node order
-    community = [-1] * len(order)
-    count = 0
-    for start in range(len(order)):
-        if community[start] >= 0:
-            continue
-        community[start] = count
-        stack = [start]
-        while stack:
-            for nbr, _ in adjacency[stack.pop()]:
-                if community[nbr] < 0 and labels[nbr] == labels[start]:
-                    community[nbr] = count
-                    stack.append(nbr)
-        count += 1
+    community = split_components(adjacency, labels)
     return Partition(
         assignment=dict(zip(order, community)), sweeps=sweeps, converged=converged
     )
 
 
-def indexed_adjacency(g: Graph) -> tuple[list[str], list[list[tuple[int, float]]]]:
-    """Sorted node ids, and per node index its (neighbor index, weight)
-    pairs in ascending neighbor order, so that weight sums do not depend on
-    edge insertion order."""
-    order = sorted(g.nodes)
-    index = {node: i for i, node in enumerate(order)}
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in order]
-    for (a, b), w in g.edges.items():
-        i, j = index[a], index[b]
-        adjacency[i].append((j, w))
-        adjacency[j].append((i, w))
-    for nbrs in adjacency:
-        nbrs.sort()
-    return order, adjacency
-
-
-def propagation_sweep(adjacency: list[list[tuple[int, float]]], labels: list[int]) -> bool:
+def propagation_sweep(adjacency: Adjacency, labels: list[int]) -> bool:
     """One asynchronous sweep over node indices in order, updating labels
     in place (the rule is in detect_communities); returns whether any label
     changed."""
@@ -251,19 +228,21 @@ def propagation_sweep(adjacency: list[list[tuple[int, float]]], labels: list[int
     return changed
 
 
-def top_clusters(g: Graph, p: Partition) -> list[ClusterReport]:
+def top_clusters(index: Index, p: Partition) -> list[ClusterReport]:
     """Every community, largest first (ties by smallest member id), with
-    internal edge counts and weights recomputed from the edge list in one pass."""
-    if set(p.assignment) != set(g.nodes):
+    internal edge counts and weights summed in one pass over the index."""
+    order, adjacency = index
+    if set(p.assignment) != set(order):
         raise ValueError("partition does not cover the graph")
+    community = [p.assignment[node] for node in order]
     communities = p.communities()
     internal_edges = dict.fromkeys(communities, 0)
     internal_weight = dict.fromkeys(communities, 0)
-    for (a, b), w in g.edges.items():
-        cid = p.assignment[a]
-        if cid == p.assignment[b]:
-            internal_edges[cid] += 1
-            internal_weight[cid] += w
+    for i, (cid, nbrs) in enumerate(zip(community, adjacency)):
+        for j, w in nbrs:
+            if j > i and community[j] == cid:
+                internal_edges[cid] += 1
+                internal_weight[cid] += w
     reports = [
         ClusterReport(
             community_id=cid,

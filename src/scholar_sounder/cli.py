@@ -2,8 +2,8 @@
 write exports and a run manifest.
 
 Exit codes: 0 success, 1 config error, 2 a fetch, parse, file, encoding or
-format failure that aborted the run, 3 completed with warnings (recorded in the
-manifest).
+format failure or an interrupt (Ctrl-C) that aborted the run, 3 completed with
+warnings (recorded in the manifest).
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from pathlib import Path
 
 from . import TOOL_NAME, __version__, bundled_fixtures_dir
 from .analysis import (
-    canonical_number, connected_components, degree_stats, detect_communities, k_core, top_clusters,
+    canonical_number, connected_components, degree_stats, detect_communities, indexed_adjacency,
+    k_core, top_clusters,
 )
 from .config import Config, build_config, read_config_file
 from .coauthor_graph import sound_authors
@@ -128,29 +129,27 @@ class RunContext:
 
 
 def _analysis_sections(graph, seed: int, kcore=None, min_weight=0.0, communities=True) -> dict:
+    index = indexed_adjacency(graph)  # built once, shared by every operation
     sections: dict = {}
-    stats = degree_stats(graph)
+    stats = degree_stats(index)
     sections["degree_stats"] = {
         "degree": stats.degree,
         "weighted_degree": {n: canonical_number(w) for n, w in stats.weighted_degree.items()},
         "histogram": {str(k): v for k, v in sorted(stats.histogram.items())},
     }
-    sections["components"] = [sorted(c) for c in connected_components(graph)]
+    sections["components"] = connected_components(index)
     if communities:
-        partition = detect_communities(graph, seed=seed)
+        partition = detect_communities(index, seed=seed)
         count = len(set(partition.assignment.values()))
         sections["communities"] = {"count": count, **vars(partition)}
         sections["top_clusters"] = [
             {**vars(c), "internal_weight": canonical_number(c.internal_weight)}
-            for c in top_clusters(graph, partition)
+            for c in top_clusters(index, partition)
         ]
     if kcore is not None:
-        core = k_core(graph, kcore, min_weight)
+        nodes, edges = k_core(index, kcore, min_weight)
         sections["kcore"] = {
-            "k": kcore,
-            "min_weight": canonical_number(min_weight),
-            "nodes": sorted(core.nodes),
-            "edges": len(core.edges),
+            "k": kcore, "min_weight": canonical_number(min_weight), "nodes": nodes, "edges": edges,
         }
     return sections
 
@@ -165,7 +164,8 @@ def _write_network(ctx: RunContext, stem: str, net):
 def _cmd_sound(args, which: str) -> int:
     """Run the phases ``which`` names. ``trace.tsv`` holds a header, one row per
     tag visit, then ``# name=value`` co-author run counts; it is written once,
-    and on an aborted run holds what the finished phases produced."""
+    and on a run aborted by an error or an interrupt holds what the finished
+    phases produced, as the manifest lists their outputs."""
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "verbose")}
     config = build_config(read_config_file(args.config), flags)
     ctx = RunContext(config)
@@ -195,9 +195,10 @@ def _cmd_sound(args, which: str) -> int:
     else:
         ctx.write("report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
         status = EXIT_PARTIAL if ctx.warnings else EXIT_OK
-    if trace:
-        ctx.write("trace.tsv", "\n".join(trace) + "\n")
-    ctx.finish_manifest()
+    finally:  # also on an interrupt, which main reports
+        if trace:
+            ctx.write("trace.tsv", "\n".join(trace) + "\n")
+        ctx.finish_manifest()
     return status
 
 
@@ -267,6 +268,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (OSError, UnicodeDecodeError, ScholarSounderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ABORTED
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return EXIT_ABORTED
     raise AssertionError(f"unhandled command {args.command}")
 

@@ -85,11 +85,20 @@ def components_oracle(g: Graph):
     return comps
 
 
+def neighbours(g: Graph) -> dict:
+    """Node -> set of its neighbours."""
+    adj = {n: set() for n in g.nodes}
+    for (a, b) in g.edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
+
+
 def k_core_oracle(g: Graph, k: int):
     """Union of all node subsets whose induced subgraph has min degree >= k
     (the property is closed under union, so the union is the k-core)."""
     nodes = sorted(g.nodes)
-    adj = g.adjacency()
+    adj = neighbours(g)
     best: set = set()
     for r in range(k + 1, len(nodes) + 1):
         for subset in itertools.combinations(nodes, r):
@@ -111,7 +120,16 @@ def top_clusters_oracle(g: Graph, p: Partition):
 
 
 def induces_connected_subgraph(g: Graph, members) -> bool:
-    return len(connected_components(g.subgraph(set(members)))) == 1
+    """Search from one member, stepping only onto members."""
+    members = set(members)
+    adj = neighbours(g)
+    start = next(iter(members))
+    seen, stack = {start}, [start]
+    while stack:
+        for nbr in (adj[stack.pop()] & members) - seen:
+            seen.add(nbr)
+            stack.append(nbr)
+    return seen == members
 
 
 def partitions_of(items):
@@ -174,26 +192,26 @@ class TestGraph:
 class TestDegreeStats:
     def test_star(self):
         g = make_graph([("hub", f"leaf{i}") for i in range(4)])
-        stats = degree_stats(g)
+        stats = degree_stats(indexed_adjacency(g))
         assert stats.degree["hub"] == 4
         assert all(stats.degree[f"leaf{i}"] == 1 for i in range(4))
         assert stats.histogram == {4: 1, 1: 4}
 
     def test_empty(self):
-        stats = degree_stats(Graph())
+        stats = degree_stats(indexed_adjacency(Graph()))
         assert stats.degree == {}
         assert stats.histogram == {}
 
     def test_weighted_degree(self):
         g = make_graph([("a", "b", 2.0), ("a", "c", 3.0)])
-        assert degree_stats(g).weighted_degree["a"] == 5.0
+        assert degree_stats(indexed_adjacency(g)).weighted_degree["a"] == 5.0
 
     def test_fixture_notion_network_hub_degree(self, optics_config, fixture_fetcher):
         from scholar_sounder.notion_graph import sound_tags
         from scholar_sounder.parser import parse_label_page
 
         net = sound_tags(optics_config, fixture_fetcher.fetch, parse_label_page)
-        stats = degree_stats(net)
+        stats = degree_stats(indexed_adjacency(net))
         # 21 distinct tags co-listed with physical_optics across the 8
         # author entries on its results page
         assert stats.degree["physical_optics"] == 21
@@ -203,63 +221,65 @@ class TestConnectedComponents:
     def test_two_triangles(self):
         g = make_graph([("a", "b"), ("b", "c"), ("a", "c"),
                         ("x", "y"), ("y", "z"), ("x", "z")])
-        comps = connected_components(g)
+        comps = connected_components(indexed_adjacency(g))
         assert [len(c) for c in comps] == [3, 3]
-        assert comps[0] == {"a", "b", "c"}  # size tie: smallest member first
+        assert comps[0] == ["a", "b", "c"]  # size tie: smallest member first
 
     def test_empty(self):
-        assert connected_components(Graph()) == []
+        assert connected_components(indexed_adjacency(Graph())) == []
 
     def test_isolated_nodes_are_singletons(self):
         g = make_graph([("a", "b")], nodes=["lonely"])
-        comps = connected_components(g)
-        assert {"lonely"} in comps
+        comps = connected_components(indexed_adjacency(g))
+        assert ["lonely"] in comps
 
     @pytest.mark.parametrize("seed", range(100))
     def test_matches_transitive_closure_oracle(self, seed):
         g = random_graph(random.Random(seed), max_nodes=50, edge_prob=0.05)
-        assert connected_components(g) == components_oracle(g)
+        comps = connected_components(indexed_adjacency(g))
+        assert list(map(set, comps)) == components_oracle(g)
+        assert all(c == sorted(c) for c in comps)
 
     def test_sizes_sum_to_node_count(self):
         g = random_graph(random.Random(7), max_nodes=40, edge_prob=0.1)
-        assert sum(len(c) for c in connected_components(g)) == len(g.nodes)
+        assert sum(len(c) for c in connected_components(indexed_adjacency(g))) == len(g.nodes)
 
 
 class TestKCore:
     def test_triangle_with_pendant(self):
         g = make_graph([("a", "b"), ("b", "c"), ("a", "c"), ("c", "pendant")])
-        core = k_core(g, 2)
-        assert set(core.nodes) == {"a", "b", "c"}
-        assert len(core.edges) == 3
+        nodes, edges = k_core(indexed_adjacency(g), 2)
+        assert set(nodes) == {"a", "b", "c"}
+        assert edges == 3
 
     def test_k1_drops_isolated_nodes(self):
         g = make_graph([("a", "b")], nodes=["lonely"])
-        core = k_core(g, 1)
-        assert set(core.nodes) == {"a", "b"}
+        nodes, _ = k_core(indexed_adjacency(g), 1)
+        assert set(nodes) == {"a", "b"}
 
     def test_min_weight_filters_before_peeling(self):
         g = make_graph([("a", "b", 1.0), ("b", "c", 5.0), ("a", "c", 5.0)])
-        core = k_core(g, 1, min_weight=2.0)
-        assert set(core.nodes) == {"a", "b", "c"}
-        assert set(core.edges) == {("b", "c"), ("a", "c")}
+        nodes, edges = k_core(indexed_adjacency(g), 1, min_weight=2.0)
+        assert set(nodes) == {"a", "b", "c"}
+        assert edges == 2  # b-c and a-c; a-b is lighter than min_weight
 
     def test_may_return_empty_graph(self):
         g = make_graph([("a", "b")])
-        core = k_core(g, 3)
-        assert core.nodes == {} and core.edges == {}
+        assert k_core(indexed_adjacency(g), 3) == ([], 0)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_matches_brute_force_oracle(self, seed):
         rng = random.Random(seed)
         g = random_graph(rng, max_nodes=12, edge_prob=0.3)
         k = rng.choice([2, 3])
-        assert set(k_core(g, k).nodes) == k_core_oracle(g, k)
+        assert set(k_core(indexed_adjacency(g), k)[0]) == k_core_oracle(g, k)
 
     def test_every_output_node_has_degree_at_least_k(self):
         g = random_graph(random.Random(42), max_nodes=30, edge_prob=0.15)
+        adj = neighbours(g)
         for k in (2, 3):
-            core = k_core(g, k)
-            deg = degree_stats(core).degree
+            nodes, _ = k_core(indexed_adjacency(g), k)
+            deg = {node: len(adj[node].intersection(nodes)) for node in nodes}
             assert all(d >= k for d in deg.values())
 
     def test_order_independence(self):
@@ -272,19 +292,21 @@ class TestKCore:
             permuted.add_node(n)
         for (a, b), w in sorted(g.edges.items(), key=lambda kv: (kv[0][1], kv[0][0])):
             permuted.add_edge(a, b, w)
-        assert set(k_core(g, 2).nodes) == set(k_core(permuted, 2).nodes)
+        assert k_core(indexed_adjacency(g), 2) == k_core(indexed_adjacency(permuted), 2)
 
     def test_input_graph_unmodified(self):
         g = make_graph([("a", "b"), ("b", "c"), ("a", "c"), ("c", "pendant")])
         before = (dict(g.nodes), dict(g.edges))
-        k_core(g, 2)
+        index = indexed_adjacency(g)
+        k_core(index, 2)
         assert (g.nodes, g.edges) == before
+        assert index == indexed_adjacency(g)
 
 
 class TestDetectCommunities:
     def test_two_triangles_bridge_matches_modularity_oracle(self):
         g = two_triangles_with_bridge()
-        partition = detect_communities(g, seed=0)
+        partition = detect_communities(indexed_adjacency(g), seed=0)
         blocks = [set(m) for m in partition.communities().values()]
         assert len(blocks) == 2
         assert {"a", "b", "c"} in blocks and {"d", "e", "f"} in blocks
@@ -293,24 +315,26 @@ class TestDetectCommunities:
 
     def test_edgeless_graph_gives_singletons(self):
         g = make_graph([], nodes=[f"n{i}" for i in range(5)])
-        partition = detect_communities(g, seed=0)
+        partition = detect_communities(indexed_adjacency(g), seed=0)
         assert len(set(partition.assignment.values())) == 5
 
     def test_complete_graph_single_community(self):
         g = make_graph([(a, b) for a, b in itertools.combinations("abcde", 2)])
-        partition = detect_communities(g, seed=0)
+        partition = detect_communities(indexed_adjacency(g), seed=0)
         assert set(partition.assignment.values()) == {0}
 
     def test_total_partition_with_dense_ids(self):
         g = random_graph(random.Random(3), max_nodes=30, edge_prob=0.1)
-        partition = detect_communities(g, seed=1)
+        partition = detect_communities(indexed_adjacency(g), seed=1)
         assert set(partition.assignment) == set(g.nodes)
         ids = set(partition.assignment.values())
         assert ids == set(range(len(ids)))
 
     def test_deterministic_given_seed(self):
         g = random_graph(random.Random(4), max_nodes=25, edge_prob=0.15, weighted=True)
-        assert detect_communities(g, seed=5).assignment == detect_communities(g, seed=5).assignment
+        index = indexed_adjacency(g)
+        first, second = detect_communities(index, seed=5), detect_communities(index, seed=5)
+        assert first.assignment == second.assignment
 
     def test_result_is_a_propagation_fixpoint_or_capped(self):
         graphs = [two_triangles_with_bridge()] + [
@@ -318,7 +342,7 @@ class TestDetectCommunities:
             for seed in range(20)
         ]
         for g in graphs:
-            partition = detect_communities(g, seed=0)
+            partition = detect_communities(indexed_adjacency(g), seed=0)
             assert partition.converged and partition.sweeps < 100
             order, adjacency = indexed_adjacency(g)
             labels = [partition.assignment[node] for node in order]
@@ -335,7 +359,7 @@ class TestDetectCommunities:
         ids=["edge", "k22", "star"],
     )
     def test_bipartite_structures_form_one_community(self, edges):
-        partition = detect_communities(make_graph(edges), seed=0)
+        partition = detect_communities(indexed_adjacency(make_graph(edges)), seed=0)
         assert set(partition.assignment.values()) == {0}
         assert partition.converged
 
@@ -353,7 +377,10 @@ class TestDetectCommunities:
             rng.shuffle(shuffled)
             g = make_graph(edges, nodes=names)
             permuted = make_graph([(b, a, w) for a, b, w in shuffled], nodes=names[::-1])
-            assert detect_communities(g).assignment == detect_communities(permuted).assignment
+            assert (
+                detect_communities(indexed_adjacency(g)).assignment
+                == detect_communities(indexed_adjacency(permuted)).assignment
+            )
 
     def test_sweep_updates_in_place_in_index_order(self):
         # path 0-1-2: node 0 adopts 1's label, node 1 then sees {1, 2}
@@ -373,17 +400,18 @@ class TestDetectCommunities:
     @settings(max_examples=200, deadline=None)
     @given(weighted_graphs(), st.integers(0, 3))
     def test_connected_communities_without_a_heavier_neighbor_community(self, g, seed):
-        partition = detect_communities(g, seed=seed)
+        partition = detect_communities(indexed_adjacency(g), seed=seed)
         assert partition.converged
         assert set(partition.assignment) == set(g.nodes)
         ids = set(partition.assignment.values())
         assert ids == set(range(len(ids)))
         for members in partition.communities().values():
             assert induces_connected_subgraph(g, members)
-        adj = g.adjacency()
-        for node, nbrs in adj.items():
+        order, adjacency = indexed_adjacency(g)
+        for node, nbrs in zip(order, adjacency):
             weight_to: dict[int, float] = {}
-            for nbr, w in nbrs.items():
+            for j, w in nbrs:
+                nbr = order[j]
                 cid = partition.assignment[nbr]
                 weight_to[cid] = weight_to.get(cid, 0.0) + w
             own = weight_to.get(partition.assignment[node], 0.0)
@@ -394,18 +422,18 @@ class TestTopClusters:
     def test_largest_first(self):
         g = make_graph([("a", "b"), ("b", "c"), ("x", "y")])
         p = Partition({"a": 0, "b": 0, "c": 0, "x": 1, "y": 1})
-        top = top_clusters(g, p)
+        top = top_clusters(indexed_adjacency(g), p)
         assert [c.members for c in top] == [["a", "b", "c"], ["x", "y"]]
 
     def test_every_community_is_reported(self):
         g = make_graph([("a", "b")])
         p = Partition({"a": 0, "b": 1})
-        assert len(top_clusters(g, p)) == 2
+        assert len(top_clusters(indexed_adjacency(g), p)) == 2
 
     def test_two_triangle_internal_counts(self):
         g = two_triangles_with_bridge()
-        p = detect_communities(g, seed=0)
-        top = top_clusters(g, p)
+        p = detect_communities(indexed_adjacency(g), seed=0)
+        top = top_clusters(indexed_adjacency(g), p)
         assert len(top) == 2
         for cluster in top:
             assert cluster.size == 3
@@ -415,10 +443,10 @@ class TestTopClusters:
     def test_partition_must_cover_graph(self):
         g = make_graph([("a", "b")])
         with pytest.raises(ValueError):
-            top_clusters(g, Partition({"a": 0}))
+            top_clusters(indexed_adjacency(g), Partition({"a": 0}))
 
     def test_empty_graph_has_no_clusters(self):
-        assert top_clusters(Graph(), Partition({})) == []
+        assert top_clusters(indexed_adjacency(Graph()), Partition({})) == []
 
     @pytest.mark.parametrize("seed", range(50))
     def test_single_pass_matches_per_community_scan(self, seed):
@@ -426,7 +454,7 @@ class TestTopClusters:
         g = random_graph(rng, max_nodes=30, edge_prob=0.2, weighted=True)
         k = rng.randint(1, max(1, len(g.nodes)))
         p = Partition({node: rng.randrange(k) for node in g.nodes})
-        assert top_clusters(g, p) == top_clusters_oracle(g, p)
+        assert top_clusters(indexed_adjacency(g), p) == top_clusters_oracle(g, p)
 
 
 class TestNetworkxSecondOpinion:
@@ -445,17 +473,18 @@ class TestNetworkxSecondOpinion:
     def test_communities_connected(self, nx, seed):
         g = random_graph(random.Random(seed), max_nodes=40, edge_prob=0.1, weighted=True)
         h = self.to_nx(nx, g)
-        for members in detect_communities(g, seed=seed % 3).communities().values():
+        for members in detect_communities(indexed_adjacency(g), seed=seed % 3).communities().values():
             assert nx.is_connected(h.subgraph(members))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_components_and_k_core_agree(self, nx, seed):
         rng = random.Random(seed)
         g = random_graph(rng, max_nodes=40, edge_prob=0.1, weighted=True)
-        ours = sorted(map(sorted, connected_components(g)))
+        index = indexed_adjacency(g)
+        ours = sorted(map(sorted, connected_components(index)))
         assert ours == sorted(map(sorted, nx.connected_components(self.to_nx(nx, g))))
         for k, min_weight in [(1, 0.0), (2, 0.0), (3, 0.0), (2, 3.0)]:
-            core = k_core(g, k, min_weight)
+            nodes, edges = k_core(index, k, min_weight)
             theirs = nx.k_core(self.to_nx(nx, g, min_weight), k)
-            assert set(core.nodes) == set(theirs.nodes)
-            assert set(core.edges) == {tuple(sorted(e)) for e in theirs.edges}
+            assert set(nodes) == set(theirs.nodes)
+            assert edges == theirs.number_of_edges()

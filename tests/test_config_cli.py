@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from scholar_sounder import bundled_fixtures_dir, coauthor_graph
+from scholar_sounder import bundled_fixtures_dir, cli, coauthor_graph
 from scholar_sounder.analysis import Graph
 from scholar_sounder.cli import build_parser, main
 from scholar_sounder.config import CACHE_ENV_VAR, Config, build_config, read_config_file
@@ -348,6 +348,24 @@ class TestCliSoundAuthors:
             "edges_notion.csv", "notion.gexf", "notion.graphml", "trace.tsv",
         ]
 
+    @pytest.mark.parametrize("command, phase, kept", [
+        ("sound-tags", "sound_tags", []),
+        ("sound-authors", "sound_authors", []),
+        ("all", "sound_authors", ["edges_notion.csv", "notion.gexf", "notion.graphml", "trace.tsv"]),
+    ])
+    def test_interrupt_exits_two_and_keeps_the_finished_phases(
+        self, tmp_path, capsys, monkeypatch, command, phase, kept
+    ):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, phase, interrupt)
+        config, out = write_config(tmp_path), tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: interrupted\n"
+        manifest = json.loads((out / "run_manifest.json").read_text("utf-8"))
+        assert [entry["path"] for entry in manifest["outputs"]] == kept
+        assert not (out / "report.json").exists()
 
     def test_coauthor_name_that_normalizes_to_nothing_does_not_abort(self, tmp_path):
         fixtures = tmp_path / "fixtures"
@@ -502,6 +520,62 @@ class TestCliAnalyzeExport:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, name", [
+        (["analyze", "--communities"], "detect_communities"),
+        (["export", "--format", "graphml"], "to_graphml"),
+    ], ids=["analyze", "export"])
+    def test_interrupt_exits_two_with_one_line(
+        self, gexf_path, tmp_path, capsys, monkeypatch, command, name
+    ):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, name, interrupt)
+        code = main([command[0], "--in", str(gexf_path), "--out", str(tmp_path / "x"), *command[1:]])
+        assert code == 2
+        assert capsys.readouterr().err == "error: interrupted\n"
+
+    def test_analyze_report_does_not_depend_on_edge_order(self, tmp_path):
+        # float sums depend on their order: 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
+        edges = [("a", "b", "0.1"), ("a", "c", "0.2"), ("a", "d", "0.3")]
+        reports = []
+        for name, listed in [("forward", edges), ("reverse", edges[::-1])]:
+            gexf = tmp_path / f"{name}.gexf"
+            gexf.write_text(
+                '<?xml version="1.0" encoding="UTF-8"?>\n'
+                '<gexf xmlns="http://gexf.net/1.3" version="1.3">'
+                '<graph defaultedgetype="undirected"><nodes>'
+                + "".join(f'<node id="{n}" label="{n}"/>' for n in "abcd")
+                + "</nodes><edges>"
+                + "".join(
+                    f'<edge id="{i}" source="{a}" target="{b}" weight="{w}"/>'
+                    for i, (a, b, w) in enumerate(listed)
+                )
+                + "</edges></graph></gexf>\n",
+                "utf-8",
+            )
+            out = tmp_path / f"analysis_{name}"
+            assert main(["analyze", "--in", str(gexf), "--out", str(out), "--communities"]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("command, builds", [
+        (["analyze", "--in", "GEXF", "--k-core", "2", "--communities"], 1),
+        (["all", "--config", "CONFIG"], 2),
+    ], ids=["analyze", "all"])
+    def test_one_index_per_analysed_graph(self, gexf_path, tmp_path, monkeypatch, command, builds):
+        calls = []
+        build = cli.indexed_adjacency
+
+        def counted(graph):
+            calls.append(graph)
+            return build(graph)
+
+        monkeypatch.setattr(cli, "indexed_adjacency", counted)
+        paths = {"GEXF": str(gexf_path), "CONFIG": str(write_config(tmp_path))}
+        main([paths.get(arg, arg) for arg in command] + ["--out", str(tmp_path / "x")])
+        assert len(calls) == builds
 
     def test_export_csv(self, gexf_path, tmp_path):
         out = tmp_path / "exported"

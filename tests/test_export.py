@@ -12,7 +12,7 @@ from xml.sax import saxutils
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scholar_sounder.analysis import Graph, detect_communities
+from scholar_sounder.analysis import Graph, detect_communities, indexed_adjacency
 from scholar_sounder.cli import main
 from scholar_sounder.errors import FormatError
 from scholar_sounder.export import (
@@ -525,7 +525,7 @@ class TestJsonReport:
         for a, b in [("a", "b"), ("b", "c"), ("a", "c"),
                      ("d", "e"), ("e", "f"), ("d", "f"), ("c", "d")]:
             g.add_edge(a, b)
-        partition = detect_communities(g, seed=0)
+        partition = detect_communities(indexed_adjacency(g), seed=0)
         report = json.loads(
             to_json_report(
                 make_bundle(g),
