@@ -53,9 +53,6 @@ class Graph:
             pair = canonical_pair(a, b)
             self.edges[pair] = self.edges.get(pair, 0) + amount
 
-    def total_weight(self) -> float:
-        return sum(self.edges.values())
-
     def to_canonical_dict(self) -> dict:
         """Comparable form: sorted nodes and attributes, sorted ``"a|b"`` edges."""
         return {

@@ -27,7 +27,8 @@ from .config import Config, build_config, read_config_file
 from .coauthor_graph import sound_authors
 from .errors import ConfigError, FormatError, ScholarSounderError, SoundingError
 from .export import (
-    ExportBundle, from_gexf, make_bundle, to_edge_csv, to_gexf, to_graphml, to_json_report,
+    ExportBundle, from_gexf, json_text, make_bundle, to_edge_csv, to_gexf, to_graphml,
+    to_json_report,
 )
 from .fetcher import Fetcher, write_atomic
 from .notion_graph import TraceRecord, sound_tags
@@ -98,15 +99,15 @@ class RunContext:
     def __init__(self, config: Config):
         self.config = config
         self.started_at = datetime.now(timezone.utc).isoformat()
-        self.outputs: list[Path] = []
+        self.digests: dict[str, str] = {}  # output name -> SHA-256 of the bytes last written
         self.warnings = 0
         self.fetcher = Fetcher(config.fetch)
         config.out_dir.mkdir(parents=True, exist_ok=True)
 
     def write(self, name: str, text: str):
-        path = self.config.out_dir / name
-        path.write_text(text, "utf-8")
-        self.outputs.append(path)
+        data = text.encode("utf-8")
+        write_atomic(self.config.out_dir / name, data)
+        self.digests[name] = hashlib.sha256(data).hexdigest()
 
     def finish_manifest(self):
         manifest = {
@@ -119,13 +120,9 @@ class RunContext:
                 "cache_hits": self.fetcher.cache_hits,
                 "warnings": self.warnings,
             },
-            "outputs": [
-                {"path": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
-                for p in sorted(set(self.outputs))
-            ],
+            "outputs": [{"path": n, "sha256": d} for n, d in sorted(self.digests.items())],
         }
-        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        write_atomic(self.config.out_dir / "run_manifest.json", text.encode("utf-8"))
+        write_atomic(self.config.out_dir / "run_manifest.json", json_text(manifest).encode("utf-8"))
 
 
 def _analysis_sections(graph, seed: int, kcore=None, min_weight=0.0, communities=True) -> dict:
@@ -193,7 +190,7 @@ def _cmd_sound(args, which: str) -> int:
         print(f"error: {exc}", file=sys.stderr)
         status = EXIT_ABORTED
     else:
-        ctx.write("report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+        ctx.write("report.json", json_text(report))
         status = EXIT_PARTIAL if ctx.warnings else EXIT_OK
     finally:  # also on an interrupt, which main reports
         if trace:
@@ -233,7 +230,7 @@ def _cmd_analyze(args) -> int:
         communities=args.communities,
     )
     report.update(sections)
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", "utf-8")
+    write_atomic(report_path, json_text(report).encode("utf-8"))
     return EXIT_OK
 
 
@@ -246,7 +243,7 @@ def _cmd_export(args) -> int:
         "csv": (f"edges_{stem}.csv", to_edge_csv),
         "json": (f"{stem}.json", to_json_report),
     }[args.format]
-    (out_dir / name).write_text(writer(bundle), "utf-8")
+    write_atomic(out_dir / name, writer(bundle).encode("utf-8"))
     return EXIT_OK
 
 

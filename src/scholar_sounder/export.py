@@ -1,13 +1,16 @@
 """Serialization of graphs into Gephi-consumable interchange formats.
 
-GEXF 1.2 is the primary format and the only one with a reader; GraphML and
-edge CSV are write-only. Everything is emitted in canonical sorted order so
-identical inputs give byte-identical files. The XML writers quote each node
-id once and escape only string values; their ``escape`` and ``quoteattr``
-write what ``xml.sax.saxutils`` writes. The GEXF reader is a single
-streaming expat pass that fills the graph directly, with no element tree; it
-accepts the subset ``to_gexf`` writes and raises ``FormatError``, with a
-location where one applies, on anything else.
+GEXF 1.2 is the primary format and the only one with a reader; GraphML,
+edge CSV and the JSON summary are write-only. Each writer returns the
+file's text, which ``cli`` writes with ``fetcher.write_atomic``. Everything
+is emitted in canonical sorted order so identical inputs give
+byte-identical files; ``json_text`` is the one layout of every JSON file.
+The XML writers quote each node id once and escape only string values;
+their ``escape`` and ``quoteattr`` write what ``xml.sax.saxutils`` writes.
+The GEXF reader is a single streaming expat pass that fills the graph
+directly, with no element tree; it accepts the subset ``to_gexf`` writes
+and raises ``FormatError``, with a location where one applies, on
+anything else.
 """
 
 from __future__ import annotations
@@ -422,16 +425,16 @@ def to_edge_csv(bundle: ExportBundle) -> str:
     return buf.getvalue()
 
 
-def to_json_report(bundle: ExportBundle, analysis_outputs: dict | None = None) -> str:
-    """Single structured report: graph summary, analysis sections, metadata.
-    Sorted keys; byte-stable for identical inputs."""
-    report = {
-        "graph": {
-            "nodes": len(bundle.graph.nodes),
-            "edges": len(bundle.graph.edges),
-            "total_weight": canonical_number(bundle.graph.total_weight()),
-        },
-        "metadata": dict(bundle.metadata),
-    }
-    report.update(analysis_outputs or {})
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+def to_json_report(bundle: ExportBundle) -> str:
+    """Node and edge counts, total weight and metadata. The weight is summed in
+    sorted pair order, so it does not depend on the order edges were read in."""
+    graph = bundle.graph
+    weight = canonical_number(sum(graph.edges[pair] for pair in sorted(graph.edges)))
+    summary = {"nodes": len(graph.nodes), "edges": len(graph.edges), "total_weight": weight}
+    return json_text({"graph": summary, "metadata": bundle.metadata})
+
+
+def json_text(value) -> str:
+    """The layout of every JSON file the tool writes: sorted keys, two-space
+    indent and a final newline."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"

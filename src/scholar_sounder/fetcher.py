@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FixtureMissingError, HttpStatusError, NetworkError
+from .errors import FetchError, FixtureMissingError, HttpStatusError, NetworkError
 from .parser import LABEL_RESULTS_MARKER, PROFILE_MARKER
 
 log = logging.getLogger(__name__)
@@ -25,6 +26,9 @@ RETRY_AFTER_CEILING_S = 60
 # Seconds a live request may wait on connect or on each read before the
 # attempt counts as failed and is retried.
 REQUEST_TIMEOUT_S = 30
+
+# A page key names a file and a URL parameter; tags and author ids are plain ids.
+PLAIN_KEY = re.compile(r"[A-Za-z0-9_-]+")
 
 
 @dataclass(frozen=True)
@@ -126,8 +130,11 @@ class Fetcher:
 
         Fixture mode reads only from ``fixtures_dir`` and never touches the
         network. Live mode checks the cache first and writes every fresh
-        body to the cache before returning it.
+        body to the cache before returning it. A key that is not a plain id
+        raises FetchError before any file or the network is touched.
         """
+        if not PLAIN_KEY.fullmatch(request.key):
+            raise FetchError(f"refusing page key {request.key!r}: not a plain id")
         self.pages_fetched += 1
         if self.policy.mode == "fixture":
             return self._fetch_fixture(request)

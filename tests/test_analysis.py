@@ -146,7 +146,7 @@ def partitions_of(items):
 
 
 def modularity(g: Graph, blocks):
-    m = g.total_weight()
+    m = sum(g.edges.values())
     if m == 0:
         return 0.0
     strength = {n: 0.0 for n in g.nodes}

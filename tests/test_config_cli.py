@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import shutil
 from dataclasses import fields
@@ -152,8 +153,6 @@ class TestCliSoundTags:
         assert lines[2].split("\t")[2] == "optics"
 
     def test_manifest_digests_match_files(self, tmp_path):
-        import hashlib
-
         _, out = self.run_sound_tags(tmp_path)
         manifest = json.loads((out / "run_manifest.json").read_text("utf-8"))
         assert manifest["counts"]["warnings"] == 0
@@ -385,6 +384,42 @@ class TestCliSoundAuthors:
         for name in ["coauthors.graphml", "report.json"]:
             assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
+    def test_coauthor_id_that_leaves_the_fixture_tree_stays_a_stub(self, tmp_path):
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(FIXTURES_DIR, fixtures)
+        profile = fixtures / "authors" / "A_TUDOR.html"
+        # "authors/../../secret.html" is a profile page beside the tree
+        shutil.copy(profile, tmp_path / "secret.html")
+        text = profile.read_text("utf-8")
+        assert "user=A_KIM&" in text
+        profile.write_text(text.replace("user=A_KIM&", "user=..%2F..%2Fsecret&"), "utf-8")
+        config, out = write_config(tmp_path), tmp_path / "out"
+        code = main([
+            "sound-authors", "--config", str(config), "--fixtures", str(fixtures), "--out", str(out),
+        ])
+        assert code == 3
+        node = from_gexf((out / "coauthors.gexf").read_text("utf-8")).graph.nodes["../../secret"]
+        assert node["stub"] is True and node["fetch_failed"] is True
+        assert "cited_by" not in node
+        manifest = json.loads((out / "run_manifest.json").read_text("utf-8"))
+        assert manifest["counts"]["warnings"] == 4
+
+
+class TestRunContext:
+    def test_manifest_digests_are_of_the_bytes_written(self, tmp_path):
+        out = tmp_path / "out"
+        ctx = cli.RunContext(build_config(minimal_data(out_dir=str(out))))
+        ctx.write("x.txt", "a")
+        ctx.write("y.txt", "first")
+        ctx.write("y.txt", "second")  # a name written twice keeps its last digest
+        (out / "x.txt").write_text("changed on disk", "utf-8")
+        ctx.finish_manifest()
+        manifest = json.loads((out / "run_manifest.json").read_text("utf-8"))
+        assert manifest["outputs"] == [
+            {"path": "x.txt", "sha256": hashlib.sha256(b"a").hexdigest()},
+            {"path": "y.txt", "sha256": hashlib.sha256(b"second").hexdigest()},
+        ]
+
 
 class TestCliAnalyzeExport:
     @pytest.fixture()
@@ -467,6 +502,28 @@ class TestCliAnalyzeExport:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "report.json" in err
         assert (out / "report.json").read_text("utf-8") == content
+
+    @pytest.mark.parametrize("command, name", [
+        (["analyze", "--communities"], "report.json"),
+        (["export", "--format", "csv"], "edges_notion.csv"),
+    ], ids=["analyze", "export"])
+    def test_failed_replace_leaves_the_old_file_whole(
+        self, gexf_path, tmp_path, capsys, monkeypatch, command, name
+    ):
+        out = tmp_path / "analysis"
+        out.mkdir()
+        old = b'{"kept": true}\n'
+        (out / name).write_bytes(old)
+
+        def disk_full(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("scholar_sounder.fetcher.os.replace", disk_full)
+        code = main([command[0], "--in", str(gexf_path), "--out", str(out), *command[1:]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert (out / name).read_bytes() == old
 
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_analyze_non_positive_k_core_is_a_config_error(self, gexf_path, tmp_path, capsys, k):
@@ -557,7 +614,8 @@ class TestCliAnalyzeExport:
             )
             out = tmp_path / f"analysis_{name}"
             assert main(["analyze", "--in", str(gexf), "--out", str(out), "--communities"]) == 0
-            reports.append((out / "report.json").read_bytes())
+            assert main(["export", "--in", str(gexf), "--format", "json", "--out", str(out)]) == 0
+            reports.append([(out / f).read_bytes() for f in ("report.json", f"{name}.json")])
         assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("command, builds", [

@@ -12,7 +12,7 @@ from xml.sax import saxutils
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scholar_sounder.analysis import Graph, detect_communities, indexed_adjacency
+from scholar_sounder.analysis import Graph
 from scholar_sounder.cli import main
 from scholar_sounder.errors import FormatError
 from scholar_sounder.export import (
@@ -520,24 +520,9 @@ class TestJsonReport:
         report = json.loads(to_json_report(make_bundle(Graph())))
         assert report["graph"] == {"nodes": 0, "edges": 0, "total_weight": 0}
 
-    def test_two_triangle_communities_reported(self):
-        g = Graph()
-        for a, b in [("a", "b"), ("b", "c"), ("a", "c"),
-                     ("d", "e"), ("e", "f"), ("d", "f"), ("c", "d")]:
-            g.add_edge(a, b)
-        partition = detect_communities(indexed_adjacency(g), seed=0)
-        report = json.loads(
-            to_json_report(
-                make_bundle(g),
-                {"communities": {"count": len(set(partition.assignment.values()))}},
-            )
-        )
-        assert report["communities"]["count"] == 2
-
     def test_byte_identical_on_rerun(self):
         bundle = small_bundle()
-        sections = {"components": [["a", "b"]]}
-        assert to_json_report(bundle, sections) == to_json_report(bundle, sections)
+        assert to_json_report(bundle) == to_json_report(bundle)
 
 
 @pytest.fixture(scope="module")

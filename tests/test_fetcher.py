@@ -7,10 +7,11 @@ import pytest
 
 from scholar_sounder import bundled_fixtures_dir, fetcher as fetcher_module
 from scholar_sounder.config import CACHE_ENV_VAR, build_config
-from scholar_sounder.errors import FixtureMissingError, HttpStatusError, NetworkError
+from scholar_sounder.errors import FetchError, FixtureMissingError, HttpStatusError, NetworkError
 from scholar_sounder.fetcher import (
     AUTHOR_PROFILE,
     LABEL_SEARCH,
+    PLAIN_KEY,
     FetchPolicy,
     Fetcher,
     PageRequest,
@@ -79,6 +80,36 @@ class TestFixtureMode:
         a = fixture_fetcher.fetch(req)
         b = fixture_fetcher.fetch(req)
         assert a.body == b.body
+
+
+class TestPageKey:
+    """A page key is used as a path component and a URL parameter, so only
+    plain ids are fetched."""
+
+    def test_every_bundled_page_key_is_plain(self):
+        root = bundled_fixtures_dir()
+        keys = [p.stem for p in (root / "authors").iterdir()]
+        keys += [p.name for p in (root / "labels").iterdir()]
+        assert keys and all(PLAIN_KEY.fullmatch(key) for key in keys)
+
+    def test_fixture_fetch_refuses_a_key_that_leaves_the_tree(self, tmp_path):
+        (tmp_path / "tree" / "authors").mkdir(parents=True)
+        (tmp_path / "secret.html").write_bytes(b"<html>secret</html>")
+        fetcher = Fetcher(FetchPolicy(mode="fixture", fixtures_dir=tmp_path / "tree"))
+        with pytest.raises(FetchError, match="not a plain id"):
+            fetcher.fetch(PageRequest(AUTHOR_PROFILE, "../../secret"))
+        assert fetcher.pages_fetched == 0
+
+    @pytest.mark.parametrize("key", ["../x", "a/b", "..", "x y", "x&hl=de", "x\n"])
+    def test_live_fetch_refuses_the_key_before_cache_or_network(self, tmp_path, key):
+        fetcher = Fetcher(FetchPolicy(
+            mode="live", cache_dir=tmp_path / "cache", min_delay_ms=1,
+            base_url="http://127.0.0.1:1",
+        ))
+        with pytest.raises(FetchError, match="not a plain id"):
+            fetcher.fetch(PageRequest(AUTHOR_PROFILE, key))
+        assert fetcher.request_log == []
+        assert list(tmp_path.iterdir()) == []
 
 
 LABEL_PAGE = (bundled_fixtures_dir() / "labels" / "physical_optics" / "0.html").read_bytes()

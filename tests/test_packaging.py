@@ -114,3 +114,35 @@ def test_offline_runs_never_load_the_http_stack(tmp_path):
     assert json.loads(result.stdout.splitlines()[-1]) == {
         "import": [], "exit_codes": [3, 0, 0, 0, 0, 0], "runs": [],
     }
+
+
+FILE_WRITERS = {"open", "write_text", "write_bytes"}
+
+
+def file_writes(tree):
+    """Line numbers of calls to ``open``, ``.open``, ``.write_text`` or
+    ``.write_bytes`` outside the body of ``write_atomic``."""
+    inside = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "write_atomic"
+        for inner in ast.walk(node)
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in inside:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in FILE_WRITERS:
+            yield node.lineno
+
+
+def test_write_atomic_is_the_only_file_writer():
+    """Every output, cache page and manifest goes through fetcher.write_atomic,
+    so no write can leave half a file or bypass the manifest's digests."""
+    writes = {
+        path.name: lines
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (lines := sorted(file_writes(ast.parse(path.read_text("utf-8")))))
+    }
+    assert writes == {}
