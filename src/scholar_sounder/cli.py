@@ -158,6 +158,27 @@ def _write_network(ctx: RunContext, stem: str, net):
     ctx.write(f"edges_{stem}.csv", to_edge_csv(bundle))
 
 
+def _label_parser():
+    """``parse_label_page`` for one run, parsing each page at most once.
+
+    Pages are keyed by request, body and queried tag, so a body that
+    changes is parsed again. ``all`` still fetches each base tag's label
+    pages twice, once per phase, but parses them once: both phases get the
+    same ``LabelPage`` objects, which nothing mutates. (The parser's string
+    conversions are cached process-wide; see ``parser``.)
+    """
+    parsed: dict = {}
+
+    def parse(raw, tag: str):
+        key = (raw.request, raw.body, tag)
+        page = parsed.get(key)
+        if page is None:
+            page = parsed[key] = parse_label_page(raw, tag)
+        return page
+
+    return parse
+
+
 def _cmd_sound(args, which: str) -> int:
     """Run the phases ``which`` names. ``trace.tsv`` holds a header, one row per
     tag visit, then ``# name=value`` co-author run counts; it is written once,
@@ -169,15 +190,16 @@ def _cmd_sound(args, which: str) -> int:
     report: dict = {"metadata": {"config_digest": config.digest()}}
     trace: list[str] = []  # trace.tsv lines; empty until a phase finishes
     header = "\t".join(f.name for f in fields(TraceRecord))
+    parse_label = _label_parser()
     try:
         if which in ("sound-tags", "all"):
-            net = sound_tags(config, ctx.fetcher.fetch, parse_label_page)
+            net = sound_tags(config, ctx.fetcher.fetch, parse_label)
             _write_network(ctx, "notion", net)
             trace = [header] + ["\t".join(map(str, astuple(r))) for r in net.trace]
             report.update(_analysis_sections(net, config.seed))
         if which in ("sound-authors", "all"):
             net = sound_authors(
-                config, ctx.fetcher.fetch, parse_author_page, parse_label=parse_label_page
+                config, ctx.fetcher.fetch, parse_author_page, parse_label=parse_label
             )
             ctx.warnings += net.report.failures
             _write_network(ctx, "coauthors", net)
@@ -185,7 +207,9 @@ def _cmd_sound(args, which: str) -> int:
             trace = (trace or [header]) + [f"# {name}={value}" for name, value in run.items()]
             report["coauthors"] = _analysis_sections(net, config.seed)
             report["coauthor_run"] = run
-        del net  # serialising report.json is the run's memory peak: free the graph first
+        # Serialising report.json is the run's memory peak: free the graph
+        # and the parsed label pages first.
+        del net, parse_label
     except SoundingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         status = EXIT_ABORTED

@@ -106,10 +106,16 @@ def _has_marker(request: PageRequest, body: bytes) -> bool:
 
 
 def write_atomic(path: Path, data: bytes):
-    """Replace ``path`` in one step, so a crash never leaves half a file."""
+    """Replace ``path`` in one step, so a crash never leaves half a file. A
+    failed write or rename leaves ``path`` as it was and removes the
+    temporary file."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class Fetcher:

@@ -85,12 +85,14 @@ def select_next_tag(net: NotionNetwork, dictionary: list[str]) -> str | None:
     lexicographically smallest value. None when the frontier is exhausted."""
     best: str | None = None
     best_rate = -1
-    for tag in sorted(net.nodes):
-        attrs = net.nodes[tag]
-        if attrs["visited"] or not theme_matches(tag, dictionary):
-            continue
-        if attrs["rate"] > best_rate:
-            best, best_rate = tag, attrs["rate"]
+    for tag, attrs in net.nodes.items():
+        rate = attrs["rate"]
+        if (
+            (rate > best_rate or rate == best_rate and tag < best)
+            and not attrs["visited"]
+            and theme_matches(tag, dictionary)
+        ):
+            best, best_rate = tag, rate
     return best
 
 

@@ -1,5 +1,11 @@
 """HTML parsing for label-search and author-profile pages, plus tag
-normalization into the canonical underscore form (e.g. ``physical_optics``)."""
+normalization into the canonical underscore form (e.g. ``physical_optics``).
+
+Three string conversions are pure and repeat across pages, so each is
+memoised for the life of the process: tag folding (``_fold``), the author id
+of a profile link (``_author_id_from_href``) and character-reference
+resolution (``_resolve``). Their caches grow with the distinct strings the
+process has parsed; an exception is never cached."""
 
 from __future__ import annotations
 
@@ -31,6 +37,7 @@ def normalize_tag(raw: str) -> str:
     return s
 
 
+@functools.cache
 def _fold(raw: str) -> str:
     """The normalized form of ``raw``; empty when nothing survives."""
     s = raw.lower().replace("&", " and ")
@@ -75,7 +82,10 @@ class AuthorProfile:
     h_index: int | None = None
 
 
+@functools.cache
 def _author_id_from_href(href: str) -> str | None:
+    """The ``user`` query parameter of a profile link; None when it has none
+    or does not parse."""
     try:
         qs = parse_qs(urlparse(href).query)
     except ValueError:  # a malformed host, such as an unclosed "["
@@ -253,6 +263,16 @@ def _marker_offset(body: bytes, marker: str) -> int:
 # "<" of the same kind, _feed narrows the pattern after the first failure
 # to the constructs that can still complete, so the rest of the page costs
 # what a well-formed page does and tokenizes the same.
+#
+# A start tag fails when its head ends at the end of the page or before the
+# "=" of an unclosed quoted value; its text up to the next ">" is data. A
+# ">" in a quoted value of that head lets a later "<" inside the head open
+# a head of its own, which mostly reaches the same attribute starts and so
+# ends where the failed head ended: the pattern would rescan the same
+# attributes once for every such "<" ("<a c='>' " repeated). _Heads
+# remembers where the head through each attribute start ends, and up to the
+# end of the furthest failed head, _feed lets the pattern try only the
+# start tags that _Heads finds complete.
 
 _TAG_NAME = r"[a-zA-Z][^\t\n\r\f />\x00]*"
 _SEPARATORS = r"(?:\s|/(?!>))*"
@@ -335,6 +355,11 @@ _UNCOMPLETED = re.compile(
     r"|[a-zA-Z/!?])"
 )
 _ATTRIBUTE = re.compile(rf"({_ATTR_NAME})(\s*=+\s*({_VALUE}))?{_SEPARATORS}")
+# A head up to its attributes; what must follow a head for it to be a tag
+# or no tag; the data chunk of a start tag that fails.
+_HEAD_START = re.compile(rf"<{_TAG_NAME}{_SEPARATORS}")
+_HEAD_FOLLOWER = re.compile(r">|/>|[^a-zA-Z=/>]")
+_FAILED_TAG = re.compile(r"(?P<chars><[^>]*>|<[^<]*(?=<)|<)")
 _END_TAG = re.compile(r"</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>")
 # Elements whose content is raw text up to their end tag.
 _RAW_TEXT_END = {name: re.compile(rf"</\s*{name}\s*>", re.I) for name in ("script", "style")}
@@ -344,12 +369,60 @@ def _offset(text: str, at: int) -> int:
     return len(text[:at].encode("utf-8"))
 
 
+@functools.cache
+def _resolve(chunk: str) -> str:
+    """``chunk`` with its character references resolved."""
+    return unescape(chunk)
+
+
 def _unescape(chunk: str, text: str, at: int) -> str:
     """Character references in ``chunk`` (found at ``at``) resolved."""
     try:
-        return unescape(chunk)
+        return _resolve(chunk)
     except ValueError as exc:  # a decimal reference too long for int()
         raise ParseError(f"malformed markup: {exc}", offset=_offset(text, at)) from None
+
+
+class _Heads:
+    """The ends of a page's start-tag heads, for pages where one fails."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.run_end: dict[int, int] = {}  # attribute run start -> head end
+        self.until = 0  # where the furthest failed head ends
+
+    def fails(self, at: int) -> bool:
+        """Whether a start tag opens at ``at`` and its head fails. Each
+        attribute the walk passes is remembered with the head's end."""
+        text, run_end = self.text, self.run_end
+        head = _HEAD_START.match(text, at)
+        if head is None:
+            return False
+        pos = head.end()
+        walked = []
+        while pos not in run_end:
+            attribute = _ATTRIBUTE.match(text, pos)
+            if attribute is None:
+                break
+            walked.append(pos)
+            pos = attribute.end()
+        end = run_end.get(pos, pos)
+        for start in walked:
+            run_end[start] = end
+        if _HEAD_FOLLOWER.match(text, end):
+            return False
+        self.until = max(self.until, end)
+        return True
+
+    def scan(self, tokens, pos: int):
+        """``tokens.finditer(text, pos)``, with each start tag that fails
+        before ``until`` matched as data without trying ``tokens``."""
+        text = self.text
+        while pos < self.until:
+            m = (_FAILED_TAG if self.fails(pos) else tokens).match(text, pos)
+            yield m
+            pos = m.end()
+        yield from tokens.finditer(text, pos)
 
 
 def _feed(extractor, text: str):
@@ -364,9 +437,11 @@ def _feed(extractor, text: str):
     )
     tokens = _TOKEN
     shape = (True, True, True, True, True)  # _token_pattern's arguments
+    heads = _Heads(text)
     pos = 0
     while True:
-        for m in tokens.finditer(text, pos):
+        guarded = shape[0] and pos < heads.until
+        for m in heads.scan(tokens, pos) if guarded else tokens.finditer(text, pos):
             kind = m.lastgroup
             if kind == "text":
                 chunk = m.group()
@@ -405,6 +480,9 @@ def _feed(extractor, text: str):
                     shape = narrowed
                     tokens = _token_pattern(*shape)
                     pos = m.end()
+                    break
+                if shape[0] and not guarded and heads.fails(m.start()):
+                    pos = m.end()  # a start tag failed: scan the rest of its head
                     break
             elif kind == "nottag":
                 on_data(m.group())

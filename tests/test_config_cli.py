@@ -13,7 +13,8 @@ from scholar_sounder.cli import build_parser, main
 from scholar_sounder.config import CACHE_ENV_VAR, Config, build_config, read_config_file
 from scholar_sounder.errors import ConfigError, NetworkError, ParseError, SoundingError
 from scholar_sounder.export import from_gexf, make_bundle, to_gexf
-from scholar_sounder.fetcher import Fetcher, FetchPolicy
+from scholar_sounder.fetcher import LABEL_SEARCH, Fetcher, FetchPolicy, PageRequest, RawPage
+from scholar_sounder.parser import parse_label_page
 from scholar_sounder.notion_graph import TraceRecord
 
 FIXTURES_DIR = bundled_fixtures_dir()
@@ -405,6 +406,55 @@ class TestCliSoundAuthors:
         assert manifest["counts"]["warnings"] == 4
 
 
+class TestLabelPagesParsedOnce:
+    def test_all_parses_each_label_page_once_but_still_fetches_it(self, tmp_path, monkeypatch):
+        parsed = []  # ((request, body, tag), page) per parse
+        fetched = []  # label-search requests per page fetched
+
+        def parse(raw, tag):
+            page = parse_label_page(raw, tag)
+            parsed.append(((raw.request, raw.body, tag), page))
+            return page
+
+        def fetch(self, request, page_token=None):
+            raw = real_fetch(self, request, page_token)
+            if request.kind == LABEL_SEARCH:
+                fetched.append(request)
+            return raw
+
+        real_fetch = Fetcher.fetch
+        monkeypatch.setattr(cli, "parse_label_page", parse)
+        monkeypatch.setattr(Fetcher, "fetch", fetch)
+        config = write_config(tmp_path)
+        assert main(["all", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        keys = [key for key, _ in parsed]
+        assert keys and len(keys) == len(set(keys))
+        # The base tag's pages are fetched once per phase; fetch dedup is
+        # a separate matter.
+        assert len(fetched) > len(set(fetched)) == len(keys)
+        # The pages both phases shared come out of the run as parsed.
+        for (request, body, tag), page in parsed:
+            assert page == parse_label_page(RawPage(request, body, "fixture"), tag)
+
+    def test_a_page_is_parsed_again_when_its_body_or_tag_changes(self, monkeypatch):
+        parsed = []
+        monkeypatch.setattr(
+            cli, "parse_label_page",
+            lambda raw, tag: parsed.append((raw.body, tag)) or parse_label_page(raw, tag),
+        )
+        request = PageRequest(LABEL_SEARCH, "physical_optics")
+        body = (FIXTURES_DIR / "labels" / "physical_optics" / "0.html").read_bytes()
+        changed = body + b"<!-- revised -->"
+        parse = cli._label_parser()
+        first = parse(RawPage(request, body, "fixture"), "physical_optics")
+        assert parse(RawPage(request, body, "cache"), "physical_optics") is first
+        assert parse(RawPage(request, changed, "live"), "physical_optics") is not first
+        parse(RawPage(request, body, "fixture"), "optics")
+        assert parsed == [(body, "physical_optics"), (changed, "physical_optics"), (body, "optics")]
+        assert cli._label_parser()(RawPage(request, body, "fixture"), "physical_optics") == first
+        assert len(parsed) == 4  # a new run parses afresh
+
+
 class TestRunContext:
     def test_manifest_digests_are_of_the_bytes_written(self, tmp_path):
         out = tmp_path / "out"
@@ -524,6 +574,7 @@ class TestCliAnalyzeExport:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert (out / name).read_bytes() == old
+        assert [p.name for p in out.iterdir()] == [name]  # no temporary file left
 
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_analyze_non_positive_k_core_is_a_config_error(self, gexf_path, tmp_path, capsys, k):

@@ -1,3 +1,4 @@
+import errno
 import http.server
 import socket
 import threading
@@ -16,6 +17,7 @@ from scholar_sounder.fetcher import (
     Fetcher,
     PageRequest,
     build_url,
+    write_atomic,
 )
 from scholar_sounder.parser import parse_label_page
 
@@ -110,6 +112,32 @@ class TestPageKey:
             fetcher.fetch(PageRequest(AUTHOR_PROFILE, key))
         assert fetcher.request_log == []
         assert list(tmp_path.iterdir()) == []
+
+
+class TestWriteAtomic:
+    @pytest.mark.parametrize("step", ["write", "replace"])
+    def test_a_full_disk_keeps_the_old_file_and_leaves_no_temporary(
+        self, tmp_path, monkeypatch, step
+    ):
+        target = tmp_path / "report.json"
+        target.write_bytes(b"old")
+
+        def half_written(path, data):
+            path.write_text(data[:2].decode(), "utf-8")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def disk_full(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        if step == "write":
+            monkeypatch.setattr(fetcher_module.Path, "write_bytes", half_written)
+        else:
+            monkeypatch.setattr(fetcher_module.os, "replace", disk_full)
+        with pytest.raises(OSError) as raised:
+            write_atomic(target, b"new")
+        assert raised.value.errno == errno.ENOSPC
+        assert target.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 LABEL_PAGE = (bundled_fixtures_dir() / "labels" / "physical_optics" / "0.html").read_bytes()

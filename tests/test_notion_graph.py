@@ -3,6 +3,7 @@ import random
 from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scholar_sounder.analysis import canonical_pair
 from scholar_sounder.config import build_config
@@ -131,6 +132,32 @@ class TestSelectNextTag:
         for tag in ("crystal_optics", "acoustooptics"):
             net.ensure_node(tag)["rate"] = 1
         assert select_next_tag(net, OPTICS_DICT) == "acoustooptics"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(
+            st.text(alphabet="aciopst_", max_size=8),
+            st.tuples(st.integers(0, 4), st.booleans()),
+            max_size=25,
+        ),
+        st.lists(st.sampled_from(["optics", "op", "tic", "a", "_", ""]), max_size=3),
+    )
+    def test_matches_sorted_scan(self, nodes, dictionary):
+        net = NotionNetwork()
+        for tag, (rate, visited) in nodes.items():
+            net.ensure_node(tag).update(rate=rate, visited=visited)
+        assert select_next_tag(net, dictionary) == sorted_scan(net, dictionary)
+
+
+def sorted_scan(net, dictionary):
+    """Brute-force oracle: every tag in sorted order, the first of the
+    highest rate among the unvisited theme matches."""
+    best, best_rate = None, -1
+    for tag in sorted(net.nodes):
+        attrs = net.nodes[tag]
+        if not attrs["visited"] and theme_matches(tag, dictionary) and attrs["rate"] > best_rate:
+            best, best_rate = tag, attrs["rate"]
+    return best
 
 
 class TestSoundTags:

@@ -420,6 +420,17 @@ class TestTokenizer:
         parser._feed(NoOp(), text)
         assert time.process_time() - start < 1.0
 
+    def test_start_tags_that_fail_inside_failed_heads_cost_linear_time(self):
+        # Each "<a" after the first sits in the first head's attributes,
+        # which run to the end of the page; rescanning them for every "<a"
+        # took 20 s at 8,000 repetitions.
+        text = "<a c='>' " * 8_000
+        start = time.process_time()
+        parser._feed(NoOp(), text)
+        assert time.process_time() - start < 2.0
+        assert tokens("<a c='>' " * 2) == ([("data", "<a c='>"), ("data", "' "),
+                                             ("data", "<a c='>"), ("data", "' ")], None)
+
 
 # The fuzz fragments plus the constructs where a tokenizer is most likely to
 # go wrong.
@@ -443,6 +454,13 @@ REFERENCE_RELEASE_ONLY = pytest.mark.skipif(
 REFERENCE_BODIES = st.lists(
     st.sampled_from(REFERENCE_FRAGMENTS) | st.text(max_size=6), max_size=30
 ).map("".join)
+# Start tags whose heads fail (an unclosed quote, no ">" after the
+# attributes) with other "<" inside them, after a ">" in a quoted value.
+FAILED_HEAD_BODIES = st.lists(st.sampled_from([
+    "<a", "<b ", " c", "='", '="', "'", '"', ">", "/>", "/", "=", "=x", " ", "\n", "x", "<",
+    "\x00", "&amp;", "</a>", "<!--", "-->", "<script>", "</script>", "<a c='>' ",
+    "<a b=' <c d='>",
+]), max_size=40).map("".join)
 
 
 def load_bench_corpus():
@@ -511,6 +529,62 @@ class TestAgreesWithReference:
     @given(REFERENCE_BODIES)
     def test_token_stream(self, text):
         assert tokens(text) == reference_tokens(text)
+
+    @REFERENCE_RELEASE_ONLY
+    @settings(max_examples=500, deadline=None)
+    @given(FAILED_HEAD_BODIES)
+    def test_token_stream_after_failed_start_tags(self, text):
+        assert tokens(text) == reference_tokens(text)
+
+
+HREFS = st.lists(st.sampled_from([
+    "https://", "scholar.example", "/citations", "?", "user=", "A_1", "&", "hl=en", "#", "[",
+    "]", "%2F", "%", "+", "=", ";", " ",
+]) | st.text(max_size=4), max_size=12).map("".join)
+REFERENCE_TEXT = st.lists(st.sampled_from([
+    "&amp;", "&lt", "&#", "&#x", "9", "41", ";", "&", "amp", "x", " ", "&#" + "9" * 5000 + ";",
+]) | st.text(max_size=4), max_size=12).map("".join)
+
+
+def outcome(convert, value):
+    try:
+        return convert(value)
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestCachedConversions:
+    """The conversions memoised for the life of the process give what their
+    uncached forms give; an exception is raised again, never cached."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | HREFS | REFERENCE_TEXT)
+    def test_cached_equals_uncached(self, text):
+        for convert in (parser._fold, parser._author_id_from_href, parser._resolve):
+            expected = outcome(convert.__wrapped__, text)
+            assert outcome(convert, text) == expected
+            assert outcome(convert, text) == expected
+
+    @pytest.mark.parametrize("href", [
+        "/citations?user=A_TUDOR&hl=en",
+        "https://[::1/citations?user=A",
+        "/citations?user=A%2FB%41&hl=en",
+        "/citations?user=A+B",
+        "/citations?user=&hl=en",
+        "/citations?user=A#user=B",
+        "/citations#?user=A",
+        "/citations?user=A&user=B",
+        "/citations?hl=en",
+        "",
+    ], ids=["plain", "unclosed-bracket", "percent-escapes", "plus", "blank-user", "fragment",
+            "only-in-fragment", "repeated", "no-user", "empty"])
+    def test_href_conversion_matches_reference(self, href):
+        assert parser._author_id_from_href(href) == html_reference._author_id_from_href(href)
+
+    @settings(max_examples=300, deadline=None)
+    @given(HREFS)
+    def test_href_conversion_matches_reference_fuzz(self, href):
+        assert parser._author_id_from_href(href) == html_reference._author_id_from_href(href)
 
 
 class TestReferenceTreeChecker:
