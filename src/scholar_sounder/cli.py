@@ -24,7 +24,7 @@ from .analysis import (
     k_core, top_clusters,
 )
 from .config import Config, build_config, read_config_file
-from .coauthor_graph import sound_authors
+from .coauthor_graph import seed_authors, sound_authors
 from .errors import ConfigError, FormatError, ScholarSounderError, SoundingError
 from .export import (
     ExportBundle, from_gexf, json_text, make_bundle, to_edge_csv, to_gexf, to_graphml,
@@ -158,27 +158,6 @@ def _write_network(ctx: RunContext, stem: str, net):
     ctx.write(f"edges_{stem}.csv", to_edge_csv(bundle))
 
 
-def _label_parser():
-    """``parse_label_page`` for one run, parsing each page at most once.
-
-    Pages are keyed by request, body and queried tag, so a body that
-    changes is parsed again. ``all`` still fetches each base tag's label
-    pages twice, once per phase, but parses them once: both phases get the
-    same ``LabelPage`` objects, which nothing mutates. (The parser's string
-    conversions are cached process-wide; see ``parser``.)
-    """
-    parsed: dict = {}
-
-    def parse(raw, tag: str):
-        key = (raw.request, raw.body, tag)
-        page = parsed.get(key)
-        if page is None:
-            page = parsed[key] = parse_label_page(raw, tag)
-        return page
-
-    return parse
-
-
 def _cmd_sound(args, which: str) -> int:
     """Run the phases ``which`` names. ``trace.tsv`` holds a header, one row per
     tag visit, then ``# name=value`` co-author run counts; it is written once,
@@ -190,16 +169,20 @@ def _cmd_sound(args, which: str) -> int:
     report: dict = {"metadata": {"config_digest": config.digest()}}
     trace: list[str] = []  # trace.tsv lines; empty until a phase finishes
     header = "\t".join(f.name for f in fields(TraceRecord))
-    parse_label = _label_parser()
+    seeds = None  # sound_authors alone fetches the base tags' pages itself
     try:
         if which in ("sound-tags", "all"):
-            net = sound_tags(config, ctx.fetcher.fetch, parse_label)
+            base_pages: dict = {}  # the author phase is seeded from these
+            net = sound_tags(config, ctx.fetcher.fetch, parse_label_page, base_pages)
             _write_network(ctx, "notion", net)
             trace = [header] + ["\t".join(map(str, astuple(r))) for r in net.trace]
             report.update(_analysis_sections(net, config.seed))
+            seeds = seed_authors(config, base_pages.__getitem__)
+            del net, base_pages  # freed before the author phase runs
         if which in ("sound-authors", "all"):
             net = sound_authors(
-                config, ctx.fetcher.fetch, parse_author_page, parse_label=parse_label
+                config, ctx.fetcher.fetch, parse_author_page, seeds=seeds,
+                parse_label=parse_label_page,
             )
             ctx.warnings += net.report.failures
             _write_network(ctx, "coauthors", net)
@@ -207,9 +190,7 @@ def _cmd_sound(args, which: str) -> int:
             trace = (trace or [header]) + [f"# {name}={value}" for name, value in run.items()]
             report["coauthors"] = _analysis_sections(net, config.seed)
             report["coauthor_run"] = run
-        # Serialising report.json is the run's memory peak: free the graph
-        # and the parsed label pages first.
-        del net, parse_label
+            del net  # serialising report.json is the run's memory peak
     except SoundingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         status = EXIT_ABORTED
@@ -231,30 +212,39 @@ def _load_gexf(args) -> tuple[ExportBundle, Path]:
     return bundle, out_dir
 
 
+def _read_json_object(path: Path) -> dict:
+    try:
+        value = json.loads(path.read_text("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise FormatError(f"{path} does not hold a JSON object")
+    return value
+
+
 def _cmd_analyze(args) -> int:
     if args.kcore is not None and args.kcore < 1:
         raise ConfigError("--k-core", "must be at least 1")
     if not math.isfinite(args.min_weight):
         raise ConfigError("--min-weight", "must be a finite number")
     bundle, out_dir = _load_gexf(args)
-    report_path = out_dir / "report.json"
-    report = {}
-    if report_path.is_file():
-        try:
-            report = json.loads(report_path.read_text("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{report_path} is not JSON: {exc}") from None
-        if not isinstance(report, dict):
-            raise FormatError(f"{report_path} does not hold a JSON object")
-    sections = _analysis_sections(
-        bundle.graph,
-        seed=args.seed,
-        kcore=args.kcore,
-        min_weight=args.min_weight,
-        communities=args.communities,
-    )
-    report.update(sections)
-    write_atomic(report_path, json_text(report).encode("utf-8"))
+    report_path, manifest_path = out_dir / "report.json", out_dir / "run_manifest.json"
+    report = _read_json_object(report_path) if report_path.is_file() else {}
+    manifest = _read_json_object(manifest_path) if manifest_path.is_file() else {"outputs": []}
+    outputs = manifest.get("outputs")
+    if not isinstance(outputs, list) or not all(isinstance(e, dict) for e in outputs):
+        raise FormatError(f"{manifest_path} does not hold a list of outputs")
+    report.update(_analysis_sections(
+        bundle.graph, args.seed, args.kcore, args.min_weight, args.communities
+    ))
+    data = json_text(report).encode("utf-8")
+    write_atomic(report_path, data)
+    # A sounding run's manifest keeps describing the report.json on disk.
+    listed = [entry for entry in outputs if entry.get("path") == "report.json"]
+    for entry in listed:
+        entry["sha256"] = hashlib.sha256(data).hexdigest()
+    if listed:
+        write_atomic(manifest_path, json_text(manifest).encode("utf-8"))
     return EXIT_OK
 
 

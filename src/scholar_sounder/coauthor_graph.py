@@ -53,15 +53,15 @@ class CoauthorNetwork(Graph):
         return canonical
 
 
-def seed_authors(config, fetch, parse) -> list[AuthorSummary]:
-    """Author summaries from the base tags' result pages, deduplicated by
-    id, keeping first-seen document order. A fetch or parse failure aborts
-    with the base tag attached, as in ``sound_tags``."""
+def seed_authors(config, pages_of) -> list[AuthorSummary]:
+    """Author summaries from the base tags' result pages, ``pages_of(tag)``,
+    deduplicated by id, keeping first-seen document order. A fetch or parse
+    failure aborts with the base tag attached, as in ``sound_tags``."""
     seeds: list[AuthorSummary] = []
     seen: set[str] = set()
     for base in config.base_tags:
         try:
-            pages = fetch_label_pages(base, config, fetch, parse)
+            pages = pages_of(base)
         except ScholarSounderError as exc:
             raise SoundingError(base, exc) from exc
         for page in pages:
@@ -81,10 +81,12 @@ def sound_authors(config, fetch, parse_profile, seeds=None, parse_label=None) ->
     the network holds author_cap nodes, and a listing of an author not
     admitted adds no edge. Fetch or parse failures keep the author as a
     stub and the run continues. FIFO order makes the result deterministic.
+    Without ``seeds``, the seeds come from the base tags' result pages,
+    fetched with ``fetch`` and parsed with ``parse_label``.
     """
     net = CoauthorNetwork()
     if seeds is None:
-        seeds = seed_authors(config, fetch, parse_label)
+        seeds = seed_authors(config, lambda tag: fetch_label_pages(tag, config, fetch, parse_label))
 
     queue: deque[str] = deque()
     for summary in seeds:

@@ -92,9 +92,12 @@ def build_config(data: dict, flags: dict | None = None) -> Config:
     for i, raw in enumerate(raw_tags):
         _require(isinstance(raw, str), f"base_tags[{i}]", "must be a string")
         try:
-            base_tags.append(normalize_tag(raw))
+            tag = normalize_tag(raw)
         except EmptyTagError:
             raise ConfigError(f"base_tags[{i}]", "normalizes to nothing")
+        if tag in base_tags:
+            raise ConfigError(f"base_tags[{i}]", f"duplicates base_tags[{base_tags.index(tag)}]")
+        base_tags.append(tag)
 
     raw_dict = data.get("dictionary")
     _require(isinstance(raw_dict, list) and raw_dict, "dictionary", "must be a nonempty list")

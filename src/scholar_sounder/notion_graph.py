@@ -117,13 +117,14 @@ def fetch_label_pages(tag: str, config, fetch, parse) -> list[LabelPage]:
     return pages
 
 
-def sound_tags(config, fetch, parse) -> NotionNetwork:
+def sound_tags(config, fetch, parse, base_pages=None) -> NotionNetwork:
     """Run the full sounding loop over every base tag.
 
     Each base tag gets at most ``config.depth`` expansion iterations; all
     expansions merge into one network, and every visit appends a trace
     record. Fetch/parse failures abort with the offending tag attached,
-    except missing fixtures, which degrade to empty pages.
+    except missing fixtures, which degrade to empty pages. A dict passed as
+    ``base_pages`` receives the parsed pages of each base tag as it is visited.
     """
     net = NotionNetwork()
     iteration = 0
@@ -145,6 +146,8 @@ def sound_tags(config, fetch, parse) -> NotionNetwork:
             except ScholarSounderError as exc:
                 raise SoundingError(current, exc) from exc
             net.nodes[current]["visited"] = True
+            if base_pages is not None and current in config.base_tags:
+                base_pages[current] = pages
             net.trace.append(
                 TraceRecord(
                     iteration=iteration,

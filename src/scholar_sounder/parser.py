@@ -296,8 +296,10 @@ _START = rf"""
 """
 # With no ">" left, a head ends at the end of the page or just before the
 # "=" of an unclosed quoted value, where it is no tag; or it is a bare tag
-# name before NUL, where it is data.
-_NOTTAG_BEFORE_NUL = rf"""(?P<nottag><{_TAG_NAME}(?<!['"])(?=\x00))"""
+# name before NUL, where it is data. A name that ends in a quote or in
+# whitespace the name allows (such as "\x0b") takes the NUL as an attribute
+# name instead, and its head ends at the end of the page.
+_NOTTAG_BEFORE_NUL = rf"""(?P<nottag><{_TAG_NAME}(?<!['"\s])(?=\x00))"""
 # Comments, declarations, processing instructions, marked sections.
 _COMMENT = r"<!--.*?--\s*>"
 _OTHER_SKIPS = r"</[^>]*>|<\?[^>]*>|<!(?!--|\[)[^>]*>"

@@ -2,6 +2,7 @@ import random
 
 from scholar_sounder.config import build_config
 from scholar_sounder.coauthor_graph import seed_authors, sound_authors
+from scholar_sounder.notion_graph import fetch_label_pages
 from scholar_sounder.parser import AuthorSummary, parse_author_page, parse_label_page
 
 from conftest import load_golden
@@ -33,9 +34,14 @@ def simple_corpus():
     return corpus, seeds
 
 
+def fetched_pages(config, fetcher):
+    """``seed_authors``' page source that fetches each base tag's pages."""
+    return lambda tag: fetch_label_pages(tag, config, fetcher.fetch, parse_label_page)
+
+
 class TestSeedAuthors:
     def test_physical_optics_seeds(self, optics_config, fixture_fetcher):
-        seeds = seed_authors(optics_config, fixture_fetcher.fetch, parse_label_page)
+        seeds = seed_authors(optics_config, fetched_pages(optics_config, fixture_fetcher))
         assert len(seeds) == 8
         by_name = {s.name: s for s in seeds}
         assert by_name["Vlokh Rostyslav"].labels == ["physical_optics"]
@@ -43,7 +49,7 @@ class TestSeedAuthors:
     def test_shared_author_appears_once(self, fixture_fetcher):
         config = memory_config(base_tags=["physical_optics", "singular_optics"])
         config.fetch = fixture_fetcher.policy
-        seeds = seed_authors(config, fixture_fetcher.fetch, parse_label_page)
+        seeds = seed_authors(config, fetched_pages(config, fixture_fetcher))
         ids = [s.author_id for s in seeds]
         assert len(ids) == len(set(ids))
         assert ids.count("A_SKAB") == 1
@@ -53,7 +59,7 @@ class TestSeedAuthors:
     def test_empty_page_contributes_nothing(self, fixture_fetcher):
         config = memory_config(base_tags=["no_such_tag"])
         config.fetch = fixture_fetcher.policy
-        assert seed_authors(config, fixture_fetcher.fetch, parse_label_page) == []
+        assert seed_authors(config, fetched_pages(config, fixture_fetcher)) == []
 
 
 class TestSoundAuthors:

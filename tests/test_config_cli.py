@@ -7,13 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from scholar_sounder import bundled_fixtures_dir, cli, coauthor_graph
+from scholar_sounder import bundled_fixtures_dir, cli
 from scholar_sounder.analysis import Graph
 from scholar_sounder.cli import build_parser, main
 from scholar_sounder.config import CACHE_ENV_VAR, Config, build_config, read_config_file
 from scholar_sounder.errors import ConfigError, NetworkError, ParseError, SoundingError
 from scholar_sounder.export import from_gexf, make_bundle, to_gexf
-from scholar_sounder.fetcher import LABEL_SEARCH, Fetcher, FetchPolicy, PageRequest, RawPage
+from scholar_sounder.fetcher import LABEL_SEARCH, Fetcher, FetchPolicy
 from scholar_sounder.parser import parse_label_page
 from scholar_sounder.notion_graph import TraceRecord
 
@@ -229,6 +229,7 @@ class TestCliSoundTags:
         ({"base_tags": [5]}, "base_tags[0]"),
         ({"base_tags": [True]}, "base_tags[0]"),
         ({"base_tags": [["physical optics"]]}, "base_tags[0]"),
+        ({"base_tags": ["physical optics", "Physical Optics"]}, "base_tags[1]"),
         ({"dictionary": ["optics", None]}, "dictionary[1]"),
         ({"dictionary": [1.5]}, "dictionary[0]"),
         ({"dictionary": ["optics", True]}, "dictionary[1]"),
@@ -236,8 +237,8 @@ class TestCliSoundTags:
     ], ids=[
         "fetch-string", "fetch-number", "fetch-list", "fetch-typo", "delay-bool", "delay-string",
         "pages-float", "retries-integral-float", "retries-negative", "base-url", "depth-bool",
-        "seed-bool", "tag-null", "tag-number", "tag-bool", "tag-list", "word-null",
-        "word-number", "word-bool", "word-list",
+        "seed-bool", "tag-null", "tag-number", "tag-bool", "tag-list", "tag-duplicate",
+        "word-null", "word-number", "word-bool", "word-list",
     ])
     def test_bad_config_exits_one_with_one_line(self, tmp_path, capsys, overrides, field):
         out = tmp_path / "out"
@@ -335,10 +336,10 @@ class TestCliSoundAuthors:
         config = write_config(tmp_path)
         main(["sound-tags", "--config", str(config), "--out", str(tmp_path / "tags")])
 
-        def fail(config, fetch, parse):
+        def fail(*args, **kwargs):
             raise SoundingError("physical_optics", ParseError("no results"))
 
-        monkeypatch.setattr(coauthor_graph, "seed_authors", fail)
+        monkeypatch.setattr(cli, "sound_authors", fail)
         out = tmp_path / "out"
         assert main(["all", "--config", str(config), "--out", str(out)]) == 2
         trace = (out / "trace.tsv").read_bytes()
@@ -406,15 +407,18 @@ class TestCliSoundAuthors:
         assert manifest["counts"]["warnings"] == 4
 
 
-class TestLabelPagesParsedOnce:
-    def test_all_parses_each_label_page_once_but_still_fetches_it(self, tmp_path, monkeypatch):
-        parsed = []  # ((request, body, tag), page) per parse
-        fetched = []  # label-search requests per page fetched
+# Three base tags, of which the second is visited in the first one's expansion.
+THREE_BASE_TAGS = {
+    "base_tags": ["physical optics", "singular optics", "nonlinear optics"],
+    "depth": 4, "edge_policy": "clique", "author_cap": 6,
+}
 
-        def parse(raw, tag):
-            page = parse_label_page(raw, tag)
-            parsed.append(((raw.request, raw.body, tag), page))
-            return page
+
+class TestEachLabelPageReadOnce:
+    @pytest.mark.parametrize("overrides", [{}, THREE_BASE_TAGS], ids=["quickstart", "three-bases"])
+    def test_all_fetches_and_parses_each_label_page_once(self, tmp_path, monkeypatch, overrides):
+        fetched = []  # label-search requests, one per page fetched
+        parsed = []  # (request, tag), one per parse
 
         def fetch(self, request, page_token=None):
             raw = real_fetch(self, request, page_token)
@@ -422,37 +426,38 @@ class TestLabelPagesParsedOnce:
                 fetched.append(request)
             return raw
 
-        real_fetch = Fetcher.fetch
-        monkeypatch.setattr(cli, "parse_label_page", parse)
-        monkeypatch.setattr(Fetcher, "fetch", fetch)
-        config = write_config(tmp_path)
-        assert main(["all", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
-        keys = [key for key, _ in parsed]
-        assert keys and len(keys) == len(set(keys))
-        # The base tag's pages are fetched once per phase; fetch dedup is
-        # a separate matter.
-        assert len(fetched) > len(set(fetched)) == len(keys)
-        # The pages both phases shared come out of the run as parsed.
-        for (request, body, tag), page in parsed:
-            assert page == parse_label_page(RawPage(request, body, "fixture"), tag)
+        def parse(raw, tag):
+            parsed.append((raw.request, tag))
+            return parse_label_page(raw, tag)
 
-    def test_a_page_is_parsed_again_when_its_body_or_tag_changes(self, monkeypatch):
-        parsed = []
-        monkeypatch.setattr(
-            cli, "parse_label_page",
-            lambda raw, tag: parsed.append((raw.body, tag)) or parse_label_page(raw, tag),
-        )
-        request = PageRequest(LABEL_SEARCH, "physical_optics")
-        body = (FIXTURES_DIR / "labels" / "physical_optics" / "0.html").read_bytes()
-        changed = body + b"<!-- revised -->"
-        parse = cli._label_parser()
-        first = parse(RawPage(request, body, "fixture"), "physical_optics")
-        assert parse(RawPage(request, body, "cache"), "physical_optics") is first
-        assert parse(RawPage(request, changed, "live"), "physical_optics") is not first
-        parse(RawPage(request, body, "fixture"), "optics")
-        assert parsed == [(body, "physical_optics"), (changed, "physical_optics"), (body, "optics")]
-        assert cli._label_parser()(RawPage(request, body, "fixture"), "physical_optics") == first
-        assert len(parsed) == 4  # a new run parses afresh
+        real_fetch = Fetcher.fetch
+        monkeypatch.setattr(Fetcher, "fetch", fetch)
+        monkeypatch.setattr(cli, "parse_label_page", parse)
+        config = write_config(tmp_path, **overrides)
+        assert main(["all", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        assert fetched and len(fetched) == len(set(fetched))
+        assert [request for request, _ in parsed] == fetched
+        assert all(request.key == tag for request, tag in parsed)
+
+    @pytest.mark.parametrize("overrides", [{}, THREE_BASE_TAGS], ids=["quickstart", "three-bases"])
+    def test_all_gives_the_coauthor_outputs_of_sound_authors(self, tmp_path, overrides):
+        config = write_config(tmp_path, **overrides)
+        both, alone = tmp_path / "all", tmp_path / "alone"
+        assert main(["all", "--config", str(config), "--out", str(both)]) == 3
+        assert main(["sound-authors", "--config", str(config), "--out", str(alone)]) == 3
+        for name in ["coauthors.gexf", "coauthors.graphml", "edges_coauthors.csv"]:
+            assert (both / name).read_bytes() == (alone / name).read_bytes(), name
+        reports = [json.loads((d / "report.json").read_text("utf-8")) for d in (both, alone)]
+        assert reports[0]["coauthor_run"] == reports[1]["coauthor_run"]
+        assert reports[0]["coauthors"] == reports[1]["coauthors"]
+        if overrides:
+            visits = [
+                line.split("\t")[1:3]
+                for line in (both / "trace.tsv").read_text("utf-8").splitlines()[1:]
+                if not line.startswith("#")
+            ]
+            assert ["physical_optics", "singular_optics"] in visits
+            assert ["singular_optics", "singular_optics"] not in visits
 
 
 class TestRunContext:
@@ -552,6 +557,23 @@ class TestCliAnalyzeExport:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "report.json" in err
         assert (out / "report.json").read_text("utf-8") == content
+
+    @pytest.mark.parametrize("content", [
+        "{not json", "[1, 2]", "{}", '{"outputs": {"path": "report.json"}}', '{"outputs": [5]}',
+    ], ids=["not-json", "not-object", "no-outputs", "outputs-object", "output-number"])
+    def test_analyze_bad_manifest_in_out_exits_two_with_one_line(
+        self, gexf_path, tmp_path, capsys, content
+    ):
+        out = tmp_path / "analysis"
+        out.mkdir()
+        (out / "run_manifest.json").write_text(content, "utf-8")
+        code = main(["analyze", "--in", str(gexf_path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "run_manifest.json" in err
+        assert (out / "run_manifest.json").read_text("utf-8") == content
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("command, name", [
         (["analyze", "--communities"], "report.json"),

@@ -12,6 +12,7 @@ from scholar_sounder.notion_graph import (
     EDGE_POLICY_CLIQUE,
     NotionNetwork,
     absorb_label_page,
+    fetch_label_pages,
     select_next_tag,
     sound_tags,
     theme_matches,
@@ -227,6 +228,21 @@ class TestSoundTags:
         visited = sorted(t for t, s in net.nodes.items() if s["visited"])
         assert visited == ["physical_optics", "wave_localization"]
         assert "phase_space_techniques" in net.nodes
+
+    def test_base_pages_hold_each_base_tags_pages_as_parsed(self, fixture_fetcher):
+        # singular_optics is visited in physical_optics' expansion, before its own turn.
+        config = memory_config(
+            base_tags=["physical_optics", "singular_optics", "nonlinear_optics"], depth=4
+        )
+        config.fetch = fixture_fetcher.policy
+        base_pages = {}
+        net = sound_tags(config, fixture_fetcher.fetch, parse_label_page, base_pages)
+        assert [r.base_tag for r in net.trace if r.visited_tag == "singular_optics"] == [
+            "physical_optics"
+        ]
+        assert sorted(base_pages) == sorted(config.base_tags)
+        for tag, pages in base_pages.items():
+            assert pages == fetch_label_pages(tag, config, fixture_fetcher.fetch, parse_label_page)
 
     def test_depth_bound_property(self):
         """Random corpora, random depths: per base tag, visited count <= depth."""

@@ -383,6 +383,8 @@ class TestTokenizer:
         ("<a\x00<b <c\x00", [("data", "<a"), ("data", "\x00"), ("data", "<b "), ("data", "<c"),
                             ("data", "\x00")]),
         ("<a b='x><!--c--><![CDATA[d]]><![if e]>f", [("data", "<a b='x>"), ("data", "f")]),
+        ("<a<a\x0b\x00", [("data", "<a"), ("data", "<"), ("data", "a\x0b\x00")]),
+        ("<a<a\xa0\x00", [("data", "<a"), ("data", "<"), ("data", "a\xa0\x00")]),
     ], ids=[
         "character-references", "gt-in-quoted-value", "unquoted-and-valueless",
         "upper-case-names", "last-repeated-attribute-wins", "self-closing",
@@ -392,6 +394,7 @@ class TestTokenizer:
         "end-tag-forms", "skipped-constructs", "nul-after-tag-name", "lt-at-end",
         "comments-never-closed", "sections-never-closed", "conditional-sections-never-closed",
         "no-gt-left", "no-gt-left-nul-after-tag-name", "skipped-after-an-unclosed-quote",
+        "no-gt-left-nul-after-vertical-tab", "no-gt-left-nul-after-no-break-space",
     ])
     def test_tokens(self, text, calls):
         assert tokens(text) == (calls, None)
@@ -440,7 +443,7 @@ REFERENCE_FRAGMENTS = FRAGMENTS + [
     "Cited by 1<2", '<a href="?user=A>B">', "<a href=?user=U1>", '<DIV CLASS="gsc_1usr">',
     '<A HREF="?user=A2">', "<TD CLASS=gsc_rsb_std>", "<button class=gs_btnPR disabled data-after=x>",
     "<br/>", "<a b=/>", "<!--", "-->", "<!doctype html>", "'", '"', "=", "/>", ">", " ", "\n",
-    "<!--x>", "<![CDATA[x>", "<![if x>", "]]>", "]>", "<a", "\x00",
+    "<!--x>", "<![CDATA[x>", "<![if x>", "]]>", "]>", "<a", "\x00", "\x0b", "\xa0",
 ]
 # html.parser reads malformed markup differently from one Python release to
 # another (the 2025 security releases changed unclosed comments, tags and
@@ -458,8 +461,8 @@ REFERENCE_BODIES = st.lists(
 # attributes) with other "<" inside them, after a ">" in a quoted value.
 FAILED_HEAD_BODIES = st.lists(st.sampled_from([
     "<a", "<b ", " c", "='", '="', "'", '"', ">", "/>", "/", "=", "=x", " ", "\n", "x", "<",
-    "\x00", "&amp;", "</a>", "<!--", "-->", "<script>", "</script>", "<a c='>' ",
-    "<a b=' <c d='>",
+    "\x00", "\x0b", "\xa0", "&amp;", "</a>", "<!--", "-->", "<script>", "</script>",
+    "<a c='>' ", "<a b=' <c d='>",
 ]), max_size=40).map("".join)
 
 

@@ -1,7 +1,8 @@
 """The README quick-start run (`all` on the bundled fixtures) must produce
 the same bytes from one change to the next, and from one run to the next:
 only `run_manifest.json` carries clock time. The `analyze` reports with a
-k-core and communities on the two quick-start GEXF files are pinned too.
+k-core and communities on the two quick-start GEXF files are pinned too, as
+are the run manifest's counts.
 
 After a deliberate change to the outputs, refresh the goldens with
 ``PYTHONPATH=src python3 tests/test_quickstart_digests.py``."""
@@ -65,6 +66,33 @@ def test_reruns_into_other_directories_give_identical_outputs(tmp_path):
     ]
     assert manifests[0]["outputs"] == manifests[1]["outputs"]
     assert {entry["path"] for entry in manifests[0]["outputs"]} == set(FILES)
+
+
+def test_quickstart_manifest_counts(tmp_path):
+    # 14 distinct label and profile pages, each read once: the co-author
+    # phase is seeded from the base tag's pages that the tag phase read.
+    manifest = json.loads((run_quickstart(tmp_path) / "run_manifest.json").read_text("utf-8"))
+    assert manifest["counts"] == {"cache_hits": 0, "pages_fetched": 14, "warnings": 3}
+
+
+def test_analyze_into_the_run_directory_keeps_the_manifest_digests_true(tmp_path):
+    out = run_quickstart(tmp_path)
+    before = json.loads((out / "run_manifest.json").read_text("utf-8"))
+    for stem in ("notion", "coauthors"):
+        assert main([
+            "analyze", "--in", str(out / f"{stem}.gexf"), "--out", str(out),
+            "--k-core", "2", "--communities",
+        ]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text("utf-8"))
+    assert [entry["path"] for entry in manifest["outputs"]] == sorted(FILES)
+    for entry in manifest["outputs"]:
+        digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
+        assert entry["sha256"] == digest, entry["path"]
+    # Only the report.json digest changed.
+    for entry in before["outputs"]:
+        if entry["path"] == "report.json":
+            entry["sha256"] = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+    assert manifest == before
 
 
 def test_kcore_reports_match_pinned_digests(tmp_path):
