@@ -5,7 +5,10 @@ propagation into connected communities, and top-cluster reports.
 Every operation takes the shared index that ``indexed_adjacency`` builds
 once per graph, not a ``Graph``: sorted node ids, and per node index its
 neighbours in ascending order. Operations work on node indices, read the
-index without changing it, and return ids only in their results."""
+index without changing it, and return ids only in their results.
+``degree_stats``, ``connected_components`` and ``top_clusters`` return their
+``report.json`` sections as the report holds them; ``detect_communities``
+returns a ``Partition`` and ``k_core`` the core's ids and edge count."""
 
 from __future__ import annotations
 
@@ -70,13 +73,6 @@ Index = tuple[list[str], Adjacency]  # (sorted node ids, adjacency by index)
 
 
 @dataclass
-class DegreeStats:
-    degree: dict[str, int]
-    weighted_degree: dict[str, float]
-    histogram: dict[int, int]  # degree value -> node count
-
-
-@dataclass
 class Partition:
     assignment: dict[str, int]  # node -> dense community id from 0
     sweeps: int = 0  # propagation sweeps run
@@ -87,15 +83,6 @@ class Partition:
         for node in sorted(self.assignment):
             out.setdefault(self.assignment[node], []).append(node)
         return out
-
-
-@dataclass
-class ClusterReport:
-    community_id: int
-    size: int
-    members: list[str]
-    internal_edges: int
-    internal_weight: float
 
 
 def indexed_adjacency(g: Graph) -> Index:
@@ -114,15 +101,23 @@ def indexed_adjacency(g: Graph) -> Index:
     return order, adjacency
 
 
-def degree_stats(index: Index) -> DegreeStats:
+def degree_stats(index: Index) -> dict:
+    """Per node its degree and weighted degree, and per degree (as text, in
+    ascending order) its node count."""
     order, adjacency = index
     degree = {node: len(nbrs) for node, nbrs in zip(order, adjacency)}
     # int sums stay exact past the float range
-    weighted = {node: sum(w for _, w in nbrs) for node, nbrs in zip(order, adjacency)}
+    weighted = {
+        node: canonical_number(sum(w for _, w in nbrs)) for node, nbrs in zip(order, adjacency)
+    }
     histogram: dict[int, int] = {}
     for d in degree.values():
         histogram[d] = histogram.get(d, 0) + 1
-    return DegreeStats(degree=degree, weighted_degree=weighted, histogram=histogram)
+    return {
+        "degree": degree,
+        "weighted_degree": weighted,
+        "histogram": {str(d): count for d, count in sorted(histogram.items())},
+    }
 
 
 def split_components(adjacency: Adjacency, labels: list[int]) -> list[int]:
@@ -225,7 +220,7 @@ def propagation_sweep(adjacency: Adjacency, labels: list[int]) -> bool:
     return changed
 
 
-def top_clusters(index: Index, p: Partition) -> list[ClusterReport]:
+def top_clusters(index: Index, p: Partition) -> list[dict]:
     """Every community, largest first (ties by smallest member id), with
     internal edge counts and weights summed in one pass over the index."""
     order, adjacency = index
@@ -241,14 +236,14 @@ def top_clusters(index: Index, p: Partition) -> list[ClusterReport]:
                 internal_edges[cid] += 1
                 internal_weight[cid] += w
     reports = [
-        ClusterReport(
-            community_id=cid,
-            size=len(members),
-            members=members,
-            internal_edges=internal_edges[cid],
-            internal_weight=internal_weight[cid],
-        )
+        {
+            "community_id": cid,
+            "size": len(members),
+            "members": members,
+            "internal_edges": internal_edges[cid],
+            "internal_weight": canonical_number(internal_weight[cid]),
+        }
         for cid, members in communities.items()
     ]
-    reports.sort(key=lambda r: (-r.size, r.members[0]))
+    reports.sort(key=lambda r: (-r["size"], r["members"][0]))
     return reports

@@ -127,22 +127,12 @@ class RunContext:
 
 def _analysis_sections(graph, seed: int, kcore=None, min_weight=0.0, communities=True) -> dict:
     index = indexed_adjacency(graph)  # built once, shared by every operation
-    sections: dict = {}
-    stats = degree_stats(index)
-    sections["degree_stats"] = {
-        "degree": stats.degree,
-        "weighted_degree": {n: canonical_number(w) for n, w in stats.weighted_degree.items()},
-        "histogram": {str(k): v for k, v in sorted(stats.histogram.items())},
-    }
-    sections["components"] = connected_components(index)
+    sections = {"degree_stats": degree_stats(index), "components": connected_components(index)}
     if communities:
         partition = detect_communities(index, seed=seed)
         count = len(set(partition.assignment.values()))
         sections["communities"] = {"count": count, **vars(partition)}
-        sections["top_clusters"] = [
-            {**vars(c), "internal_weight": canonical_number(c.internal_weight)}
-            for c in top_clusters(index, partition)
-        ]
+        sections["top_clusters"] = top_clusters(index, partition)
     if kcore is not None:
         nodes, edges = k_core(index, kcore, min_weight)
         sections["kcore"] = {
@@ -222,29 +212,37 @@ def _read_json_object(path: Path) -> dict:
     return value
 
 
+def _write_into_run(out_dir: Path, name: str, text: str):
+    """Write ``out_dir/name``. If ``out_dir`` holds a run manifest that lists
+    the file, its entry gets the SHA-256 of the bytes written, so the manifest
+    keeps describing the files on disk. A manifest that is not a JSON object
+    with a list of output objects is an error before anything is written."""
+    manifest_path = out_dir / "run_manifest.json"
+    manifest = _read_json_object(manifest_path) if manifest_path.is_file() else {"outputs": []}
+    outputs = manifest.get("outputs")
+    if not isinstance(outputs, list) or not all(isinstance(e, dict) for e in outputs):
+        raise FormatError(f"{manifest_path} does not hold a list of outputs")
+    data = text.encode("utf-8")
+    write_atomic(out_dir / name, data)
+    listed = [entry for entry in outputs if entry.get("path") == name]
+    for entry in listed:
+        entry["sha256"] = hashlib.sha256(data).hexdigest()
+    if listed:
+        write_atomic(manifest_path, json_text(manifest).encode("utf-8"))
+
+
 def _cmd_analyze(args) -> int:
     if args.kcore is not None and args.kcore < 1:
         raise ConfigError("--k-core", "must be at least 1")
     if not math.isfinite(args.min_weight):
         raise ConfigError("--min-weight", "must be a finite number")
     bundle, out_dir = _load_gexf(args)
-    report_path, manifest_path = out_dir / "report.json", out_dir / "run_manifest.json"
+    report_path = out_dir / "report.json"
     report = _read_json_object(report_path) if report_path.is_file() else {}
-    manifest = _read_json_object(manifest_path) if manifest_path.is_file() else {"outputs": []}
-    outputs = manifest.get("outputs")
-    if not isinstance(outputs, list) or not all(isinstance(e, dict) for e in outputs):
-        raise FormatError(f"{manifest_path} does not hold a list of outputs")
     report.update(_analysis_sections(
         bundle.graph, args.seed, args.kcore, args.min_weight, args.communities
     ))
-    data = json_text(report).encode("utf-8")
-    write_atomic(report_path, data)
-    # A sounding run's manifest keeps describing the report.json on disk.
-    listed = [entry for entry in outputs if entry.get("path") == "report.json"]
-    for entry in listed:
-        entry["sha256"] = hashlib.sha256(data).hexdigest()
-    if listed:
-        write_atomic(manifest_path, json_text(manifest).encode("utf-8"))
+    _write_into_run(out_dir, "report.json", json_text(report))
     return EXIT_OK
 
 
@@ -257,7 +255,7 @@ def _cmd_export(args) -> int:
         "csv": (f"edges_{stem}.csv", to_edge_csv),
         "json": (f"{stem}.json", to_json_report),
     }[args.format]
-    write_atomic(out_dir / name, writer(bundle).encode("utf-8"))
+    _write_into_run(out_dir, name, writer(bundle))
     return EXIT_OK
 
 

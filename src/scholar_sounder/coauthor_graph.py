@@ -14,12 +14,9 @@ from .analysis import Graph
 from .errors import FetchError, ParseError, ScholarSounderError, SoundingError
 from .fetcher import AUTHOR_PROFILE, PageRequest
 from .notion_graph import fetch_label_pages
-from .parser import AuthorSummary
+from .parser import SYNTHETIC_ID_PREFIX, AuthorSummary
 
 log = logging.getLogger(__name__)
-
-# Synthetic ids minted for co-authors listed without a profile link.
-SYNTHETIC_ID_PREFIX = "name:"
 
 
 @dataclass

@@ -94,15 +94,14 @@ def _parse_bool(text: str) -> bool:
     return text == "true"
 
 
-# The text a value of each type is written as, and the parser that reads it
-# back. Only strings can hold markup.
-_FORMATS = {
-    "boolean": lambda value: "true" if value else "false",
-    "integer": str,
-    "double": lambda value: repr(float(value)),
-    "string": str,
+# Per GEXF attribute type: its GraphML type, the text a value is written as,
+# and the reader of that text. Only strings can hold markup.
+_TYPES = {
+    "boolean": ("boolean", lambda value: "true" if value else "false", _parse_bool),
+    "integer": ("int", str, int),
+    "double": ("double", lambda value: repr(float(value)), float),
+    "string": ("string", str, str),
 }
-_PARSERS = {"boolean": _parse_bool, "integer": int, "double": float, "string": str}
 
 
 def escape(text: str) -> str:
@@ -150,7 +149,7 @@ def to_gexf(bundle: ExportBundle) -> str:
     for i, (name, gexf_type) in enumerate(schema.items()):
         lines.append(f'      <attribute id="{i}" title={quoteattr(name)} type="{gexf_type}"/>')
         columns[name] = (
-            f'          <attvalue for="{i}" value=', _FORMATS[gexf_type], gexf_type == "string"
+            f'          <attvalue for="{i}" value=', _TYPES[gexf_type][1], gexf_type == "string"
         )
     lines.append("    </attributes>")
     lines.append("    <nodes>")
@@ -186,6 +185,18 @@ def to_gexf(bundle: ExportBundle) -> str:
 
 def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
+
+
+# The structural contexts of the GEXF reader: per context, the local names of
+# the children that open a context of that name. Any other child is skipped
+# with its subtree. Every child of <nodes>, <edges>, <attributes> and
+# <attvalues> is read as a node, edge, declaration or value, whatever its name.
+_OPENS = {
+    "gexf": {"meta", "graph"},
+    "meta": {"creator", "description"},
+    "graph": {"attributes", "nodes", "edges"},
+    "node": {"attvalues"},
+}
 
 
 def from_gexf(document: str) -> ExportBundle:
@@ -231,7 +242,7 @@ def from_gexf(document: str) -> ExportBundle:
             name = id_to_name[ref]
             value = xml_attrs.get("value", "")
             try:
-                attrs[name] = _PARSERS[schema[name]](value)
+                attrs[name] = _TYPES[schema[name]][2](value)
             except ValueError:
                 raise FormatError(
                     f"bad {schema[name]} value {value!r} for {name!r}",
@@ -263,10 +274,6 @@ def from_gexf(document: str) -> ExportBundle:
                 raise FormatError(f"duplicate edge {pair}", location=f"edge {xml_attrs.get('id')}")
             edges[pair] = canonical_number(weight)
             push("skip")
-        elif context == "skip":
-            push("skip")
-        elif context == "node":
-            push("attvalues" if _local(tag) == "attvalues" else "skip")
         elif context == "nodes":
             node_id = xml_attrs.get("id")
             if node_id is None:
@@ -283,37 +290,17 @@ def from_gexf(document: str) -> ExportBundle:
                     "attribute without title or id", location=f"attribute {attribute_index}"
                 )
             gexf_type = xml_attrs.get("type")
-            if gexf_type not in ("boolean", "integer", "double", "string"):
+            if gexf_type not in _TYPES:
                 raise FormatError(f"unsupported attribute type {gexf_type!r}", location=name)
             schema[name] = gexf_type
             id_to_name[attr_id] = name
             attribute_index += 1
             push("skip")
-        elif context == "graph":
+        elif context in _OPENS:  # gexf, meta, graph or a node
             kind = _local(tag)
-            if kind == "attributes":
-                if xml_attrs.get("class") != "node":
-                    raise FormatError(
-                        f"unsupported attribute class {xml_attrs.get('class')!r}"
-                    )
-                attribute_index = 0
-                push(kind)
-            else:
-                push(kind if kind in ("nodes", "edges") else "skip")
-        elif context == "meta":
-            kind = _local(tag)
-            if kind in ("creator", "description"):
-                text.clear()
-                parser.CharacterDataHandler = text.append
-                push(kind)
-            else:
-                push("skip")
-        elif context in ("creator", "description"):
-            parser.CharacterDataHandler = None  # text ends at the first child
-            push("skip")
-        elif context == "gexf":
-            kind = _local(tag)
-            if kind == "graph":
+            if kind not in _OPENS[context]:
+                kind = "skip"
+            elif kind == "graph":
                 if seen_graph:
                     raise FormatError("more than one <graph> element", location="graph")
                 seen_graph = True
@@ -323,13 +310,23 @@ def from_gexf(document: str) -> ExportBundle:
                         "only undirected graphs are supported",
                         location="graph",
                     )
-                push(kind)
-            else:
-                push("meta" if kind == "meta" else "skip")
-        else:  # the root element
+            elif kind == "attributes":
+                if xml_attrs.get("class") != "node":
+                    raise FormatError(
+                        f"unsupported attribute class {xml_attrs.get('class')!r}"
+                    )
+                attribute_index = 0
+            elif kind in ("creator", "description"):
+                text.clear()
+                parser.CharacterDataHandler = text.append
+            push(kind)
+        elif context == "document":  # the root element
             if _local(tag) != "gexf":
                 raise FormatError(f"root element is <{_local(tag)}>, expected <gexf>")
             push("gexf")
+        else:  # skip, creator or description: their text ends at the first child
+            parser.CharacterDataHandler = None
+            push("skip")
 
     def end(tag):
         context = pop()
@@ -374,7 +371,6 @@ def from_gexf(document: str) -> ExportBundle:
 
 def to_graphml(bundle: ExportBundle) -> str:
     schema = bundle.attribute_schema()
-    type_map = {"boolean": "boolean", "integer": "int", "double": "double", "string": "string"}
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
@@ -383,11 +379,11 @@ def to_graphml(bundle: ExportBundle) -> str:
     # whether the text needs escaping.
     columns = {}
     for i, (name, gexf_type) in enumerate(schema.items()):
+        graphml_type, fmt, _ = _TYPES[gexf_type]
         lines.append(
-            f'  <key id="d{i}" for="node" attr.name={quoteattr(name)} '
-            f'attr.type="{type_map[gexf_type]}"/>'
+            f'  <key id="d{i}" for="node" attr.name={quoteattr(name)} attr.type="{graphml_type}"/>'
         )
-        columns[name] = (f'      <data key="d{i}">', _FORMATS[gexf_type], gexf_type == "string")
+        columns[name] = (f'      <data key="d{i}">', fmt, gexf_type == "string")
     lines.append('  <key id="weight" for="edge" attr.name="weight" attr.type="double"/>')
     lines.append('  <graph edgedefault="undirected">')
     quoted = {}  # node id -> its quoted form, reused for the edges

@@ -9,6 +9,7 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import quote
 
 from .errors import FetchError, FixtureMissingError, HttpStatusError, NetworkError
 from .parser import LABEL_RESULTS_MARKER, PROFILE_MARKER
@@ -74,8 +75,8 @@ def build_url(request: PageRequest, page_token: str | None = None) -> str:
     """Canonical URL for a request.
 
     Label pages past index 0 need the continuation token the service embeds
-    in the preceding results page; when known it is appended along with the
-    result offset.
+    in the preceding results page; when known it is appended, percent-encoded,
+    along with the result offset.
     """
     if request.kind == AUTHOR_PROFILE:
         return f"{BASE_URL}/citations?user={request.key}&hl=en"
@@ -85,7 +86,7 @@ def build_url(request: PageRequest, page_token: str | None = None) -> str:
     )
     if request.page_index > 0:
         if page_token:
-            url += f"&after_author={page_token}"
+            url += f"&after_author={quote(page_token, safe='')}"
         url += f"&astart={10 * request.page_index}"
     return url
 

@@ -46,11 +46,15 @@ def _fold(raw: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", s).strip("_")
 
 
+# The prefix of the ids minted for authors listed without a profile link.
+SYNTHETIC_ID_PREFIX = "name:"
+
+
 def _synthetic_id(name: str) -> str | None:
     """``name:<normalized name>`` for an entry without a profile link; None
     when nothing of the name survives normalization."""
     slug = _fold(name)
-    return "name:" + slug if slug else None
+    return SYNTHETIC_ID_PREFIX + slug if slug else None
 
 
 @dataclass

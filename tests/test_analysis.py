@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scholar_sounder.analysis import (
-    ClusterReport,
     Graph,
     Partition,
+    canonical_number,
     connected_components,
     degree_stats,
     detect_communities,
@@ -114,8 +114,11 @@ def top_clusters_oracle(g: Graph, p: Partition):
     for cid, members in p.communities().items():
         member_set = set(members)
         internal = [w for (a, b), w in g.edges.items() if a in member_set and b in member_set]
-        reports.append(ClusterReport(cid, len(members), sorted(members), len(internal), sum(internal)))
-    reports.sort(key=lambda r: (-r.size, r.members[0]))
+        reports.append({
+            "community_id": cid, "size": len(members), "members": sorted(members),
+            "internal_edges": len(internal), "internal_weight": canonical_number(sum(internal)),
+        })
+    reports.sort(key=lambda r: (-r["size"], r["members"][0]))
     return reports
 
 
@@ -193,18 +196,19 @@ class TestDegreeStats:
     def test_star(self):
         g = make_graph([("hub", f"leaf{i}") for i in range(4)])
         stats = degree_stats(indexed_adjacency(g))
-        assert stats.degree["hub"] == 4
-        assert all(stats.degree[f"leaf{i}"] == 1 for i in range(4))
-        assert stats.histogram == {4: 1, 1: 4}
+        assert stats["degree"]["hub"] == 4
+        assert all(stats["degree"][f"leaf{i}"] == 1 for i in range(4))
+        assert stats["histogram"] == {"1": 4, "4": 1}
+        assert list(stats["histogram"]) == ["1", "4"]
 
     def test_empty(self):
         stats = degree_stats(indexed_adjacency(Graph()))
-        assert stats.degree == {}
-        assert stats.histogram == {}
+        assert stats["degree"] == {}
+        assert stats["histogram"] == {}
 
     def test_weighted_degree(self):
         g = make_graph([("a", "b", 2.0), ("a", "c", 3.0)])
-        assert degree_stats(indexed_adjacency(g)).weighted_degree["a"] == 5.0
+        assert degree_stats(indexed_adjacency(g))["weighted_degree"]["a"] == 5.0
 
     def test_fixture_notion_network_hub_degree(self, optics_config, fixture_fetcher):
         from scholar_sounder.notion_graph import sound_tags
@@ -214,7 +218,7 @@ class TestDegreeStats:
         stats = degree_stats(indexed_adjacency(net))
         # 21 distinct tags co-listed with physical_optics across the 8
         # author entries on its results page
-        assert stats.degree["physical_optics"] == 21
+        assert stats["degree"]["physical_optics"] == 21
 
 
 class TestConnectedComponents:
@@ -423,7 +427,7 @@ class TestTopClusters:
         g = make_graph([("a", "b"), ("b", "c"), ("x", "y")])
         p = Partition({"a": 0, "b": 0, "c": 0, "x": 1, "y": 1})
         top = top_clusters(indexed_adjacency(g), p)
-        assert [c.members for c in top] == [["a", "b", "c"], ["x", "y"]]
+        assert [c["members"] for c in top] == [["a", "b", "c"], ["x", "y"]]
 
     def test_every_community_is_reported(self):
         g = make_graph([("a", "b")])
@@ -436,9 +440,9 @@ class TestTopClusters:
         top = top_clusters(indexed_adjacency(g), p)
         assert len(top) == 2
         for cluster in top:
-            assert cluster.size == 3
-            assert cluster.internal_edges == 3
-            assert cluster.internal_weight == 3.0
+            assert cluster["size"] == 3
+            assert cluster["internal_edges"] == 3
+            assert cluster["internal_weight"] == 3.0
 
     def test_partition_must_cover_graph(self):
         g = make_graph([("a", "b")])

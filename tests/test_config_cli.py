@@ -575,6 +575,22 @@ class TestCliAnalyzeExport:
         assert (out / "run_manifest.json").read_text("utf-8") == content
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("content", ["{not json", '{"outputs": [5]}'],
+                             ids=["not-json", "output-number"])
+    def test_export_bad_manifest_in_out_exits_two_with_one_line(
+        self, gexf_path, tmp_path, capsys, content
+    ):
+        out = tmp_path / "exported"
+        out.mkdir()
+        (out / "run_manifest.json").write_text(content, "utf-8")
+        code = main(["export", "--in", str(gexf_path), "--format", "csv", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "run_manifest.json" in err
+        assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
+        assert (out / "run_manifest.json").read_text("utf-8") == content
+
     @pytest.mark.parametrize("command, name", [
         (["analyze", "--communities"], "report.json"),
         (["export", "--format", "csv"], "edges_notion.csv"),

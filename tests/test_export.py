@@ -331,7 +331,9 @@ class TestReaderAgreesWithReference:
         (MIXED_GEXF.replace(
             "</attributes>", '<attribute id="4" title="rate" type="string"/></attributes>'
         ), None),
-    ], ids=["self-loop", "same-pair-reversed", "non-integral-weight", "redeclared-attribute"])
+        (re.sub(r"<graph.*</graph>", "", MIXED_GEXF, flags=re.S), "no <graph> element"),
+    ], ids=["self-loop", "same-pair-reversed", "non-integral-weight", "redeclared-attribute",
+            "no-graph"])
     def test_readers_give_the_same_error_or_graph(self, doc, error):
         """Stricter than assert_readers_agree: a rejection must carry the
         same message and location."""

@@ -3,6 +3,7 @@ import http.server
 import socket
 import threading
 import time
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
 
@@ -154,6 +155,7 @@ class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
 
     def do_GET(self):
         self.server.hits += 1
+        self.server.paths.append(self.path)
         step = self.server.script.pop(0)
         if step == STALL:
             time.sleep(STALL_S)
@@ -175,13 +177,15 @@ class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
 def scripted_server():
     """Start a loopback server that plays the given script, one step per
     request; ``server.hits`` counts the requests it saw. Each request gets
-    its own thread, so a stalled one does not hold up the retry after it."""
+    its own thread, so a stalled one does not hold up the retry after it;
+    ``server.paths`` holds the request targets."""
     servers = []
 
     def start(*script):
         server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
         server.script = list(script)
         server.hits = 0
+        server.paths = []  # the request target of each request seen
         threading.Thread(
             target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
         ).start()
@@ -254,6 +258,18 @@ class TestCache:
         live_fetcher(server_url(server), tmp_path).fetch(LABEL_REQUEST)
         files = [p for p in tmp_path.rglob("*") if p.is_file()]
         assert files == [tmp_path / "labels" / "physical_optics" / "0.html"]
+
+    def test_live_fetch_without_cache_dir_requests_every_time_and_writes_nothing(
+        self, scripted_server, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        server = scripted_server((200, LABEL_PAGE), (200, LABEL_PAGE))
+        fetcher = live_fetcher(server_url(server), None)
+        pages = [fetcher.fetch(LABEL_REQUEST) for _ in range(2)]
+        assert [page.source for page in pages] == ["live", "live"]
+        assert server.hits == len(fetcher.request_log) == 2
+        assert fetcher.cache_hits == 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_cached_page_without_marker_is_refetched_and_replaced(
         self, scripted_server, tmp_path
@@ -394,3 +410,19 @@ class TestLiveFaults:
         with pytest.raises(NetworkError):
             fetcher.fetch(LABEL_REQUEST)
         assert len(fetcher.request_log) == fetcher.policy.max_retries + 1
+
+
+class TestContinuationToken:
+    @pytest.mark.parametrize("token", ["a b", "x#y", "p&user=q", "a+b/c="])
+    def test_the_token_reaches_the_server_whole_in_its_own_parameter(
+        self, scripted_server, tmp_path, token
+    ):
+        server = scripted_server((200, LABEL_PAGE))
+        fetcher = live_fetcher(server_url(server), tmp_path)
+        fetcher.fetch(PageRequest(LABEL_SEARCH, "physical_optics", 1), token)
+        assert server.hits == len(fetcher.request_log) == 1
+        query = parse_qs(urlsplit(server.paths[0]).query)
+        assert query == {
+            "view_op": ["search_authors"], "mauthors": ["label:physical_optics"], "hl": ["en"],
+            "after_author": [token], "astart": ["10"],
+        }

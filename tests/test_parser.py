@@ -95,6 +95,14 @@ class TestParseLabelPage:
         assert [a.author_id for a in page.authors] == ["A_BANDRES"]
         assert page.dropped == 1
 
+    def test_an_author_listed_twice_is_kept_once_and_not_counted_as_dropped(self):
+        html = render_label_page("optics", ["A_BANDRES", "A_TUDOR", "A_BANDRES"])
+        raw = make_raw(LABEL_SEARCH, "optics", html)
+        page = parse_label_page(raw, "optics")
+        assert [a.author_id for a in page.authors] == ["A_BANDRES"]
+        assert page.dropped == 1  # Tudor, off the tag
+        assert html_reference.compare(raw.request, raw.body) is None
+
     def test_empty_results_page(self):
         html = render_label_page("optics", [])
         page = parse_label_page(make_raw(LABEL_SEARCH, "optics", html), "optics")
@@ -385,6 +393,8 @@ class TestTokenizer:
         ("<a b='x><!--c--><![CDATA[d]]><![if e]>f", [("data", "<a b='x>"), ("data", "f")]),
         ("<a<a\x0b\x00", [("data", "<a"), ("data", "<"), ("data", "a\x0b\x00")]),
         ("<a<a\xa0\x00", [("data", "<a"), ("data", "<"), ("data", "a\xa0\x00")]),
+        ("<a b='x> <c> '", [("data", "<a b='x>"), ("data", " "), ("start", "c", {}),
+                            ("data", " '")]),
     ], ids=[
         "character-references", "gt-in-quoted-value", "unquoted-and-valueless",
         "upper-case-names", "last-repeated-attribute-wins", "self-closing",
@@ -395,6 +405,7 @@ class TestTokenizer:
         "comments-never-closed", "sections-never-closed", "conditional-sections-never-closed",
         "no-gt-left", "no-gt-left-nul-after-tag-name", "skipped-after-an-unclosed-quote",
         "no-gt-left-nul-after-vertical-tab", "no-gt-left-nul-after-no-break-space",
+        "start-tag-inside-a-failed-head",
     ])
     def test_tokens(self, text, calls):
         assert tokens(text) == (calls, None)

@@ -2,7 +2,8 @@
 the same bytes from one change to the next, and from one run to the next:
 only `run_manifest.json` carries clock time. The `analyze` reports with a
 k-core and communities on the two quick-start GEXF files are pinned too, as
-are the run manifest's counts.
+are the run manifest's counts, and `analyze` and `export` into the run
+directory must keep the manifest's digests true.
 
 After a deliberate change to the outputs, refresh the goldens with
 ``PYTHONPATH=src python3 tests/test_quickstart_digests.py``."""
@@ -93,6 +94,24 @@ def test_analyze_into_the_run_directory_keeps_the_manifest_digests_true(tmp_path
         if entry["path"] == "report.json":
             entry["sha256"] = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
     assert manifest == before
+
+
+def test_export_into_a_run_directory_keeps_the_manifest_digests_true(tmp_path):
+    a = run_quickstart(tmp_path, "A")
+    config = tmp_path / "clique.json"
+    config.write_text(json.dumps({**QUICKSTART_CONFIG, "edge_policy": "clique", "depth": 2}))
+    b = tmp_path / "B"
+    assert main(["all", "--config", str(config), "--fixtures", "bundled", "--out", str(b)]) == 3
+    old = (a / "notion.graphml").read_bytes()
+    assert main([
+        "export", "--in", str(b / "notion.gexf"), "--format", "graphml", "--out", str(a),
+    ]) == 0
+    assert (a / "notion.graphml").read_bytes() == (b / "notion.graphml").read_bytes() != old
+    manifest = json.loads((a / "run_manifest.json").read_text("utf-8"))
+    assert [entry["path"] for entry in manifest["outputs"]] == sorted(FILES)
+    for entry in manifest["outputs"]:
+        digest = hashlib.sha256((a / entry["path"]).read_bytes()).hexdigest()
+        assert entry["sha256"] == digest, entry["path"]
 
 
 def test_kcore_reports_match_pinned_digests(tmp_path):
