@@ -41,6 +41,8 @@ EXIT_CONFIG = 1
 EXIT_ABORTED = 2
 EXIT_PARTIAL = 3
 
+COAUTHORS = "coauthors"  # the co-author network's file stem and report.json section
+
 
 def _fixtures_dir(value: str) -> str:
     """``--fixtures`` value: ``bundled`` names the corpus shipped with the package."""
@@ -175,10 +177,10 @@ def _cmd_sound(args, which: str) -> int:
                 parse_label=parse_label_page,
             )
             ctx.warnings += net.report.failures
-            _write_network(ctx, "coauthors", net)
+            _write_network(ctx, COAUTHORS, net)
             run = vars(net.report)
             trace = (trace or [header]) + [f"# {name}={value}" for name, value in run.items()]
-            report["coauthors"] = _analysis_sections(net, config.seed)
+            report[COAUTHORS] = _analysis_sections(net, config.seed)
             report["coauthor_run"] = run
             del net  # serialising report.json is the run's memory peak
     except SoundingError as exc:
@@ -239,7 +241,9 @@ def _cmd_analyze(args) -> int:
     bundle, out_dir = _load_gexf(args)
     report_path = out_dir / "report.json"
     report = _read_json_object(report_path) if report_path.is_file() else {}
-    report.update(_analysis_sections(
+    # A run's report keeps the notion sections at its top level, the co-author ones apart.
+    own = report.get(COAUTHORS) if Path(args.input).stem == COAUTHORS else None
+    (own if isinstance(own, dict) else report).update(_analysis_sections(
         bundle.graph, args.seed, args.kcore, args.min_weight, args.communities
     ))
     _write_into_run(out_dir, "report.json", json_text(report))

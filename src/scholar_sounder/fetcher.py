@@ -12,12 +12,9 @@ from pathlib import Path
 from urllib.parse import quote
 
 from .errors import FetchError, FixtureMissingError, HttpStatusError, NetworkError
-from .parser import LABEL_RESULTS_MARKER, PROFILE_MARKER
+from .parser import AUTHOR_PROFILE, LABEL_SEARCH, MARKERS
 
 log = logging.getLogger(__name__)
-
-LABEL_SEARCH = "label_search"
-AUTHOR_PROFILE = "author_profile"
 
 BASE_URL = "https://scholar.google.com"
 
@@ -42,7 +39,7 @@ class PageRequest:
     page_index: int = 0
 
     def __post_init__(self):
-        if self.kind not in (LABEL_SEARCH, AUTHOR_PROFILE):
+        if self.kind not in MARKERS:
             raise ValueError(f"unknown request kind: {self.kind!r}")
         if not self.key:
             raise ValueError("request key must be nonempty")
@@ -97,13 +94,9 @@ def _relative_page_path(request: PageRequest) -> Path:
     return Path("authors") / f"{request.key}.html"
 
 
-def _expected_marker(request: PageRequest) -> str:
-    return LABEL_RESULTS_MARKER if request.kind == LABEL_SEARCH else PROFILE_MARKER
-
-
 def _has_marker(request: PageRequest, body: bytes) -> bool:
     """False for an interstitial page or a body cut off before its results."""
-    return _expected_marker(request).encode() in body
+    return MARKERS[request.kind].encode() in body
 
 
 def write_atomic(path: Path, data: bytes):
@@ -220,7 +213,7 @@ class Fetcher:
             if not _has_marker(request, body):
                 # Interstitial / anti-bot page: refuse to parse it.
                 raise HttpStatusError(
-                    f"page at {target_url} lacks marker '{_expected_marker(request)}'",
+                    f"page at {target_url} lacks marker '{MARKERS[request.kind]}'",
                     status=status,
                 )
             self._write_cache(request, body)

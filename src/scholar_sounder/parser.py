@@ -1,11 +1,11 @@
 """HTML parsing for label-search and author-profile pages, plus tag
 normalization into the canonical underscore form (e.g. ``physical_optics``).
 
-Three string conversions are pure and repeat across pages, so each is
-memoised for the life of the process: tag folding (``_fold``), the author id
-of a profile link (``_author_id_from_href``) and character-reference
-resolution (``_resolve``). Their caches grow with the distinct strings the
-process has parsed; an exception is never cached."""
+Two string conversions are pure and repeat across pages, so each is
+memoised for the life of the process: tag folding (``_fold``) and the author
+id of a profile link (``_author_id_from_href``). Their keys are labels, names
+and profile links, so their caches grow with the graph a run builds, not
+with the page content it parses; an exception is never cached."""
 
 from __future__ import annotations
 
@@ -18,10 +18,13 @@ from urllib.parse import parse_qs, urlparse
 
 from .errors import EmptyTagError, ParseError
 
-# Structural markers the service embeds in its pages. Parsing keys off
-# these; anything else in the HTML is cosmetic.
+# The page kinds, and the structural marker the service embeds in each.
+# Parsing keys off these; anything else in the HTML is cosmetic.
+LABEL_SEARCH = "label_search"
+AUTHOR_PROFILE = "author_profile"
 LABEL_RESULTS_MARKER = "gsc_sa_ccl"
 PROFILE_MARKER = "gsc_prf_in"
+MARKERS = {LABEL_SEARCH: LABEL_RESULTS_MARKER, AUTHOR_PROFILE: PROFILE_MARKER}
 
 
 def normalize_tag(raw: str) -> str:
@@ -242,13 +245,6 @@ class _AuthorPageExtractor:
             self._coauthor["name"] += data
 
 
-def _marker_offset(body: bytes, marker: str) -> int:
-    """Byte position of the first structural mismatch: how far the document
-    got before the expected marker failed to appear."""
-    pos = body.find(marker.encode("utf-8"))
-    return len(body) if pos < 0 else pos
-
-
 # -- tokenizer ----------------------------------------------------------
 #
 # One pattern splits a page into the tokens the standard library's
@@ -375,16 +371,10 @@ def _offset(text: str, at: int) -> int:
     return len(text[:at].encode("utf-8"))
 
 
-@functools.cache
-def _resolve(chunk: str) -> str:
-    """``chunk`` with its character references resolved."""
-    return unescape(chunk)
-
-
 def _unescape(chunk: str, text: str, at: int) -> str:
     """Character references in ``chunk`` (found at ``at``) resolved."""
     try:
-        return _resolve(chunk)
+        return unescape(chunk)
     except ValueError as exc:  # a decimal reference too long for int()
         raise ParseError(f"malformed markup: {exc}", offset=_offset(text, at)) from None
 
@@ -534,7 +524,7 @@ def parse_label_page(page, queried: str) -> LabelPage:
     counted in ``dropped``. Label strings come back normalized and
     deduplicated; labels that normalize to nothing are dropped.
     """
-    text = _page_text(page, "label_search", LABEL_RESULTS_MARKER, "label results container")
+    text = _page_text(page, LABEL_SEARCH, "label results container")
     ex = _LabelPageExtractor()
     _feed(ex, text)
     return _label_page(ex, queried)
@@ -547,20 +537,22 @@ def parse_author_page(page) -> AuthorProfile:
     profile link get the synthetic id ``name:<normalized name>``, or are
     dropped when their name normalizes to nothing.
     """
-    text = _page_text(page, "author_profile", PROFILE_MARKER, "profile marker")
+    text = _page_text(page, AUTHOR_PROFILE, "profile marker")
     ex = _AuthorPageExtractor()
     _feed(ex, text)
     return _author_profile(ex, page.request.key)
 
 
-def _page_text(page, kind: str, marker: str, what: str) -> str:
-    """The decoded body of a ``kind`` page; ParseError when it lacks
-    ``marker``."""
+def _page_text(page, kind: str, what: str) -> str:
+    """The decoded body of a ``kind`` page. ParseError at the end of the body
+    when it lacks the kind's marker: the marker is ASCII, and decoding never
+    absorbs an ASCII byte, so the body ran out before any copy of it."""
     if page.request.kind != kind:
         raise ValueError(f"expected a {kind} page, got {page.request.kind}")
     text = page.body.decode("utf-8", errors="replace")
+    marker = MARKERS[kind]
     if marker not in text:
-        raise ParseError(f"{what} '{marker}' not found", offset=_marker_offset(page.body, marker))
+        raise ParseError(f"{what} '{marker}' not found", offset=len(page.body))
     return text
 
 

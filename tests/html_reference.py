@@ -203,14 +203,14 @@ def _feed(extractor: HTMLParser, text: str):
 
 
 def parse_label_page(page, queried: str) -> parser.LabelPage:
-    text = parser._page_text(page, LABEL_SEARCH, LABEL_RESULTS_MARKER, "label results container")
+    text = parser._page_text(page, LABEL_SEARCH, "label results container")
     ex = _LabelPageExtractor()
     _feed(ex, text)
     return parser._label_page(ex, queried)
 
 
 def parse_author_page(page) -> parser.AuthorProfile:
-    text = parser._page_text(page, AUTHOR_PROFILE, PROFILE_MARKER, "profile marker")
+    text = parser._page_text(page, AUTHOR_PROFILE, "profile marker")
     ex = _AuthorPageExtractor()
     _feed(ex, text)
     return parser._author_profile(ex, page.request.key)

@@ -159,6 +159,33 @@ def render_profile_page(author_id: str, name: str, labels: list[str], cited_by: 
 """
 
 
+def pad_page(html: str, key: str, rows: int = 100) -> str:
+    """``html``, a rendered page, padded toward the size of the service's
+    pages just before ``</body>``: ``rows`` publication rows whose links and
+    titles hold ``&amp;`` and name ``key`` (so pages padded with distinct
+    keys differ), a script and a style element, and comments. The padding
+    holds no marker the parser keys off, so the page parses as ``html`` does."""
+    publications = "\n".join(
+        f'  <tr class="gsc_a_tr"><td class="gsc_a_t"><a class="gsc_a_at" '
+        f'href="/citations?view_op=view_citation&amp;hl=en&amp;user={escape(key)}&amp;'
+        f'citation_for_view={escape(key)}:{i}">Paper {i} of {escape(key)}: lasers &amp; optics</a>'
+        f'<div class="gs_gray">A. Author &amp; B. Author</div></td>'
+        f'<td class="gsc_a_c"><a class="gsc_a_ac" href="/scholar?oi=bibs&amp;cites={i}">{i}</a></td>'
+        f'<td class="gsc_a_y"><span class="gsc_a_h">{1990 + i % 30}</span></td></tr>'
+        for i in range(rows)
+    )
+    padding = f"""<!-- publications: <a href="/citations?user={escape(key)}">{escape(key)}</a> -->
+<table id="gsc_a_t">
+{publications}
+</table>
+<!-- end of publications -->
+<script>var rows = document.querySelectorAll("tr.gsc_a_tr");
+if (rows.length < 2 && window.gsc) {{ document.write("<b>" + rows.length + "</b>"); }}</script>
+<style>.gsc_a_at > span {{ color: #222; }} a[href*="user="]::after {{ content: "&amp;"; }}</style>
+"""
+    return html.replace("</body>", padding + "</body>", 1)
+
+
 def build_corpus(root: Path):
     """Write the bundled fixture tree: labels/<tag>/<n>.html and
     authors/<id>.html."""

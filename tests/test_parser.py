@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import os
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import asdict
 from html.parser import HTMLParser
 from pathlib import Path
@@ -19,7 +21,7 @@ from scholar_sounder.parser import normalize_tag, parse_author_page, parse_label
 
 import html_reference
 from conftest import load_golden
-from htmlgen import render_label_page, render_profile_page
+from htmlgen import pad_page, render_label_page, render_profile_page
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,6 +32,13 @@ def make_raw(kind, key, body, page_index=0):
         body=body if isinstance(body, bytes) else body.encode("utf-8"),
         source="fixture",
     )
+
+
+def parse(kind, key, body):
+    """The package's parse of a ``kind`` page; a label page is parsed for
+    the tag ``key``."""
+    raw = make_raw(kind, key, body)
+    return parse_label_page(raw, key) if kind == LABEL_SEARCH else parse_author_page(raw)
 
 
 class TestNormalizeTag:
@@ -109,12 +118,29 @@ class TestParseLabelPage:
         assert page.authors == []
         assert page.next_page_token is None
 
-    def test_truncated_html_raises_with_offset(self, fixture_fetcher):
-        raw = fixture_fetcher.fetch(PageRequest(LABEL_SEARCH, "physical_optics", 0))
-        truncated = make_raw(LABEL_SEARCH, "physical_optics", raw.body[:100])
-        with pytest.raises(ParseError) as exc:
-            parse_label_page(truncated, "physical_optics")
-        assert exc.value.offset == 100
+    @pytest.mark.parametrize("kind", [LABEL_SEARCH, AUTHOR_PROFILE], ids=["label", "profile"])
+    def test_truncated_html_raises_with_offset(self, fixture_fetcher, kind):
+        keys = {LABEL_SEARCH: "physical_optics", AUTHOR_PROFILE: "A_TUDOR"}
+        key = keys.pop(kind)
+        [(other, other_key)] = keys.items()
+        body = fixture_fetcher.fetch(PageRequest(kind, key)).body
+        marker = parser.MARKERS[kind].encode()
+        at = body.find(marker)
+        # Bodies without the marker; the offset is where each ran out.
+        marker_less = [
+            body[:100],
+            b"",
+            body[:at + len(marker) - 1],
+            b"\xff\xfe" + body[:at + 3],  # invalid UTF-8 before the cut
+            body[:at] + b"\xe2\x82",  # cut inside a character
+            body[:at] + marker[:4] + b"\xc3" + marker[4:],  # the marker split by a bad byte
+            "王伟".encode()[:-1] + marker[:-1],
+            fixture_fetcher.fetch(PageRequest(other, other_key)).body,  # the other kind's page
+        ]
+        for truncated in marker_less:
+            with pytest.raises(ParseError) as exc:
+                parse(kind, key, truncated)
+            assert exc.value.offset == len(truncated), truncated
 
     def test_next_page_token_extracted(self, fixture_fetcher):
         raw = fixture_fetcher.fetch(PageRequest(LABEL_SEARCH, "quantum_optics", 0))
@@ -503,6 +529,18 @@ class TestAgreesWithReference:
         counts = load_bench_corpus().build_fixture_tree(ROOT, seed, tmp_path)["counts"]
         self.assert_tree_agrees(tmp_path, counts["label_pages"] + counts["profiles"])
 
+    def test_padded_pages(self, fixtures_dir):
+        kinds = set()
+        for path, request in html_reference.pages(fixtures_dir):
+            body = path.read_bytes()
+            padded = pad_page(body.decode(), request.key).encode()
+            assert padded.count(b'<tr class="gsc_a_tr">') == 100
+            assert html_reference.compare(request, padded) is None, path
+            parsed = parse(request.kind, request.key, padded)
+            assert parsed == parse(request.kind, request.key, body), path
+            kinds.add(request.kind)
+        assert kinds == {LABEL_SEARCH, AUTHOR_PROFILE}
+
     @settings(max_examples=60, deadline=None)
     @given(
         entries=st.lists(st.tuples(
@@ -574,7 +612,7 @@ class TestCachedConversions:
     @settings(max_examples=300, deadline=None)
     @given(st.text() | HREFS | REFERENCE_TEXT)
     def test_cached_equals_uncached(self, text):
-        for convert in (parser._fold, parser._author_id_from_href, parser._resolve):
+        for convert in (parser._fold, parser._author_id_from_href):
             expected = outcome(convert.__wrapped__, text)
             assert outcome(convert, text) == expected
             assert outcome(convert, text) == expected
@@ -599,6 +637,33 @@ class TestCachedConversions:
     @given(HREFS)
     def test_href_conversion_matches_reference_fuzz(self, href):
         assert parser._author_id_from_href(href) == html_reference._author_id_from_href(href)
+
+
+class TestParserMemory:
+    def test_distinct_pages_leave_no_memory_behind(self):
+        """Parsing keeps nothing that grows with page content: distinct
+        padded profiles with the same labels and co-authors, parsed after
+        the first 50, leave under 100 KB traced. A memo keyed by the text
+        chunks that hold "&" would keep about 5 KB a page here, 1 MB in all."""
+
+        def parse_profile(i):
+            key = f"A_{i}"
+            html = render_profile_page(key, f"Author {i}", ["Optics"], 10, 2, [("A_B", "B")])
+            parse(AUTHOR_PROFILE, key, pad_page(html, key, rows=10))
+
+        tracemalloc.start()
+        try:
+            for i in range(50):
+                parse_profile(i)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(50, 250):
+                parse_profile(i)
+            gc.collect()
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert growth < 100_000
 
 
 class TestReferenceTreeChecker:

@@ -96,6 +96,21 @@ def test_analyze_into_the_run_directory_keeps_the_manifest_digests_true(tmp_path
     assert manifest == before
 
 
+def test_analyze_of_the_coauthors_into_the_run_directory_updates_their_section(tmp_path):
+    out = run_quickstart(tmp_path)
+    before = json.loads((out / "report.json").read_text("utf-8"))
+    command = ["analyze", "--in", str(out / "coauthors.gexf"), "--k-core", "2", "--communities"]
+    assert main([*command, "--out", str(out)]) == 0
+    assert main([*command, "--out", str(tmp_path / "fresh")]) == 0
+    after = json.loads((out / "report.json").read_text("utf-8"))
+    fresh = json.loads((tmp_path / "fresh" / "report.json").read_text("utf-8"))
+    assert "kcore" in fresh and "coauthors" not in fresh
+    assert after["coauthors"] == {**before["coauthors"], **fresh}
+    # The notion network's sections, at the top level, are left as they were.
+    del after["coauthors"], before["coauthors"]
+    assert after == before
+
+
 def test_export_into_a_run_directory_keeps_the_manifest_digests_true(tmp_path):
     a = run_quickstart(tmp_path, "A")
     config = tmp_path / "clique.json"
