@@ -12,7 +12,6 @@ returns a ``Partition`` and ``k_core`` the core's ids and edge count."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 
@@ -170,27 +169,23 @@ def k_core(index: Index, k: int, min_weight: float = 0.0) -> tuple[list[str], in
     return [order[i] for i in core], sum(degree[i] for i in core) // 2
 
 
-def detect_communities(index: Index, seed: int = 0) -> Partition:
+def detect_communities(index: Index) -> Partition:
     """Deterministic weighted label propagation with connected communities.
 
-    Every node starts with its own label. Each sweep visits the nodes in
-    sorted order and updates labels in place (asynchronously): a node keeps
-    its label unless another label has a larger summed incident edge
-    weight, and then adopts the heaviest label, ties going to the largest.
-    (With ties to the smallest label, the label a sweep carries forward
-    wins every tie downstream and floods the graph: two triangles joined by
-    an edge become one community.) Every change strictly raises the total
-    weight of edges whose ends agree, so sweeps reach a fixpoint; 100
-    sweeps is a guard. Each label class is then split into its connected
-    components, and community ids are densified by first appearance over
-    sorted node order. Seed 0 numbers initial labels in sorted node order
-    (the canonical run); any other seed shuffles the numbering, which
-    exists only to probe the result's sensitivity to labeling.
+    Every node starts with its own label, its index in sorted node order.
+    Each sweep visits the nodes in that order and updates labels in place
+    (asynchronously): a node keeps its label unless another label has a
+    larger summed incident edge weight, and then adopts the heaviest label,
+    ties going to the largest. (With ties to the smallest label, the label
+    a sweep carries forward wins every tie downstream and floods the graph:
+    two triangles joined by an edge become one community.) Every change
+    strictly raises the total weight of edges whose ends agree, so sweeps
+    reach a fixpoint; 100 sweeps is a guard. Each label class is then split
+    into its connected components, and community ids are densified by first
+    appearance over sorted node order.
     """
     order, adjacency = index
     labels = list(range(len(order)))
-    if seed != 0:
-        random.Random(seed).shuffle(labels)
     sweeps, converged = 0, False
     while not converged and sweeps < 100:
         sweeps += 1

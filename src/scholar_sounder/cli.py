@@ -68,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--hop-limit", type=int, dest="hop_limit")
         p.add_argument("--delay-ms", type=int, dest="fetch.min_delay_ms")
         p.add_argument("--max-pages", type=int, dest="fetch.max_pages_per_label")
-        p.add_argument("--seed", type=int)
         p.add_argument("--verbose", action="store_true")
 
     for name, help_text in [
@@ -84,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-core", type=int, dest="kcore")
     p.add_argument("--min-weight", type=float, dest="min_weight", default=0.0)
     p.add_argument("--communities", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--verbose", action="store_true")
 
@@ -127,11 +125,11 @@ class RunContext:
         write_atomic(self.config.out_dir / "run_manifest.json", json_text(manifest).encode("utf-8"))
 
 
-def _analysis_sections(graph, seed: int, kcore=None, min_weight=0.0, communities=True) -> dict:
+def _analysis_sections(graph, kcore=None, min_weight=0.0, communities=True) -> dict:
     index = indexed_adjacency(graph)  # built once, shared by every operation
     sections = {"degree_stats": degree_stats(index), "components": connected_components(index)}
     if communities:
-        partition = detect_communities(index, seed=seed)
+        partition = detect_communities(index)
         count = len(set(partition.assignment.values()))
         sections["communities"] = {"count": count, **vars(partition)}
         sections["top_clusters"] = top_clusters(index, partition)
@@ -168,7 +166,7 @@ def _cmd_sound(args, which: str) -> int:
             net = sound_tags(config, ctx.fetcher.fetch, parse_label_page, base_pages)
             _write_network(ctx, "notion", net)
             trace = [header] + ["\t".join(map(str, astuple(r))) for r in net.trace]
-            report.update(_analysis_sections(net, config.seed))
+            report.update(_analysis_sections(net))
             seeds = seed_authors(config, base_pages.__getitem__)
             del net, base_pages  # freed before the author phase runs
         if which in ("sound-authors", "all"):
@@ -180,7 +178,7 @@ def _cmd_sound(args, which: str) -> int:
             _write_network(ctx, COAUTHORS, net)
             run = vars(net.report)
             trace = (trace or [header]) + [f"# {name}={value}" for name, value in run.items()]
-            report[COAUTHORS] = _analysis_sections(net, config.seed)
+            report[COAUTHORS] = _analysis_sections(net)
             report["coauthor_run"] = run
             del net  # serialising report.json is the run's memory peak
     except SoundingError as exc:
@@ -241,11 +239,14 @@ def _cmd_analyze(args) -> int:
     bundle, out_dir = _load_gexf(args)
     report_path = out_dir / "report.json"
     report = _read_json_object(report_path) if report_path.is_file() else {}
-    # A run's report keeps the notion sections at its top level, the co-author ones apart.
-    own = report.get(COAUTHORS) if Path(args.input).stem == COAUTHORS else None
-    (own if isinstance(own, dict) else report).update(_analysis_sections(
-        bundle.graph, args.seed, args.kcore, args.min_weight, args.communities
-    ))
+    # A run's report keeps the notion sections at its top level and the co-author
+    # ones apart; a fresh report holds either graph's sections at its top level.
+    section = report
+    if report and Path(args.input).stem == COAUTHORS:
+        section = report.setdefault(COAUTHORS, {})
+    if not isinstance(section, dict):
+        raise FormatError(f"{report_path}: '{COAUTHORS}' does not hold a JSON object")
+    section.update(_analysis_sections(bundle.graph, args.kcore, args.min_weight, args.communities))
     _write_into_run(out_dir, "report.json", json_text(report))
     return EXIT_OK
 

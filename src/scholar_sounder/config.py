@@ -1,15 +1,13 @@
 """Run configuration: a single JSON file that ``build_config`` merges with the
-CLI flags and validates in one place. Precedence: flags > file >
-SCHOLAR_SOUNDER_CACHE (for ``fetch.cache_dir`` only) > the defaults declared
-on ``Config`` and ``FetchPolicy``. Integer fields must be JSON integers (not
-bools, floats or strings), and unknown keys, at the top level or under
-``fetch``, are rejected."""
+CLI flags and validates in one place. Precedence: flags > file > the defaults
+declared on ``Config`` and ``FetchPolicy``. Integer fields must be JSON
+integers (not bools, floats or strings), and unknown keys, at the top level or
+under ``fetch``, are rejected."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -19,16 +17,14 @@ from .parser import normalize_tag
 
 MAX_DICTIONARY_WORDS = 10
 
-CACHE_ENV_VAR = "SCHOLAR_SOUNDER_CACHE"
-
 # Fields that say where files live, not what a run computes: the digest leaves
 # them out. ``base_url`` is a test seam, not a setting, so no file or flag sets it.
 LOCATIONS = ("out_dir", "fixtures_dir", "cache_dir", "base_url")
 
-# Lower bound of each integer setting, by config key; None means any integer.
+# Lower bound of each integer setting, by config key.
 INTEGER_BOUNDS = {
-    "depth": 1, "hop_limit": 0, "author_cap": 1, "seed": None,
-    "fetch.min_delay_ms": 1, "fetch.max_pages_per_label": 1, "fetch.max_retries": 0,
+    "depth": 1, "hop_limit": 0, "author_cap": 1,
+    "fetch.min_delay_ms": 1, "fetch.max_pages_per_label": 1,
 }
 
 
@@ -42,7 +38,6 @@ class Config:
     edge_policy: str = "star"
     fetch: FetchPolicy = field(default_factory=FetchPolicy)
     out_dir: Path = Path("out")
-    seed: int = 0
 
     def digest(self) -> str:
         payload = {**_settings(self), "fetch": _settings(self.fetch)}
@@ -83,8 +78,6 @@ def build_config(data: dict, flags: dict | None = None) -> Config:
         known = {f.name for f in fields(cls)} - {"base_url"}
         for key in section:
             _require(key in known, prefix + key, "unknown field")
-    if fetch.get("cache_dir") is None:
-        fetch["cache_dir"] = os.environ.get(CACHE_ENV_VAR) or None
 
     raw_tags = data.get("base_tags")
     _require(isinstance(raw_tags, list) and raw_tags, "base_tags", "must be a nonempty list")
@@ -117,7 +110,7 @@ def build_config(data: dict, flags: dict | None = None) -> Config:
     for key, minimum in INTEGER_BOUNDS.items():
         value = getattr(*_field(config, key))
         _require(type(value) is int, key, "must be an integer")
-        _require(minimum is None or value >= minimum, key, f"must be at least {minimum}")
+        _require(value >= minimum, key, f"must be at least {minimum}")
     _require(config.edge_policy in ("star", "clique"), "edge_policy", "must be 'star' or 'clique'")
     _require(config.fetch.mode in ("live", "fixture"), "fetch.mode", "must be 'live' or 'fixture'")
     if config.fetch.mode == "fixture":

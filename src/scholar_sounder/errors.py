@@ -22,7 +22,7 @@ class FixtureMissingError(FetchError):
 
 
 class NetworkError(FetchError):
-    """Transient network failure that persisted past max_retries."""
+    """Transient network failure that outlasted ``fetcher.MAX_RETRIES`` retries."""
 
 
 class HttpStatusError(FetchError):

@@ -18,6 +18,9 @@ log = logging.getLogger(__name__)
 
 BASE_URL = "https://scholar.google.com"
 
+# Retries of a live request after a failed connection, a 5xx or a 429.
+MAX_RETRIES = 2
+
 # Longest wait a Retry-After header can ask for before the next attempt.
 RETRY_AFTER_CEILING_S = 60
 
@@ -58,12 +61,13 @@ class RawPage:
 
 @dataclass
 class FetchPolicy:
+    """A run's ``fetch`` settings; retry count, Retry-After cap and timeout are constants."""
+
     mode: str = "fixture"  # "live" | "fixture"
     fixtures_dir: Path | None = None
     cache_dir: Path | None = None
     min_delay_ms: int = 2000
     max_pages_per_label: int = 5
-    max_retries: int = 2
     # Test seam: where live requests actually go; build_url keeps the canonical URL.
     base_url: str = BASE_URL
 
@@ -115,7 +119,8 @@ def write_atomic(path: Path, data: bytes):
 class Fetcher:
     """Reads pages from fixtures, or from the cache and then the live
     service, spacing live requests by the politeness delay. One request at
-    a time: the tool never issues requests in parallel."""
+    a time, but only within one process: two runs sharing a cache directory
+    are not spaced against each other (ROADMAP item 5)."""
 
     def __init__(self, policy: FetchPolicy):
         self.policy = policy
@@ -185,7 +190,7 @@ class Fetcher:
         import urllib.request
 
         target_url = build_url(request, page_token).replace(BASE_URL, self.policy.base_url, 1)
-        attempts = self.policy.max_retries + 1
+        attempts = MAX_RETRIES + 1
         last_exc: Exception | None = None
         retry_after_s = 0.0
         for attempt in range(attempts):

@@ -310,7 +310,7 @@ class TestKCore:
 class TestDetectCommunities:
     def test_two_triangles_bridge_matches_modularity_oracle(self):
         g = two_triangles_with_bridge()
-        partition = detect_communities(indexed_adjacency(g), seed=0)
+        partition = detect_communities(indexed_adjacency(g))
         blocks = [set(m) for m in partition.communities().values()]
         assert len(blocks) == 2
         assert {"a", "b", "c"} in blocks and {"d", "e", "f"} in blocks
@@ -319,26 +319,25 @@ class TestDetectCommunities:
 
     def test_edgeless_graph_gives_singletons(self):
         g = make_graph([], nodes=[f"n{i}" for i in range(5)])
-        partition = detect_communities(indexed_adjacency(g), seed=0)
+        partition = detect_communities(indexed_adjacency(g))
         assert len(set(partition.assignment.values())) == 5
 
     def test_complete_graph_single_community(self):
         g = make_graph([(a, b) for a, b in itertools.combinations("abcde", 2)])
-        partition = detect_communities(indexed_adjacency(g), seed=0)
+        partition = detect_communities(indexed_adjacency(g))
         assert set(partition.assignment.values()) == {0}
 
     def test_total_partition_with_dense_ids(self):
         g = random_graph(random.Random(3), max_nodes=30, edge_prob=0.1)
-        partition = detect_communities(indexed_adjacency(g), seed=1)
+        partition = detect_communities(indexed_adjacency(g))
         assert set(partition.assignment) == set(g.nodes)
         ids = set(partition.assignment.values())
         assert ids == set(range(len(ids)))
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic(self):
         g = random_graph(random.Random(4), max_nodes=25, edge_prob=0.15, weighted=True)
         index = indexed_adjacency(g)
-        first, second = detect_communities(index, seed=5), detect_communities(index, seed=5)
-        assert first.assignment == second.assignment
+        assert detect_communities(index) == detect_communities(index)
 
     def test_result_is_a_propagation_fixpoint_or_capped(self):
         graphs = [two_triangles_with_bridge()] + [
@@ -346,7 +345,7 @@ class TestDetectCommunities:
             for seed in range(20)
         ]
         for g in graphs:
-            partition = detect_communities(indexed_adjacency(g), seed=0)
+            partition = detect_communities(indexed_adjacency(g))
             assert partition.converged and partition.sweeps < 100
             order, adjacency = indexed_adjacency(g)
             labels = [partition.assignment[node] for node in order]
@@ -363,7 +362,7 @@ class TestDetectCommunities:
         ids=["edge", "k22", "star"],
     )
     def test_bipartite_structures_form_one_community(self, edges):
-        partition = detect_communities(indexed_adjacency(make_graph(edges)), seed=0)
+        partition = detect_communities(indexed_adjacency(make_graph(edges)))
         assert set(partition.assignment.values()) == {0}
         assert partition.converged
 
@@ -402,9 +401,9 @@ class TestDetectCommunities:
         assert adjacency == [[(1, 1.0), (2, 2.0)], [(0, 1.0)], [(0, 2.0)], []]
 
     @settings(max_examples=200, deadline=None)
-    @given(weighted_graphs(), st.integers(0, 3))
-    def test_connected_communities_without_a_heavier_neighbor_community(self, g, seed):
-        partition = detect_communities(indexed_adjacency(g), seed=seed)
+    @given(weighted_graphs())
+    def test_connected_communities_without_a_heavier_neighbor_community(self, g):
+        partition = detect_communities(indexed_adjacency(g))
         assert partition.converged
         assert set(partition.assignment) == set(g.nodes)
         ids = set(partition.assignment.values())
@@ -436,7 +435,7 @@ class TestTopClusters:
 
     def test_two_triangle_internal_counts(self):
         g = two_triangles_with_bridge()
-        p = detect_communities(indexed_adjacency(g), seed=0)
+        p = detect_communities(indexed_adjacency(g))
         top = top_clusters(indexed_adjacency(g), p)
         assert len(top) == 2
         for cluster in top:
@@ -477,7 +476,7 @@ class TestNetworkxSecondOpinion:
     def test_communities_connected(self, nx, seed):
         g = random_graph(random.Random(seed), max_nodes=40, edge_prob=0.1, weighted=True)
         h = self.to_nx(nx, g)
-        for members in detect_communities(indexed_adjacency(g), seed=seed % 3).communities().values():
+        for members in detect_communities(indexed_adjacency(g)).communities().values():
             assert nx.is_connected(h.subgraph(members))
 
     @pytest.mark.parametrize("seed", range(20))

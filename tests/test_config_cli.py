@@ -10,7 +10,7 @@ import pytest
 from scholar_sounder import bundled_fixtures_dir, cli
 from scholar_sounder.analysis import Graph
 from scholar_sounder.cli import build_parser, main
-from scholar_sounder.config import CACHE_ENV_VAR, Config, build_config, read_config_file
+from scholar_sounder.config import Config, build_config, read_config_file
 from scholar_sounder.errors import ConfigError, NetworkError, ParseError, SoundingError
 from scholar_sounder.export import from_gexf, make_bundle, to_gexf
 from scholar_sounder.fetcher import LABEL_SEARCH, Fetcher, FetchPolicy
@@ -43,7 +43,6 @@ class TestBuildConfig:
         assert config.hop_limit == 1
         assert config.author_cap == 500
         assert config.edge_policy == "star"
-        assert config.seed == 0
         assert config.fetch.min_delay_ms == 2000
         assert config.fetch.max_pages_per_label == 5
 
@@ -85,11 +84,11 @@ class TestBuildConfig:
             build_config(minimal_data(edge_policy="mesh"))
 
     def test_flags_beat_the_file_and_unset_flags_leave_it(self):
-        data = minimal_data(depth=3, out_dir="from_file", seed=4)
-        flags = {"depth": 2, "fetch.min_delay_ms": 7, "out_dir": "", "seed": None}
+        data = minimal_data(depth=3, out_dir="from_file", hop_limit=4)
+        flags = {"depth": 2, "fetch.min_delay_ms": 7, "out_dir": "", "hop_limit": None}
         config = build_config(data, flags)
         assert (config.depth, config.fetch.min_delay_ms) == (2, 7)
-        assert (config.out_dir, config.seed) == (Path("from_file"), 4)
+        assert (config.out_dir, config.hop_limit) == (Path("from_file"), 4)
 
     def test_digest_stable_and_sensitive(self):
         a = build_config(minimal_data())
@@ -191,7 +190,7 @@ class TestCliSoundTags:
         page = flag_cache / "labels" / "physical_optics" / "0.html"
         page.parent.mkdir(parents=True)
         page.write_bytes((FIXTURES_DIR / "labels" / "physical_optics" / "0.html").read_bytes())
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "env_cache"))
+        monkeypatch.setenv("SCHOLAR_SOUNDER_CACHE", str(tmp_path / "env_cache"))
 
         def offline(self, request, page_token):
             raise NetworkError("live fetch attempted")
@@ -225,6 +224,8 @@ class TestCliSoundTags:
         ({"fetch": {"base_url": "http://x"}}, "fetch.base_url"),
         ({"depth": True}, "depth"),
         ({"seed": True}, "seed"),
+        ({"seed": 0}, "seed"),
+        ({"fetch": {"max_retries": 2}}, "fetch.max_retries"),
         ({"base_tags": ["physical optics", None]}, "base_tags[1]"),
         ({"base_tags": [5]}, "base_tags[0]"),
         ({"base_tags": [True]}, "base_tags[0]"),
@@ -237,8 +238,8 @@ class TestCliSoundTags:
     ], ids=[
         "fetch-string", "fetch-number", "fetch-list", "fetch-typo", "delay-bool", "delay-string",
         "pages-float", "retries-integral-float", "retries-negative", "base-url", "depth-bool",
-        "seed-bool", "tag-null", "tag-number", "tag-bool", "tag-list", "tag-duplicate",
-        "word-null", "word-number", "word-bool", "word-list",
+        "seed-bool", "seed-field", "retries-field", "tag-null", "tag-number", "tag-bool",
+        "tag-list", "tag-duplicate", "word-null", "word-number", "word-bool", "word-list",
     ])
     def test_bad_config_exits_one_with_one_line(self, tmp_path, capsys, overrides, field):
         out = tmp_path / "out"
@@ -544,19 +545,27 @@ class TestCliAnalyzeExport:
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"(at {location}" in err
 
-    @pytest.mark.parametrize("content", ["{not json", "[1, 2]"], ids=["not-json", "not-object"])
+    @pytest.mark.parametrize("stem, content", [
+        ("notion", "{not json"),
+        ("notion", "[1, 2]"),
+        ("coauthors", '{"coauthors": [1]}'),  # the co-author sections go under this key
+        ("coauthors", '{"coauthors": null}'),
+    ], ids=["not-json", "not-object", "coauthors-list", "coauthors-null"])
     def test_analyze_bad_report_in_out_exits_two_with_one_line(
-        self, gexf_path, tmp_path, capsys, content
+        self, gexf_path, tmp_path, capsys, stem, content
     ):
+        gexf = tmp_path / f"{stem}.gexf"
+        shutil.copy(gexf_path, gexf)
         out = tmp_path / "analysis"
         out.mkdir()
         (out / "report.json").write_text(content, "utf-8")
-        code = main(["analyze", "--in", str(gexf_path), "--out", str(out)])
+        code = main(["analyze", "--in", str(gexf), "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "report.json" in err
         assert (out / "report.json").read_text("utf-8") == content
+        assert [p.name for p in out.iterdir()] == ["report.json"]
 
     @pytest.mark.parametrize("content", [
         "{not json", "[1, 2]", "{}", '{"outputs": {"path": "report.json"}}', '{"outputs": [5]}',
@@ -750,19 +759,42 @@ class TestCliAnalyzeExport:
         assert "error:" in capsys.readouterr().err
 
 
+def config_keys() -> set[str]:
+    """Every key a config file or a run flag may set."""
+    keys = {f.name for f in fields(Config)} - {"fetch"}
+    return keys | {f"fetch.{f.name}" for f in fields(FetchPolicy)} - {"fetch.base_url"}
+
+
+def run_command_actions() -> dict[str, list[argparse.Action]]:
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    return {
+        command: [a for a in commands[command]._actions if not isinstance(a, argparse._HelpAction)]
+        for command in ("sound-tags", "sound-authors", "all")
+    }
+
+
 class TestCliUsage:
     def test_every_run_flag_sets_a_config_key(self):
-        keys = {f.name for f in fields(Config)} - {"fetch"}
-        keys |= {f"fetch.{f.name}" for f in fields(FetchPolicy)} - {"fetch.base_url"}
-        commands = next(
-            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-        ).choices
-        for command in ("sound-tags", "sound-authors", "all"):
-            dests = {
-                a.dest for a in commands[command]._actions if not isinstance(a, argparse._HelpAction)
-            }
+        for command, actions in run_command_actions().items():
+            dests = {a.dest for a in actions}
             assert {"config", "verbose"} <= dests
-            assert dests - {"config", "verbose"} <= keys, command
+            assert dests - {"config", "verbose"} <= config_keys(), command
+
+    def test_the_readme_configuration_table_matches_the_code(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        rows = [
+            [cell.strip().strip("`") for cell in line.split("|")[1:3]]
+            for line in section.splitlines() if line.startswith("| `")
+        ]
+        assert sorted(field for field, _ in rows) == sorted(config_keys())
+        for command, actions in run_command_actions().items():
+            dest_of = {flag: a.dest for a in actions for flag in a.option_strings}
+            for field, flag in rows:
+                if flag:
+                    assert dest_of.get(flag) == field, (command, flag)
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,7 @@ from urllib.parse import parse_qs, urlsplit
 import pytest
 
 from scholar_sounder import bundled_fixtures_dir, fetcher as fetcher_module
-from scholar_sounder.config import CACHE_ENV_VAR, build_config
+from scholar_sounder.config import build_config
 from scholar_sounder.errors import FetchError, FixtureMissingError, HttpStatusError, NetworkError
 from scholar_sounder.fetcher import (
     AUTHOR_PROFILE,
@@ -243,13 +243,13 @@ class TestCache:
         data = {"base_tags": ["optics"], "dictionary": ["optics"], "fetch": {"mode": "live", **fetch}}
         return build_config(data).fetch
 
-    def test_env_var_fills_unset_cache_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "envcache"))
-        policy = self.live_policy()
-        assert policy.cache_dir == tmp_path / "envcache"
+    def test_cache_env_var_is_ignored(self, tmp_path, monkeypatch):
+        # the cache directory comes from the --cache flag or the config file only
+        monkeypatch.setenv("SCHOLAR_SOUNDER_CACHE", str(tmp_path / "envcache"))
+        assert self.live_policy().cache_dir is None
 
     def test_explicit_cache_dir_beats_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "envcache"))
+        monkeypatch.setenv("SCHOLAR_SOUNDER_CACHE", str(tmp_path / "envcache"))
         policy = self.live_policy(cache_dir=str(tmp_path / "explicit"))
         assert policy.cache_dir == tmp_path / "explicit"
 
@@ -361,7 +361,7 @@ class TestLiveFaults:
 
     def test_persistent_stall_gives_network_error(self, scripted_server, tmp_path, monkeypatch):
         monkeypatch.setattr(fetcher_module, "REQUEST_TIMEOUT_S", 0.2)
-        attempts = FetchPolicy(mode="live").max_retries + 1
+        attempts = fetcher_module.MAX_RETRIES + 1
         server = scripted_server(*[STALL] * attempts)
         fetcher = live_fetcher(server_url(server), tmp_path)
         started = time.monotonic()
@@ -409,7 +409,7 @@ class TestLiveFaults:
         fetcher = live_fetcher(f"http://127.0.0.1:{port}", tmp_path)
         with pytest.raises(NetworkError):
             fetcher.fetch(LABEL_REQUEST)
-        assert len(fetcher.request_log) == fetcher.policy.max_retries + 1
+        assert len(fetcher.request_log) == fetcher_module.MAX_RETRIES + 1
 
 
 class TestContinuationToken:

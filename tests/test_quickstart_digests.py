@@ -21,6 +21,7 @@ FILES = [
     "notion.graphml", "coauthors.graphml", "edges_notion.csv", "edges_coauthors.csv",
     "report.json", "trace.tsv", "notion.gexf", "coauthors.gexf",
 ]
+SECTIONS = ("degree_stats", "components", "communities", "top_clusters")  # analyze --communities
 QUICKSTART_CONFIG = {
     "base_tags": ["physical optics"],
     "dictionary": ["optics", "optical", "photonics", "laser"],
@@ -109,6 +110,33 @@ def test_analyze_of_the_coauthors_into_the_run_directory_updates_their_section(t
     # The notion network's sections, at the top level, are left as they were.
     del after["coauthors"], before["coauthors"]
     assert after == before
+
+
+def test_analyze_of_the_coauthors_into_a_sound_tags_run_adds_their_section(tmp_path):
+    full = run_quickstart(tmp_path, "full")
+    tags = tmp_path / "tags"
+    config = str(tmp_path / "config.json")  # the quick-start config run_quickstart wrote
+    assert main(["sound-tags", "--config", config, "--fixtures", "bundled", "--out", str(tags)]) == 0
+    before = json.loads((tags / "report.json").read_text("utf-8"))
+    assert main([
+        "analyze", "--in", str(full / "coauthors.gexf"), "--out", str(tags), "--communities",
+    ]) == 0
+    after = json.loads((tags / "report.json").read_text("utf-8"))
+    run = json.loads((full / "report.json").read_text("utf-8"))
+    assert after.pop("coauthors") == {key: run["coauthors"][key] for key in SECTIONS}
+    assert after == before  # the notion network's sections are left as they were
+
+
+def test_all_and_analyze_cluster_each_network_alike(tmp_path):
+    out = run_quickstart(tmp_path)
+    report = json.loads((out / "report.json").read_text("utf-8"))
+    for stem, sections in (("notion", report), ("coauthors", report["coauthors"])):
+        fresh = tmp_path / f"analyze_{stem}"
+        assert main([
+            "analyze", "--in", str(out / f"{stem}.gexf"), "--out", str(fresh), "--communities",
+        ]) == 0
+        analyzed = json.loads((fresh / "report.json").read_text("utf-8"))
+        assert analyzed == {key: sections[key] for key in SECTIONS}, stem
 
 
 def test_export_into_a_run_directory_keeps_the_manifest_digests_true(tmp_path):
