@@ -151,10 +151,8 @@ def connected_components(index: Index) -> list[list[str]]:
 
 def k_core(index: Index, k: int, min_weight: float = 0.0) -> tuple[list[str], int]:
     """Drop edges lighter than min_weight, then peel nodes of degree < k
-    until every remaining node has degree >= k. Returns the sorted ids that
-    remain and the number of kept edges among them."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    (k >= 1) until every remaining node has degree >= k. Returns the sorted
+    ids that remain and the number of kept edges among them."""
     order, adjacency = index
     degree = [sum(w >= min_weight for _, w in nbrs) for nbrs in adjacency]
     # a node is queued once: at the start, or when its degree falls to k - 1

@@ -275,8 +275,7 @@ def main(argv=None) -> int:
             return _cmd_sound(args, args.command)
         if args.command == "analyze":
             return _cmd_analyze(args)
-        if args.command == "export":
-            return _cmd_export(args)
+        return _cmd_export(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -286,7 +285,6 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return EXIT_ABORTED
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

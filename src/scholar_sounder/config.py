@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError, EmptyTagError
+from .errors import ConfigError
 from .fetcher import FetchPolicy
 from .parser import normalize_tag
 
@@ -84,10 +84,8 @@ def build_config(data: dict, flags: dict | None = None) -> Config:
     base_tags = []
     for i, raw in enumerate(raw_tags):
         _require(isinstance(raw, str), f"base_tags[{i}]", "must be a string")
-        try:
-            tag = normalize_tag(raw)
-        except EmptyTagError:
-            raise ConfigError(f"base_tags[{i}]", "normalizes to nothing")
+        tag = normalize_tag(raw)
+        _require(tag, f"base_tags[{i}]", "normalizes to nothing")
         if tag in base_tags:
             raise ConfigError(f"base_tags[{i}]", f"duplicates base_tags[{base_tags.index(tag)}]")
         base_tags.append(tag)
@@ -99,10 +97,12 @@ def build_config(data: dict, flags: dict | None = None) -> Config:
         "dictionary",
         f"at most {MAX_DICTIONARY_WORDS} words, got {len(raw_dict)}",
     )
-    for i, word in enumerate(raw_dict):
-        _require(isinstance(word, str), f"dictionary[{i}]", "must be a string")
-    dictionary = [w.lower() for w in raw_dict]
-    _require(all(w.strip() for w in dictionary), "dictionary", "words must be nonempty")
+    dictionary = []
+    for i, raw in enumerate(raw_dict):
+        _require(isinstance(raw, str), f"dictionary[{i}]", "must be a string")
+        word = normalize_tag(raw)
+        _require(word, f"dictionary[{i}]", "normalizes to nothing")
+        dictionary.append(word)
 
     config = Config(**{
         **data, "base_tags": base_tags, "dictionary": dictionary, "fetch": FetchPolicy(**fetch),
@@ -113,16 +113,16 @@ def build_config(data: dict, flags: dict | None = None) -> Config:
         _require(value >= minimum, key, f"must be at least {minimum}")
     _require(config.edge_policy in ("star", "clique"), "edge_policy", "must be 'star' or 'clique'")
     _require(config.fetch.mode in ("live", "fixture"), "fetch.mode", "must be 'live' or 'fixture'")
-    if config.fetch.mode == "fixture":
-        _require(
-            config.fetch.fixtures_dir is not None, "fetch.fixtures_dir", "required in fixture mode"
-        )
     for key in ("out_dir", "fetch.fixtures_dir", "fetch.cache_dir"):
         owner, name = _field(config, key)
         value = getattr(owner, name)
         if value is not None or owner is config:  # None leaves a fetch path unset
             _require(isinstance(value, (str, Path)), key, "must be a string")
             setattr(owner, name, Path(value))
+    if config.fetch.mode == "fixture":
+        root = config.fetch.fixtures_dir
+        _require(root is not None, "fetch.fixtures_dir", "required in fixture mode")
+        _require(root.is_dir(), "fetch.fixtures_dir", f"no such directory: {root}")
     return config
 
 

@@ -5,10 +5,6 @@ class ScholarSounderError(Exception):
     """Base class for all toolkit errors."""
 
 
-class EmptyTagError(ScholarSounderError):
-    """Raised when nothing survives tag normalization."""
-
-
 class FetchError(ScholarSounderError):
     """Base class for page-acquisition failures."""
 

@@ -152,10 +152,7 @@ class Fetcher:
     # -- fixture ------------------------------------------------------
 
     def _fetch_fixture(self, request: PageRequest) -> RawPage:
-        root = self.policy.fixtures_dir
-        if root is None:
-            raise FixtureMissingError("<fixtures_dir unset>")
-        path = root / _relative_page_path(request)
+        path = self.policy.fixtures_dir / _relative_page_path(request)
         if not path.is_file():
             raise FixtureMissingError(path)
         return RawPage(request=request, body=path.read_bytes(), source="fixture")

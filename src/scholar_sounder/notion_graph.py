@@ -70,13 +70,11 @@ def absorb_label_page(
         if edge_policy == EDGE_POLICY_STAR:
             for tag in others:
                 net.add_weight(current, tag)
-        elif edge_policy == EDGE_POLICY_CLIQUE:
+        else:  # EDGE_POLICY_CLIQUE
             labels = author.labels
             for i in range(len(labels)):
                 for j in range(i + 1, len(labels)):
                     net.add_weight(labels[i], labels[j])
-        else:
-            raise ValueError(f"unknown edge policy: {edge_policy!r}")
     return net
 
 

@@ -2,8 +2,8 @@
 normalization into the canonical underscore form (e.g. ``physical_optics``).
 
 Two string conversions are pure and repeat across pages, so each is
-memoised for the life of the process: tag folding (``_fold``) and the author
-id of a profile link (``_author_id_from_href``). Their keys are labels, names
+memoised for the life of the process: ``normalize_tag`` and the author id
+of a profile link (``_author_id_from_href``). Their keys are labels, names
 and profile links, so their caches grow with the graph a run builds, not
 with the page content it parses; an exception is never cached."""
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from html import unescape
 from urllib.parse import parse_qs, urlparse
 
-from .errors import EmptyTagError, ParseError
+from .errors import ParseError
 
 # The page kinds, and the structural marker the service embeds in each.
 # Parsing keys off these; anything else in the HTML is cosmetic.
@@ -27,22 +27,14 @@ PROFILE_MARKER = "gsc_prf_in"
 MARKERS = {LABEL_SEARCH: LABEL_RESULTS_MARKER, AUTHOR_PROFILE: PROFILE_MARKER}
 
 
+@functools.cache
 def normalize_tag(raw: str) -> str:
-    """Canonicalize a raw tag string.
+    """Canonicalize a raw tag string; empty when nothing survives.
 
     Lowercase, '&' becomes "and", Unicode folded to ASCII where a
     decomposition exists, every other non-alphanumeric run collapses to a
     single underscore. Idempotent on its own output.
     """
-    s = _fold(raw)
-    if not s:
-        raise EmptyTagError(f"nothing survives normalization of {raw!r}")
-    return s
-
-
-@functools.cache
-def _fold(raw: str) -> str:
-    """The normalized form of ``raw``; empty when nothing survives."""
     s = raw.lower().replace("&", " and ")
     s = unicodedata.normalize("NFKD", s)
     s = s.encode("ascii", "ignore").decode("ascii")
@@ -56,7 +48,7 @@ SYNTHETIC_ID_PREFIX = "name:"
 def _synthetic_id(name: str) -> str | None:
     """``name:<normalized name>`` for an entry without a profile link; None
     when nothing of the name survives normalization."""
-    slug = _fold(name)
+    slug = normalize_tag(name)
     return SYNTHETIC_ID_PREFIX + slug if slug else None
 
 
@@ -556,6 +548,15 @@ def _page_text(page, kind: str, what: str) -> str:
     return text
 
 
+# The characters XML 1.0 cannot hold, not even as character references.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+
+
+def _xml_safe(text: str) -> str:
+    """``text`` with each character that XML cannot hold replaced by U+FFFD."""
+    return text if text.isprintable() else _NOT_XML.sub("\ufffd", text)
+
+
 def _label_page(ex, queried: str) -> LabelPage:
     """The page an extractor's author blocks and pager describe."""
     authors: list[AuthorSummary] = []
@@ -563,8 +564,8 @@ def _label_page(ex, queried: str) -> LabelPage:
     dropped = 0
     for block in ex.blocks:
         labels = _normalize_label_list(block["labels"])
-        name = block["name"].strip()
-        author_id = block["author_id"] or _synthetic_id(name)
+        name = _xml_safe(block["name"].strip())
+        author_id = _xml_safe(block["author_id"] or "") or _synthetic_id(name)
         if not author_id:
             dropped += 1
             continue
@@ -596,15 +597,15 @@ def _author_profile(ex, author_id: str) -> AuthorProfile:
     coauthors: list[tuple[str, str]] = []
     seen: set[str] = set()
     for c in ex.coauthors:
-        name = c["name"].strip()
-        cid = c["author_id"] or _synthetic_id(name)
+        name = _xml_safe(c["name"].strip())
+        cid = _xml_safe(c["author_id"] or "") or _synthetic_id(name)
         if not cid or cid == author_id or cid in seen:
             continue
         seen.add(cid)
         coauthors.append((cid, name))
     return AuthorProfile(
         author_id=author_id,
-        name=ex.name.strip(),
+        name=_xml_safe(ex.name.strip()),
         labels=_normalize_label_list(ex.labels),
         coauthors=coauthors,
         cited_by=ex.metrics.get("citations"),
@@ -615,7 +616,7 @@ def _author_profile(ex, author_id: str) -> AuthorProfile:
 def _normalize_label_list(raw_labels: list[str]) -> list[str]:
     out: list[str] = []
     for raw in raw_labels:
-        tag = _fold(raw)
+        tag = normalize_tag(raw)
         if tag and tag not in out:
             out.append(tag)
     return out

@@ -1,7 +1,12 @@
 import argparse
 import hashlib
 import json
+import os
+import re
 import shutil
+import subprocess
+import sys
+import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
 
@@ -17,6 +22,7 @@ from scholar_sounder.fetcher import LABEL_SEARCH, Fetcher, FetchPolicy
 from scholar_sounder.parser import parse_label_page
 from scholar_sounder.notion_graph import TraceRecord
 
+ROOT = Path(__file__).resolve().parents[1]
 FIXTURES_DIR = bundled_fixtures_dir()
 
 
@@ -51,8 +57,9 @@ class TestBuildConfig:
         assert config.base_tags == ["physical_optics"]
 
     def test_dictionary_lowercased(self):
-        config = build_config(minimal_data(dictionary=["Optics", "LASER"]))
-        assert config.dictionary == ["optics", "laser"]
+        words = ["Optics", "LASER", "Quantum Optics", "X-Ray"]
+        config = build_config(minimal_data(dictionary=words))
+        assert config.dictionary == ["optics", "laser", "quantum_optics", "x_ray"]
 
     def test_dictionary_word_limit(self):
         words = [f"word{i}" for i in range(11)]
@@ -161,6 +168,13 @@ class TestCliSoundTags:
             digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
             assert digest == entry["sha256"], entry["path"]
 
+    def test_dictionary_words_match_like_tags(self, tmp_path):
+        config = write_config(tmp_path, dictionary=["quantum optics"])
+        out = tmp_path / "out"
+        assert main(["sound-tags", "--config", str(config), "--out", str(out)]) == 0
+        lines = (out / "trace.tsv").read_text("utf-8").splitlines()[1:]
+        assert [line.split("\t")[2] for line in lines] == ["physical_optics", "quantum_optics"]
+
     def test_depth_override(self, tmp_path):
         code, out = self.run_sound_tags(tmp_path, "--depth", "1")
         assert code == 0
@@ -235,11 +249,13 @@ class TestCliSoundTags:
         ({"dictionary": [1.5]}, "dictionary[0]"),
         ({"dictionary": ["optics", True]}, "dictionary[1]"),
         ({"dictionary": [["optics"]]}, "dictionary[0]"),
+        ({"dictionary": ["optics", "--"]}, "dictionary[1]"),
     ], ids=[
         "fetch-string", "fetch-number", "fetch-list", "fetch-typo", "delay-bool", "delay-string",
         "pages-float", "retries-integral-float", "retries-negative", "base-url", "depth-bool",
         "seed-bool", "seed-field", "retries-field", "tag-null", "tag-number", "tag-bool",
         "tag-list", "tag-duplicate", "word-null", "word-number", "word-bool", "word-list",
+        "word-empty",
     ])
     def test_bad_config_exits_one_with_one_line(self, tmp_path, capsys, overrides, field):
         out = tmp_path / "out"
@@ -250,6 +266,18 @@ class TestCliSoundTags:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: config field '{field}': ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_missing_fixtures_dir_exits_one_with_one_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        missing = tmp_path / "no_such_fixtures"
+        code = main([
+            "all", "--config", str(write_config(tmp_path)), "--fixtures", str(missing),
+            "--out", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config field 'fetch.fixtures_dir': no such directory: {missing}\n"
         assert not out.exists()
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
@@ -271,6 +299,34 @@ class TestCliSoundAuthors:
         bundle = from_gexf((out / "coauthors.gexf").read_text("utf-8"))
         assert len(bundle.graph.nodes) == 10
         assert len(bundle.graph.edges) == 10
+
+    def test_page_text_that_xml_cannot_hold_is_replaced(self, tmp_path):
+        """A co-author link and name holding C0 control characters give
+        readable exports, and a stderr that holds none of them."""
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(FIXTURES_DIR, fixtures)
+        profile = fixtures / "authors" / "A_KIM.html"
+        entry = '<li class="gsc_rsb_aa"><a href="/citations?user={}&amp;hl=en">{}</a></li>'
+        kept = entry.format("A_ZURITA", "G. Rodriguez Zurita")
+        html = profile.read_text("utf-8")
+        assert kept in html
+        bad = entry.format("BAD%01ID", "Bad\x02Name")
+        profile.write_text(html.replace(kept, kept + bad), "utf-8")
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-m", "scholar_sounder.cli", "all", "--config",
+             str(write_config(tmp_path)), "--fixtures", str(fixtures), "--out", str(out)],
+            capture_output=True, encoding="utf-8", env=env,
+        )
+        assert run.returncode == 3
+        assert "profile fetch failed for BAD\ufffdID" in run.stderr
+        assert not re.search("[\x00-\x09\x0b-\x1f]", run.stderr)
+        assert "Bad\ufffdName" in (out / "coauthors.gexf").read_text("utf-8")
+        ET.parse(out / "coauthors.graphml")
+        analysis = tmp_path / "analysis"
+        assert main(["analyze", "--in", str(out / "coauthors.gexf"), "--out", str(analysis)]) == 0
 
     def test_all_produces_both_networks(self, tmp_path):
         config = write_config(tmp_path)

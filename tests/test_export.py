@@ -332,8 +332,9 @@ class TestReaderAgreesWithReference:
             "</attributes>", '<attribute id="4" title="rate" type="string"/></attributes>'
         ), None),
         (re.sub(r"<graph.*</graph>", "", MIXED_GEXF, flags=re.S), "no <graph> element"),
+        (MIXED_GEXF.replace("</nodes>", '<node label="x"/></nodes>'), "node without id"),
     ], ids=["self-loop", "same-pair-reversed", "non-integral-weight", "redeclared-attribute",
-            "no-graph"])
+            "no-graph", "node-without-id"])
     def test_readers_give_the_same_error_or_graph(self, doc, error):
         """Stricter than assert_readers_agree: a rejection must carry the
         same message and location."""
