@@ -217,8 +217,6 @@ def top_clusters(index: Index, p: Partition) -> list[dict]:
     """Every community, largest first (ties by smallest member id), with
     internal edge counts and weights summed in one pass over the index."""
     order, adjacency = index
-    if set(p.assignment) != set(order):
-        raise ValueError("partition does not cover the graph")
     community = [p.assignment[node] for node in order]
     communities = p.communities()
     internal_edges = dict.fromkeys(communities, 0)

@@ -2,7 +2,9 @@
 CLI flags and validates in one place. Precedence: flags > file > the defaults
 declared on ``Config`` and ``FetchPolicy``. Integer fields must be JSON
 integers (not bools, floats or strings), and unknown keys, at the top level or
-under ``fetch``, are rejected."""
+under ``fetch``, are rejected. Base tags and dictionary words are normalized
+with ``normalize_tag``; one that normalizes to nothing, or to an earlier entry
+of its list, is rejected."""
 
 from __future__ import annotations
 
@@ -54,6 +56,21 @@ def _require(condition: bool, fieldname: str, reason: str):
         raise ConfigError(fieldname, reason)
 
 
+def _tag_list(raw, key: str) -> list[str]:
+    """The nonempty list of strings ``raw``, each normalized like a tag; an
+    entry that normalizes to nothing or to an earlier entry is rejected."""
+    _require(isinstance(raw, list) and raw, key, "must be a nonempty list")
+    tags = []
+    for i, entry in enumerate(raw):
+        _require(isinstance(entry, str), f"{key}[{i}]", "must be a string")
+        tag = normalize_tag(entry)
+        _require(tag, f"{key}[{i}]", "normalizes to nothing")
+        if tag in tags:
+            raise ConfigError(f"{key}[{i}]", f"duplicates {key}[{tags.index(tag)}]")
+        tags.append(tag)
+    return tags
+
+
 def _field(config: Config, key: str):
     """The object and attribute name that the config key ``key`` names."""
     section, _, name = key.rpartition(".")
@@ -79,31 +96,13 @@ def build_config(data: dict, flags: dict | None = None) -> Config:
         for key in section:
             _require(key in known, prefix + key, "unknown field")
 
-    raw_tags = data.get("base_tags")
-    _require(isinstance(raw_tags, list) and raw_tags, "base_tags", "must be a nonempty list")
-    base_tags = []
-    for i, raw in enumerate(raw_tags):
-        _require(isinstance(raw, str), f"base_tags[{i}]", "must be a string")
-        tag = normalize_tag(raw)
-        _require(tag, f"base_tags[{i}]", "normalizes to nothing")
-        if tag in base_tags:
-            raise ConfigError(f"base_tags[{i}]", f"duplicates base_tags[{base_tags.index(tag)}]")
-        base_tags.append(tag)
-
-    raw_dict = data.get("dictionary")
-    _require(isinstance(raw_dict, list) and raw_dict, "dictionary", "must be a nonempty list")
+    base_tags = _tag_list(data.get("base_tags"), "base_tags")
+    dictionary = _tag_list(data.get("dictionary"), "dictionary")
     _require(
-        len(raw_dict) <= MAX_DICTIONARY_WORDS,
+        len(dictionary) <= MAX_DICTIONARY_WORDS,
         "dictionary",
-        f"at most {MAX_DICTIONARY_WORDS} words, got {len(raw_dict)}",
+        f"at most {MAX_DICTIONARY_WORDS} words, got {len(dictionary)}",
     )
-    dictionary = []
-    for i, raw in enumerate(raw_dict):
-        _require(isinstance(raw, str), f"dictionary[{i}]", "must be a string")
-        word = normalize_tag(raw)
-        _require(word, f"dictionary[{i}]", "normalizes to nothing")
-        dictionary.append(word)
-
     config = Config(**{
         **data, "base_tags": base_tags, "dictionary": dictionary, "fetch": FetchPolicy(**fetch),
     })

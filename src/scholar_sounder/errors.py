@@ -43,12 +43,10 @@ class ParseError(ScholarSounderError):
 
 
 class ConfigError(ScholarSounderError):
-    """Invalid configuration; ``field`` names the offending entry."""
+    """Invalid configuration, naming the offending entry."""
 
     def __init__(self, field, reason):
         super().__init__(f"config field '{field}': {reason}")
-        self.field = field
-        self.reason = reason
 
 
 class FormatError(ScholarSounderError):
@@ -67,4 +65,3 @@ class SoundingError(ScholarSounderError):
     def __init__(self, tag, cause):
         super().__init__(f"sounding failed at '{tag}': {cause}")
         self.tag = tag
-        self.cause = cause

@@ -41,16 +41,6 @@ class PageRequest:
     key: str   # canonical tag, or author id
     page_index: int = 0
 
-    def __post_init__(self):
-        if self.kind not in MARKERS:
-            raise ValueError(f"unknown request kind: {self.kind!r}")
-        if not self.key:
-            raise ValueError("request key must be nonempty")
-        if self.page_index < 0:
-            raise ValueError("page_index must be non-negative")
-        if self.kind == AUTHOR_PROFILE and self.page_index != 0:
-            raise ValueError("author-profile requests are not paginated")
-
 
 @dataclass
 class RawPage:
@@ -106,8 +96,9 @@ def _has_marker(request: PageRequest, body: bytes) -> bool:
 def write_atomic(path: Path, data: bytes):
     """Replace ``path`` in one step, so a crash never leaves half a file. A
     failed write or rename leaves ``path`` as it was and removes the
-    temporary file."""
-    tmp = path.with_name(path.name + ".tmp")
+    temporary file. The temporary name carries the process id, so two runs
+    that share a cache directory never rename each other's."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)

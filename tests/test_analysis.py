@@ -443,11 +443,6 @@ class TestTopClusters:
             assert cluster["internal_edges"] == 3
             assert cluster["internal_weight"] == 3.0
 
-    def test_partition_must_cover_graph(self):
-        g = make_graph([("a", "b")])
-        with pytest.raises(ValueError):
-            top_clusters(indexed_adjacency(g), Partition({"a": 0}))
-
     def test_empty_graph_has_no_clusters(self):
         assert top_clusters(indexed_adjacency(Graph()), Partition({})) == []
 

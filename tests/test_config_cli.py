@@ -250,12 +250,13 @@ class TestCliSoundTags:
         ({"dictionary": ["optics", True]}, "dictionary[1]"),
         ({"dictionary": [["optics"]]}, "dictionary[0]"),
         ({"dictionary": ["optics", "--"]}, "dictionary[1]"),
+        ({"dictionary": ["optics", "Optics"]}, "dictionary[1]"),
     ], ids=[
         "fetch-string", "fetch-number", "fetch-list", "fetch-typo", "delay-bool", "delay-string",
         "pages-float", "retries-integral-float", "retries-negative", "base-url", "depth-bool",
         "seed-bool", "seed-field", "retries-field", "tag-null", "tag-number", "tag-bool",
         "tag-list", "tag-duplicate", "word-null", "word-number", "word-bool", "word-list",
-        "word-empty",
+        "word-empty", "word-duplicate",
     ])
     def test_bad_config_exits_one_with_one_line(self, tmp_path, capsys, overrides, field):
         out = tmp_path / "out"

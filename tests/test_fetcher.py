@@ -1,8 +1,12 @@
 import errno
 import http.server
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
 import pytest
@@ -23,22 +27,14 @@ from scholar_sounder.fetcher import (
 from scholar_sounder.parser import parse_label_page
 
 
-class TestPageRequest:
-    def test_rejects_empty_key(self):
-        with pytest.raises(ValueError):
-            PageRequest(LABEL_SEARCH, "")
-
-    def test_rejects_negative_page(self):
-        with pytest.raises(ValueError):
-            PageRequest(LABEL_SEARCH, "optics", -1)
-
-    def test_rejects_paginated_profile(self):
-        with pytest.raises(ValueError):
-            PageRequest(AUTHOR_PROFILE, "A_TUDOR", 1)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            PageRequest("publication", "x")
+ROOT = Path(__file__).resolve().parent.parent
+TWO_WRITERS_CHILD = """
+import sys
+from pathlib import Path
+from scholar_sounder.fetcher import write_atomic
+for _ in range(200):
+    write_atomic(Path(sys.argv[1]), sys.argv[2].encode() * 65536)
+"""
 
 
 class TestBuildUrl:
@@ -103,7 +99,7 @@ class TestPageKey:
             fetcher.fetch(PageRequest(AUTHOR_PROFILE, "../../secret"))
         assert fetcher.pages_fetched == 0
 
-    @pytest.mark.parametrize("key", ["../x", "a/b", "..", "x y", "x&hl=de", "x\n"])
+    @pytest.mark.parametrize("key", ["", "../x", "a/b", "..", "x y", "x&hl=de", "x\n"])
     def test_live_fetch_refuses_the_key_before_cache_or_network(self, tmp_path, key):
         fetcher = Fetcher(FetchPolicy(
             mode="live", cache_dir=tmp_path / "cache", min_delay_ms=1,
@@ -139,6 +135,24 @@ class TestWriteAtomic:
         assert raised.value.errno == errno.ENOSPC
         assert target.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_two_processes_writing_one_path(self, tmp_path):
+        """Two runs that share a cache directory write the same pages: neither
+        may rename the other's temporary file or lose its own."""
+        target = tmp_path / "page.html"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", TWO_WRITERS_CHILD, str(target), fill],
+                env=env, stderr=subprocess.PIPE, text=True,
+            )
+            for fill in "ab"
+        ]
+        errors = [writer.communicate(timeout=120)[1] for writer in writers]
+        assert [writer.returncode for writer in writers] == [0, 0], errors
+        assert target.read_bytes() in (b"a" * 65536, b"b" * 65536)
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 LABEL_PAGE = (bundled_fixtures_dir() / "labels" / "physical_optics" / "0.html").read_bytes()

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from scholar_sounder import errors
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_DIR = ROOT / "src" / "scholar_sounder"
 
@@ -146,3 +148,39 @@ def test_write_atomic_is_the_only_file_writer():
         if (lines := sorted(file_writes(ast.parse(path.read_text("utf-8")))))
     }
     assert writes == {}
+
+
+# Functions whose ValueError is caught or is a documented programming error:
+# ``Graph.add_edge`` guards graphs built in code, and ``from_gexf`` turns
+# ``_parse_bool``'s into a FormatError.
+VALUE_ERROR_RAISERS = {"add_edge", "_parse_bool"}
+
+
+def foreign_raises(tree):
+    """``(line, name)`` of each ``raise X`` or ``raise X(…)`` whose ``X`` is not
+    a toolkit error, outside the functions in VALUE_ERROR_RAISERS."""
+    inside = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in VALUE_ERROR_RAISERS
+        for inner in ast.walk(node)
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or node.exc is None or id(node) in inside:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+        cls = getattr(errors, name or "", None)
+        if not (isinstance(cls, type) and issubclass(cls, errors.ScholarSounderError)):
+            yield node.lineno, name
+
+
+def test_src_raises_only_toolkit_errors():
+    """cli.main maps every toolkit error to an exit code and a one-line
+    message, so any other exception raised in src/ would end in a traceback."""
+    raises = {
+        path.name: found
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (found := sorted(foreign_raises(ast.parse(path.read_text("utf-8")))))
+    }
+    assert raises == {}

@@ -149,11 +149,6 @@ class TestParseLabelPage:
         assert page1.next_page_token is None
         assert len(page.authors) + len(page1.authors) == 8
 
-    def test_wrong_page_kind_rejected(self, fixture_fetcher):
-        raw = fixture_fetcher.fetch(PageRequest(AUTHOR_PROFILE, "A_TUDOR"))
-        with pytest.raises(ValueError):
-            parse_label_page(raw, "physical_optics")
-
     def test_parse_determinism(self, fixture_fetcher):
         raw = fixture_fetcher.fetch(PageRequest(LABEL_SEARCH, "physical_optics", 0))
         a = parse_label_page(raw, "physical_optics")
