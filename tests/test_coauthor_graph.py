@@ -2,8 +2,11 @@ import random
 
 from scholar_sounder.config import build_config
 from scholar_sounder.coauthor_graph import seed_authors, sound_authors
+from scholar_sounder.fetcher import AUTHOR_PROFILE, LABEL_SEARCH
 from scholar_sounder.notion_graph import fetch_label_pages
-from scholar_sounder.parser import AuthorSummary, parse_author_page, parse_label_page
+from scholar_sounder.parser import (
+    SYNTHETIC_ID_PREFIX, AuthorSummary, parse_author_page, parse_label_page,
+)
 
 from conftest import load_golden
 from fakes import InMemoryCorpus, random_profile_corpus
@@ -149,6 +152,32 @@ class TestSoundAuthors:
                     assert node["hop"] <= config.hop_limit
                 else:
                     assert node["hop"] == config.hop_limit + 1 or node["fetch_failed"]
+
+    def test_profile_requests_are_page_zero_of_linked_authors(self, optics_config, fixture_fetcher):
+        """PageRequest itself checks nothing: every profile request is page 0
+        of an id read from a profile link, never a synthetic one."""
+        requests = []
+
+        def recording(fetch):
+            def fetch_and_record(request, token=None):
+                requests.append(request)
+                return fetch(request, token)
+            return fetch_and_record
+
+        sound_authors(
+            optics_config, recording(fixture_fetcher.fetch), parse_author_page,
+            parse_label=parse_label_page,
+        )
+        assert {r.kind for r in requests} == {LABEL_SEARCH, AUTHOR_PROFILE}
+        for trial in range(50):
+            corpus, seeds = random_profile_corpus(random.Random(7000 + trial))
+            config = memory_config(hop_limit=2)
+            sound_authors(config, recording(corpus.fetch), parse_author_page, seeds=seeds)
+        profiles = [r for r in requests if r.kind == AUTHOR_PROFILE]
+        assert profiles
+        for r in profiles:
+            assert r.key and not r.key.startswith(SYNTHETIC_ID_PREFIX)
+            assert r.page_index == 0
 
     def test_determinism(self, optics_config, fixture_fetcher):
         run = lambda: sound_authors(

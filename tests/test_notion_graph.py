@@ -17,7 +17,8 @@ from scholar_sounder.notion_graph import (
     sound_tags,
     theme_matches,
 )
-from scholar_sounder.parser import AuthorSummary, LabelPage, parse_label_page
+from scholar_sounder.fetcher import LABEL_SEARCH
+from scholar_sounder.parser import AuthorSummary, LabelPage, normalize_tag, parse_label_page
 
 from conftest import load_golden
 from fakes import InMemoryCorpus, random_label_corpus
@@ -243,6 +244,29 @@ class TestSoundTags:
         assert sorted(base_pages) == sorted(config.base_tags)
         for tag, pages in base_pages.items():
             assert pages == fetch_label_pages(tag, config, fixture_fetcher.fetch, parse_label_page)
+
+    def test_requests_are_label_pages_of_normalized_tags_counting_from_zero(self, fixture_fetcher):
+        """PageRequest itself checks nothing: the crawl asks only for label
+        pages of normalized tags, each tag's pages in order from 0 and at most
+        max_pages_per_label of them."""
+        requests = []
+
+        def fetch(request, token=None):
+            requests.append(request)
+            return fixture_fetcher.fetch(request, token)
+
+        config = memory_config(base_tags=["physical_optics", "quantum_optics"])
+        config.fetch = fixture_fetcher.policy
+        sound_tags(config, fetch, parse_label_page)
+        assert {r.kind for r in requests} == {LABEL_SEARCH}
+        indices = {}
+        for r in requests:
+            assert r.key and normalize_tag(r.key) == r.key
+            indices.setdefault(r.key, []).append(r.page_index)
+        assert indices["quantum_optics"] == [0, 1]
+        for pages in indices.values():
+            assert pages == list(range(len(pages)))
+            assert len(pages) <= config.fetch.max_pages_per_label
 
     def test_depth_bound_property(self):
         """Random corpora, random depths: per base tag, visited count <= depth."""

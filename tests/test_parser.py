@@ -149,6 +149,14 @@ class TestParseLabelPage:
         assert page1.next_page_token is None
         assert len(page.authors) + len(page1.authors) == 8
 
+    def test_wrong_page_kind_rejected(self, fixture_fetcher):
+        """A profile page lacks the label-results marker, so the body check
+        refuses it as a label page."""
+        raw = fixture_fetcher.fetch(PageRequest(AUTHOR_PROFILE, "A_TUDOR"))
+        with pytest.raises(ParseError) as exc:
+            parse_label_page(raw, "physical_optics")
+        assert exc.value.offset == len(raw.body)
+
     def test_parse_determinism(self, fixture_fetcher):
         raw = fixture_fetcher.fetch(PageRequest(LABEL_SEARCH, "physical_optics", 0))
         a = parse_label_page(raw, "physical_optics")
