@@ -8,7 +8,8 @@ neighbours in ascending order. Operations work on node indices, read the
 index without changing it, and return ids only in their results.
 ``degree_stats``, ``connected_components`` and ``top_clusters`` return their
 ``report.json`` sections as the report holds them; ``detect_communities``
-returns a ``Partition`` and ``k_core`` the core's ids and edge count."""
+returns a ``Partition``, whose assignment is the one record of each
+community's members, and ``k_core`` the core's ids and edge count."""
 
 from __future__ import annotations
 
@@ -76,12 +77,6 @@ class Partition:
     assignment: dict[str, int]  # node -> dense community id from 0
     sweeps: int = 0  # propagation sweeps run
     converged: bool = True  # the last sweep changed no label
-
-    def communities(self) -> dict[int, list[str]]:
-        out: dict[int, list[str]] = {}
-        for node in sorted(self.assignment):
-            out.setdefault(self.assignment[node], []).append(node)
-        return out
 
 
 def indexed_adjacency(g: Graph) -> Index:
@@ -214,14 +209,17 @@ def propagation_sweep(adjacency: Adjacency, labels: list[int]) -> bool:
 
 
 def top_clusters(index: Index, p: Partition) -> list[dict]:
-    """Every community, largest first (ties by smallest member id), with
-    internal edge counts and weights summed in one pass over the index."""
+    """Every community's size, internal edge count and internal weight,
+    summed in one pass over the index; largest first, ties by smallest
+    member id, which for ``detect_communities`` ids is id order. The members
+    are in ``p.assignment``."""
     order, adjacency = index
     community = [p.assignment[node] for node in order]
-    communities = p.communities()
-    internal_edges = dict.fromkeys(communities, 0)
-    internal_weight = dict.fromkeys(communities, 0)
+    size = dict.fromkeys(community, 0)  # keyed in order of smallest member
+    internal_edges = dict.fromkeys(size, 0)
+    internal_weight = dict.fromkeys(size, 0)
     for i, (cid, nbrs) in enumerate(zip(community, adjacency)):
+        size[cid] += 1
         for j, w in nbrs:
             if j > i and community[j] == cid:
                 internal_edges[cid] += 1
@@ -229,12 +227,11 @@ def top_clusters(index: Index, p: Partition) -> list[dict]:
     reports = [
         {
             "community_id": cid,
-            "size": len(members),
-            "members": members,
+            "size": n,
             "internal_edges": internal_edges[cid],
             "internal_weight": canonical_number(internal_weight[cid]),
         }
-        for cid, members in communities.items()
+        for cid, n in size.items()
     ]
-    reports.sort(key=lambda r: (-r["size"], r["members"][0]))
+    reports.sort(key=lambda r: -r["size"])  # stable: ties keep smallest-member order
     return reports

@@ -149,23 +149,23 @@ def _write_network(ctx: RunContext, stem: str, net):
 
 
 def _cmd_sound(args, which: str) -> int:
-    """Run the phases ``which`` names. ``trace.tsv`` holds a header, one row per
-    tag visit, then ``# name=value`` co-author run counts; it is written once,
-    and on a run aborted by an error or an interrupt holds what the finished
-    phases produced, as the manifest lists their outputs."""
+    """Run the phases ``which`` names. The tag phase writes ``trace.tsv``, a
+    header and one row per tag visit; the co-author run counts are in
+    ``report.json``'s ``coauthor_run`` only. A run aborted by an error or an
+    interrupt keeps what the finished phases wrote, as the manifest lists."""
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "verbose")}
     config = build_config(read_config_file(args.config), flags)
     ctx = RunContext(config)
     report: dict = {"metadata": {"config_digest": config.digest()}}
-    trace: list[str] = []  # trace.tsv lines; empty until a phase finishes
-    header = "\t".join(f.name for f in fields(TraceRecord))
     seeds = None  # sound_authors alone fetches the base tags' pages itself
     try:
         if which in ("sound-tags", "all"):
             base_pages: dict = {}  # the author phase is seeded from these
             net = sound_tags(config, ctx.fetcher.fetch, parse_label_page, base_pages)
             _write_network(ctx, "notion", net)
-            trace = [header] + ["\t".join(map(str, astuple(r))) for r in net.trace]
+            trace = ["\t".join(f.name for f in fields(TraceRecord))]
+            trace += ["\t".join(map(str, astuple(r))) for r in net.trace]
+            ctx.write("trace.tsv", "\n".join(trace) + "\n")
             report.update(_analysis_sections(net))
             seeds = seed_authors(config, base_pages.__getitem__)
             del net, base_pages  # freed before the author phase runs
@@ -176,10 +176,8 @@ def _cmd_sound(args, which: str) -> int:
             )
             ctx.warnings += net.report.failures
             _write_network(ctx, COAUTHORS, net)
-            run = vars(net.report)
-            trace = (trace or [header]) + [f"# {name}={value}" for name, value in run.items()]
             report[COAUTHORS] = _analysis_sections(net)
-            report["coauthor_run"] = run
+            report["coauthor_run"] = vars(net.report)
             del net  # serialising report.json is the run's memory peak
     except SoundingError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -188,8 +186,6 @@ def _cmd_sound(args, which: str) -> int:
         ctx.write("report.json", json_text(report))
         status = EXIT_PARTIAL if ctx.warnings else EXIT_OK
     finally:  # also on an interrupt, which main reports
-        if trace:
-            ctx.write("trace.tsv", "\n".join(trace) + "\n")
         ctx.finish_manifest()
     return status
 

@@ -42,13 +42,6 @@ class CoauthorNetwork(Graph):
             hop=hop, stub=True, fetch_failed=False,
         )
 
-    def to_canonical_dict(self) -> dict:
-        canonical = super().to_canonical_dict()
-        edges = canonical["edges"]
-        for pair, w in edges.items():
-            edges[pair] = {"weight": w, "reciprocal": w == 2}
-        return canonical
-
 
 def seed_authors(config, pages_of) -> list[AuthorSummary]:
     """Author summaries from the base tags' result pages, ``pages_of(tag)``,

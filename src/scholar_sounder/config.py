@@ -134,3 +134,5 @@ def read_config_file(path) -> dict:
         return json.loads(path.read_text("utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError("<file>", f"invalid JSON: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError("<file>", f"not UTF-8: {exc}")

@@ -14,7 +14,6 @@ class FixtureMissingError(FetchError):
 
     def __init__(self, path):
         super().__init__(f"fixture not found: {path}")
-        self.path = path
 
 
 class NetworkError(FetchError):
@@ -64,4 +63,3 @@ class SoundingError(ScholarSounderError):
 
     def __init__(self, tag, cause):
         super().__init__(f"sounding failed at '{tag}': {cause}")
-        self.tag = tag

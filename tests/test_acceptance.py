@@ -23,6 +23,7 @@ from scholar_sounder.parser import parse_author_page, parse_label_page
 from conftest import load_golden
 from fakes import random_label_corpus, random_profile_corpus
 from test_analysis import (
+    communities,
     components_oracle,
     k_core_oracle,
     modularity,
@@ -146,7 +147,7 @@ def test_criterion_6_oracle_equivalence():
     from test_analysis import two_triangles_with_bridge
 
     g = two_triangles_with_bridge()
-    blocks = [set(m) for m in detect_communities(indexed_adjacency(g)).communities().values()]
+    blocks = [set(m) for m in communities(detect_communities(indexed_adjacency(g))).values()]
     assert sorted(map(sorted, blocks)) == [["a", "b", "c"], ["d", "e", "f"]]
     best = max(partitions_of(sorted(g.nodes)), key=lambda p: modularity(g, p))
     assert sorted(map(sorted, best)) == sorted(map(sorted, blocks))

@@ -108,18 +108,27 @@ def k_core_oracle(g: Graph, k: int):
     return best
 
 
+def communities(p: Partition) -> dict[int, list[str]]:
+    """Each community id of ``p`` with its sorted members."""
+    out: dict[int, list[str]] = {}
+    for node in sorted(p.assignment):
+        out.setdefault(p.assignment[node], []).append(node)
+    return out
+
+
 def top_clusters_oracle(g: Graph, p: Partition):
-    """Per-community scan of the whole edge list."""
+    """Per-community scan of the whole edge list, largest first, ties by
+    smallest member."""
     reports = []
-    for cid, members in p.communities().items():
+    for cid, members in communities(p).items():
         member_set = set(members)
         internal = [w for (a, b), w in g.edges.items() if a in member_set and b in member_set]
-        reports.append({
-            "community_id": cid, "size": len(members), "members": sorted(members),
+        reports.append((min(members), {
+            "community_id": cid, "size": len(members),
             "internal_edges": len(internal), "internal_weight": canonical_number(sum(internal)),
-        })
-    reports.sort(key=lambda r: (-r["size"], r["members"][0]))
-    return reports
+        }))
+    reports.sort(key=lambda r: (-r[1]["size"], r[0]))
+    return [report for _, report in reports]
 
 
 def induces_connected_subgraph(g: Graph, members) -> bool:
@@ -311,7 +320,7 @@ class TestDetectCommunities:
     def test_two_triangles_bridge_matches_modularity_oracle(self):
         g = two_triangles_with_bridge()
         partition = detect_communities(indexed_adjacency(g))
-        blocks = [set(m) for m in partition.communities().values()]
+        blocks = [set(m) for m in communities(partition).values()]
         assert len(blocks) == 2
         assert {"a", "b", "c"} in blocks and {"d", "e", "f"} in blocks
         best = max(partitions_of(sorted(g.nodes)), key=lambda p: modularity(g, p))
@@ -408,7 +417,7 @@ class TestDetectCommunities:
         assert set(partition.assignment) == set(g.nodes)
         ids = set(partition.assignment.values())
         assert ids == set(range(len(ids)))
-        for members in partition.communities().values():
+        for members in communities(partition).values():
             assert induces_connected_subgraph(g, members)
         order, adjacency = indexed_adjacency(g)
         for node, nbrs in zip(order, adjacency):
@@ -423,10 +432,12 @@ class TestDetectCommunities:
 
 class TestTopClusters:
     def test_largest_first(self):
-        g = make_graph([("a", "b"), ("b", "c"), ("x", "y")])
-        p = Partition({"a": 0, "b": 0, "c": 0, "x": 1, "y": 1})
+        g = make_graph([("a", "b"), ("m", "n"), ("x", "y"), ("y", "z")])
+        p = Partition({"a": 0, "b": 0, "m": 1, "n": 1, "x": 2, "y": 2, "z": 2})
         top = top_clusters(indexed_adjacency(g), p)
-        assert [c["members"] for c in top] == [["a", "b", "c"], ["x", "y"]]
+        assert [(c["community_id"], c["size"]) for c in top] == [(2, 3), (0, 2), (1, 2)]
+        assert all(c.keys() == {"community_id", "size", "internal_edges", "internal_weight"}
+                   for c in top)
 
     def test_every_community_is_reported(self):
         g = make_graph([("a", "b")])
@@ -471,7 +482,7 @@ class TestNetworkxSecondOpinion:
     def test_communities_connected(self, nx, seed):
         g = random_graph(random.Random(seed), max_nodes=40, edge_prob=0.1, weighted=True)
         h = self.to_nx(nx, g)
-        for members in detect_communities(indexed_adjacency(g)).communities().values():
+        for members in communities(detect_communities(indexed_adjacency(g))).values():
             assert nx.is_connected(h.subgraph(members))
 
     @pytest.mark.parametrize("seed", range(20))

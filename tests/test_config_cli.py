@@ -125,6 +125,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config_file(path)
 
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"base_tags": ["optics\xff"], "dictionary": ["optics"]}')
+        with pytest.raises(ConfigError, match="config field '<file>': not UTF-8"):
+            load_config_file(path)
+
     def test_non_object_top_level(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]", "utf-8")
@@ -281,6 +287,15 @@ class TestCliSoundTags:
         assert err == f"error: config field 'fetch.fixtures_dir': no such directory: {missing}\n"
         assert not out.exists()
 
+    def test_config_not_utf8_exits_one_with_one_line(self, tmp_path, capsys):
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        config.write_bytes(b'{"base_tags": ["optics\xff"], "dictionary": ["optics"]}')
+        code = main(["sound-tags", "--config", str(config), "--fixtures", "bundled", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field '<file>': ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = main(["sound-tags", "--config", str(tmp_path / "nope.json")])
         assert code == 1
@@ -349,27 +364,26 @@ class TestCliSoundAuthors:
             assert section["converged"] is True
             assert 1 <= section["sweeps"] < 100
 
-    def test_trace_rewritten_with_header_when_run_alone(self, tmp_path):
+    def test_run_alone_writes_no_trace_and_reports_its_counts(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "out"
-        main(["sound-authors", "--config", str(config), "--out", str(out)])
-        first = (out / "trace.tsv").read_bytes()
-        main(["sound-authors", "--config", str(config), "--out", str(out)])
-        assert (out / "trace.tsv").read_bytes() == first
-        lines = first.decode("utf-8").splitlines()
-        assert lines[0].startswith("iteration\t")
-        assert lines[1:] == [
-            "# profiles_fetched=6", "# stubs=4", "# failures=3", "# reciprocal_edges=3",
-        ]
+        for _ in range(2):
+            assert main(["sound-authors", "--config", str(config), "--out", str(out)]) == 3
+            assert not (out / "trace.tsv").exists()
+            manifest = json.loads((out / "run_manifest.json").read_text("utf-8"))
+            assert "trace.tsv" not in [entry["path"] for entry in manifest["outputs"]]
+            report = json.loads((out / "report.json").read_text("utf-8"))
+            assert report["coauthor_run"] == {
+                "profiles_fetched": 6, "stubs": 4, "failures": 3, "reciprocal_edges": 3,
+            }
 
-    def test_all_trace_holds_tag_visits_then_coauthor_counts(self, tmp_path):
+    def test_all_trace_is_the_sound_tags_trace(self, tmp_path):
         config = write_config(tmp_path)
         main(["sound-tags", "--config", str(config), "--out", str(tmp_path / "tags")])
         main(["all", "--config", str(config), "--out", str(tmp_path / "all")])
         main(["all", "--config", str(config), "--out", str(tmp_path / "all")])
-        tags = (tmp_path / "tags" / "trace.tsv").read_text("utf-8")
-        both = (tmp_path / "all" / "trace.tsv").read_text("utf-8")
-        assert both == tags + "# profiles_fetched=6\n# stubs=4\n# failures=3\n# reciprocal_edges=3\n"
+        tags = (tmp_path / "tags" / "trace.tsv").read_bytes()
+        assert (tmp_path / "all" / "trace.tsv").read_bytes() == tags
 
     @pytest.mark.parametrize("command", ["sound-tags", "sound-authors", "all"])
     def test_unparsable_base_tag_page_aborts_with_tag_and_manifest(
@@ -512,7 +526,6 @@ class TestEachLabelPageReadOnce:
             visits = [
                 line.split("\t")[1:3]
                 for line in (both / "trace.tsv").read_text("utf-8").splitlines()[1:]
-                if not line.startswith("#")
             ]
             assert ["physical_optics", "singular_optics"] in visits
             assert ["singular_optics", "singular_optics"] not in visits

@@ -11,6 +11,7 @@ After a deliberate change to the outputs, refresh the goldens with
 import hashlib
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from scholar_sounder.cli import main
@@ -155,6 +156,18 @@ def test_export_into_a_run_directory_keeps_the_manifest_digests_true(tmp_path):
     for entry in manifest["outputs"]:
         digest = hashlib.sha256((a / entry["path"]).read_bytes()).hexdigest()
         assert entry["sha256"] == digest, entry["path"]
+
+
+def test_top_clusters_agree_with_the_community_assignment(tmp_path):
+    report = json.loads((run_quickstart(tmp_path) / "report.json").read_text("utf-8"))
+    for sections in (report, report["coauthors"]):
+        communities, top = sections["communities"], sections["top_clusters"]
+        sizes = Counter(communities["assignment"].values())
+        for entry in top:
+            assert entry.keys() == {"community_id", "size", "internal_edges", "internal_weight"}
+            assert entry["size"] == sizes[entry["community_id"]]
+        assert sorted(entry["community_id"] for entry in top) == list(range(communities["count"]))
+        assert top == sorted(top, key=lambda entry: (-entry["size"], entry["community_id"]))
 
 
 def test_kcore_reports_match_pinned_digests(tmp_path):
