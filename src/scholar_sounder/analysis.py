@@ -7,9 +7,11 @@ once per graph, not a ``Graph``: sorted node ids, and per node index its
 neighbours in ascending order. Operations work on node indices, read the
 index without changing it, and return ids only in their results.
 ``degree_stats``, ``connected_components`` and ``top_clusters`` return their
-``report.json`` sections as the report holds them; ``detect_communities``
-returns a ``Partition``, whose assignment is the one record of each
-community's members, and ``k_core`` the core's ids and edge count."""
+``report.json`` sections as the report holds them (``degree_stats`` is the
+degree histogram only: each node's degree is in the graph files, and Gephi
+computes it from the GEXF); ``detect_communities`` returns a ``Partition``,
+whose assignment is the one record of each community's members, and
+``k_core`` the core's ids and edge count."""
 
 from __future__ import annotations
 
@@ -96,22 +98,12 @@ def indexed_adjacency(g: Graph) -> Index:
 
 
 def degree_stats(index: Index) -> dict:
-    """Per node its degree and weighted degree, and per degree (as text, in
-    ascending order) its node count."""
-    order, adjacency = index
-    degree = {node: len(nbrs) for node, nbrs in zip(order, adjacency)}
-    # int sums stay exact past the float range
-    weighted = {
-        node: canonical_number(sum(w for _, w in nbrs)) for node, nbrs in zip(order, adjacency)
-    }
+    """Per degree (as text, in ascending order) its node count."""
+    _, adjacency = index
     histogram: dict[int, int] = {}
-    for d in degree.values():
-        histogram[d] = histogram.get(d, 0) + 1
-    return {
-        "degree": degree,
-        "weighted_degree": weighted,
-        "histogram": {str(d): count for d, count in sorted(histogram.items())},
-    }
+    for nbrs in adjacency:
+        histogram[len(nbrs)] = histogram.get(len(nbrs), 0) + 1
+    return {"histogram": {str(d): count for d, count in sorted(histogram.items())}}
 
 
 def split_components(adjacency: Adjacency, labels: list[int]) -> list[int]:

@@ -565,7 +565,8 @@ class TestCliAnalyzeExport:
         report = json.loads((out / "report.json").read_text("utf-8"))
         assert "kcore" in report and "communities" in report
         assert report["kcore"]["k"] == 2
-        assert set(report["kcore"]["nodes"]) <= set(report["degree_stats"]["degree"])
+        graph = from_gexf(gexf_path.read_text("utf-8")).graph
+        assert set(report["kcore"]["nodes"]) <= set(graph.nodes)
 
     def test_analyze_reports_how_clustering_ended(self, gexf_path, tmp_path):
         out = tmp_path / "analysis"
@@ -703,7 +704,7 @@ class TestCliAnalyzeExport:
         assert "--k-core" in err
         assert not out.exists()
 
-    def test_analyze_weighted_degree_past_the_float_range_stays_strict_json(self, tmp_path):
+    def test_analyze_cluster_weight_past_the_float_range_stays_strict_json(self, tmp_path):
         graph = Graph()
         graph.add_edge("a", "b", 1e308)
         graph.add_edge("a", "c", 1e308)
@@ -716,7 +717,7 @@ class TestCliAnalyzeExport:
             raise ValueError(f"non-standard JSON token {token}")
 
         report = json.loads((out / "report.json").read_text("utf-8"), parse_constant=reject)
-        assert report["degree_stats"]["weighted_degree"]["a"] == 2 * int(1e308)
+        assert [c["internal_weight"] for c in report["top_clusters"]] == [2 * int(1e308)]
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
     def test_analyze_non_finite_min_weight_is_a_config_error(
