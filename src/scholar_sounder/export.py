@@ -94,12 +94,20 @@ def _parse_bool(text: str) -> bool:
     return text == "true"
 
 
+def _parse_double(text: str) -> float:
+    """A finite double: the writers have no ``xsd:double`` form for others."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 # Per GEXF attribute type: its GraphML type, the text a value is written as,
 # and the reader of that text. Only strings can hold markup.
 _TYPES = {
     "boolean": ("boolean", lambda value: "true" if value else "false", _parse_bool),
     "integer": ("int", str, int),
-    "double": ("double", lambda value: repr(float(value)), float),
+    "double": ("double", lambda value: repr(float(value)), _parse_double),
     "string": ("string", str, str),
 }
 
@@ -259,14 +267,12 @@ def from_gexf(document: str) -> ExportBundle:
                     location=f"edge {xml_attrs.get('id')}",
                 )
             try:
-                weight = float(xml_attrs.get("weight", "1"))
+                weight = _parse_double(xml_attrs.get("weight", "1"))
             except ValueError:
-                weight = math.nan
-            if not math.isfinite(weight):
                 raise FormatError(
                     f"bad edge weight {xml_attrs.get('weight')!r}",
                     location=f"edge {xml_attrs.get('id')}",
-                )
+                ) from None
             if a == b:
                 raise FormatError(f"self-loop on {a!r}", location=f"edge {xml_attrs.get('id')}")
             pair = (a, b) if a <= b else (b, a)  # analysis.canonical_pair, one call less per edge

@@ -239,32 +239,16 @@ class _AuthorPageExtractor:
 
 # -- tokenizer ----------------------------------------------------------
 #
-# One pattern splits a page into the tokens the standard library's
-# html.parser finds when it is fed the whole page at once, in the same
-# chunks of text: text runs to the next "<"; a "<" that opens nothing is a
-# chunk of its own; a construct html.parser cannot complete (an unclosed
-# comment or quote, say) is text up to the next ">", or when no ">"
-# follows, up to the next "<". Every position starts some token, so
-# finditer walks the page without gaps; it starts again after the raw text
-# of a script or style element. The tokenization states of
-# https://html.spec.whatwg.org/multipage/parsing.html#tokenization are what
-# html.parser approximates.
-#
-# A construct that cannot complete costs a scan to the end of the page for
-# its terminator. Where html.parser pays that scan again at every later
-# "<" of the same kind, _feed narrows the pattern after the first failure
-# to the constructs that can still complete, so the rest of the page costs
-# what a well-formed page does and tokenizes the same.
-#
-# A start tag fails when its head ends at the end of the page or before the
-# "=" of an unclosed quoted value; its text up to the next ">" is data. A
-# ">" in a quoted value of that head lets a later "<" inside the head open
-# a head of its own, which mostly reaches the same attribute starts and so
-# ends where the failed head ended: the pattern would rescan the same
-# attributes once for every such "<" ("<a c='>' " repeated). _Heads
-# remembers where the head through each attribute start ends, and up to the
-# end of the furthest failed head, _feed lets the pattern try only the
-# start tags that _Heads finds complete.
+# One pattern splits a page into the tokens html.parser finds when it is
+# fed the page, in the same chunks of text: text runs to the next "<", and
+# a "<" that opens nothing is a chunk of its own. A construct that is never
+# terminated (an unclosed comment, quote, tag or marked section, or a "<"
+# at the very end) ends the page, and nothing after it is read, because
+# html.parser's end-of-input pass, which makes it text and rescans the rest
+# of the page at every later "<", costs time quadratic in the page; the 2025
+# CPython security releases also end it at the end of the input. Every "<"
+# then starts a complete token or ends the page, so finditer walks the page
+# once, starting again after the raw text of a script or style element.
 
 _TAG_NAME = r"[a-zA-Z][^\t\n\r\f />\x00]*"
 _SEPARATORS = r"(?:\s|/(?!>))*"
@@ -286,74 +270,21 @@ _START = rf"""
       (?:>|(?P<empty>/>)|(?P<nottag>)(?=[^a-zA-Z=/>]))
   | </(?:\s*(?P<endtag>[a-zA-Z][-.a-zA-Z0-9:_]*)\s*>|(?P<endtag2>{_TAG_NAME})[^>]*>)
 """
-# With no ">" left, a head ends at the end of the page or just before the
-# "=" of an unclosed quoted value, where it is no tag; or it is a bare tag
-# name before NUL, where it is data. A name that ends in a quote or in
-# whitespace the name allows (such as "\x0b") takes the NUL as an attribute
-# name instead, and its head ends at the end of the page.
-_NOTTAG_BEFORE_NUL = rf"""(?P<nottag><{_TAG_NAME}(?<!['"\s])(?=\x00))"""
-# Comments, declarations, processing instructions, marked sections.
-_COMMENT = r"<!--.*?--\s*>"
-_OTHER_SKIPS = r"</[^>]*>|<\?[^>]*>|<!(?!--|\[)[^>]*>"
-_SECTION_SKIP = rf"<!\[{_SECTION}.*?\]\s*\]\s*>"
-_CONDITIONAL_SKIP = rf"<!\[{_MS_SECTION}.*?\]\s*>"
+# A keyword that runs to the end of the page is unterminated.
 _BAD_SECTION = rf"""
     (?P<badsection><!\[(?!{_SECTION}|{_MS_SECTION})(?![a-zA-Z][-_.a-zA-Z0-9]*\s*\Z)
       (?P<keyword>[a-zA-Z][-_.a-zA-Z0-9]*))
   | (?P<nokeyword><!\[)(?=[^a-zA-Z])
 """
-
-
-@functools.cache
-def _token_pattern(closed=True, comments=True, sections=True, conditionals=True, nul=True):
-    """The tokenizer, less what can no longer complete: comments unless
-    ``comments``, CDATA-like sections unless ``sections``, conditional
-    sections unless ``conditionals``, and every construct ending in ">"
-    unless ``closed``, when a tag name before NUL is left only if ``nul``."""
-    if closed:
-        skips = [_OTHER_SKIPS]
-        skips += [_COMMENT] if comments else []
-        skips += [_SECTION_SKIP] if sections else []
-        skips += [_CONDITIONAL_SKIP] if conditionals else []
-        markup = rf"{_START} | (?P<skip>{'|'.join(skips)}) |"
-        chars = r"<(?![a-zA-Z/!?])|<[^>]*>|<[^<]*(?=<)|<"
-    else:
-        markup = rf"{_NOTTAG_BEFORE_NUL} |" if nul else ""
-        chars = r"<(?![a-zA-Z/!?])|<[^<]*(?=<)|<"
-    return re.compile(
-        rf"(?P<text>[^<]+) | {markup} {_BAD_SECTION} | (?P<chars>{chars})", re.S | re.X
-    )
-
-
-def _narrowed(shape: tuple, failed: re.Match, chunk: str, text: str) -> tuple:
-    """The arguments of ``_token_pattern`` once the construct that
-    ``failed`` matched could not complete and became the data ``chunk``:
-    its terminator is missing from the rest of the page."""
-    if chunk[-1] != ">":  # "<[^>]*>" failed as well
-        return (False, True, True, True, text.find("\x00", failed.start()) >= 0)
-    _, comments, sections, conditionals, _ = shape
-    return (
-        True,
-        comments and not failed["comment"],
-        sections and not failed["section"],
-        conditionals and not failed["conditional"],
-        True,
-    )
-
-
-_TOKEN = _token_pattern()
-# A "<" whose construct could not complete, and the terminator it showed
-# missing from the rest of the page.
-_UNCOMPLETED = re.compile(
-    rf"<(?:(?P<comment>!--)|!\[(?:(?P<section>{_SECTION})|(?P<conditional>{_MS_SECTION}))"
-    r"|[a-zA-Z/!?])"
+# Skipped: comments, declarations, processing instructions, marked sections.
+_TOKEN = re.compile(
+    rf"""(?P<text>[^<]+) | {_START}
+      | (?P<skip></[^>]*>|<\?[^>]*>|<!(?!--|\[)[^>]*>|<!--.*?--\s*>
+          |<!\[{_SECTION}.*?\]\s*\]\s*>|<!\[{_MS_SECTION}.*?\]\s*>)
+      | {_BAD_SECTION} | (?P<chars><(?=[^a-zA-Z/!?])) | (?P<unterminated><)""",
+    re.S | re.X,
 )
 _ATTRIBUTE = re.compile(rf"({_ATTR_NAME})(\s*=+\s*({_VALUE}))?{_SEPARATORS}")
-# A head up to its attributes; what must follow a head for it to be a tag
-# or no tag; the data chunk of a start tag that fails.
-_HEAD_START = re.compile(rf"<{_TAG_NAME}{_SEPARATORS}")
-_HEAD_FOLLOWER = re.compile(r">|/>|[^a-zA-Z=/>]")
-_FAILED_TAG = re.compile(r"(?P<chars><[^>]*>|<[^<]*(?=<)|<)")
 _END_TAG = re.compile(r"</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>")
 # Elements whose content is raw text up to their end tag.
 _RAW_TEXT_END = {name: re.compile(rf"</\s*{name}\s*>", re.I) for name in ("script", "style")}
@@ -371,65 +302,19 @@ def _unescape(chunk: str, text: str, at: int) -> str:
         raise ParseError(f"malformed markup: {exc}", offset=_offset(text, at)) from None
 
 
-class _Heads:
-    """The ends of a page's start-tag heads, for pages where one fails."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.run_end: dict[int, int] = {}  # attribute run start -> head end
-        self.until = 0  # where the furthest failed head ends
-
-    def fails(self, at: int) -> bool:
-        """Whether a start tag opens at ``at`` and its head fails. Each
-        attribute the walk passes is remembered with the head's end."""
-        text, run_end = self.text, self.run_end
-        head = _HEAD_START.match(text, at)
-        if head is None:
-            return False
-        pos = head.end()
-        walked = []
-        while pos not in run_end:
-            attribute = _ATTRIBUTE.match(text, pos)
-            if attribute is None:
-                break
-            walked.append(pos)
-            pos = attribute.end()
-        end = run_end.get(pos, pos)
-        for start in walked:
-            run_end[start] = end
-        if _HEAD_FOLLOWER.match(text, end):
-            return False
-        self.until = max(self.until, end)
-        return True
-
-    def scan(self, tokens, pos: int):
-        """``tokens.finditer(text, pos)``, with each start tag that fails
-        before ``until`` matched as data without trying ``tokens``."""
-        text = self.text
-        while pos < self.until:
-            m = (_FAILED_TAG if self.fails(pos) else tokens).match(text, pos)
-            yield m
-            pos = m.end()
-        yield from tokens.finditer(text, pos)
-
-
 def _feed(extractor, text: str):
     """Drive an extractor's handle_starttag(tag, attrs), handle_endtag(tag)
-    and handle_data(text) over a whole page. Tag and attribute names come
-    lower-cased; attrs is a dict, the last of repeated names winning, and
-    a valueless attribute maps to None. A marked section with an unknown
-    or missing keyword (``<![foo``) raises ParseError, as does a character
-    reference too long to resolve."""
+    and handle_data(text) over a page, up to its first unterminated
+    construct. Tag and attribute names come lower-cased; attrs is a dict,
+    the last of repeated names winning, and a valueless attribute maps to
+    None. A marked section with an unknown or missing keyword (``<![foo``)
+    raises ParseError, as does a character reference too long to resolve."""
     on_start, on_end, on_data = (
         extractor.handle_starttag, extractor.handle_endtag, extractor.handle_data
     )
-    tokens = _TOKEN
-    shape = (True, True, True, True, True)  # _token_pattern's arguments
-    heads = _Heads(text)
     pos = 0
-    while True:
-        guarded = shape[0] and pos < heads.until
-        for m in heads.scan(tokens, pos) if guarded else tokens.finditer(text, pos):
+    while pos is not None:
+        for m in _TOKEN.finditer(text, pos):
             kind = m.lastgroup
             if kind == "text":
                 chunk = m.group()
@@ -456,23 +341,8 @@ def _feed(extractor, text: str):
                     on_end(tag)
                 elif tag in _RAW_TEXT_END:
                     pos = _raw_text(text, end, tag, on_end, on_data)
-                    if pos is None:
-                        return
                     break
-            elif kind == "chars":
-                chunk = m.group()
-                on_data(_unescape(chunk, text, m.start()) if "&" in chunk else chunk)
-                failed = shape[0] and _UNCOMPLETED.match(text, m.start())
-                narrowed = _narrowed(shape, failed, chunk, text) if failed else shape
-                if narrowed != shape:
-                    shape = narrowed
-                    tokens = _token_pattern(*shape)
-                    pos = m.end()
-                    break
-                if shape[0] and not guarded and heads.fails(m.start()):
-                    pos = m.end()  # a start tag failed: scan the rest of its head
-                    break
-            elif kind == "nottag":
+            elif kind == "chars" or kind == "nottag":
                 on_data(m.group())
             elif kind == "endtag" or kind == "endtag2":
                 on_end(m.group(kind).lower())
@@ -485,6 +355,8 @@ def _feed(extractor, text: str):
                 raise ParseError(
                     "malformed markup: no keyword after '<!['", offset=_offset(text, m.end())
                 )
+            elif kind == "unterminated":
+                return
         else:
             return
 

@@ -21,7 +21,10 @@ def _parse_value(text: str, gexf_type: str):
     if gexf_type == "integer":
         return int(text)
     if gexf_type == "double":
-        return float(text)
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(text)
+        return value
     return text
 
 

@@ -2,10 +2,13 @@
 ``parser``'s compiled tokenizer replaced. Tests compare the two; nothing in
 the package imports this module.
 
-The tokenizer reproduces ``html.parser`` as shipped with Python 3.11.7.
-``html.parser`` reads malformed markup differently from one Python release to
-another, so on another release a disagreement on malformed markup may be the
-reference's change rather than the package's.
+The tokenizer reproduces ``html.parser`` as shipped with Python 3.11.7, fed a
+page without its end-of-input pass: the page is read up to its first
+unterminated construct (an unclosed comment, quote, tag or marked section, or
+a "<" at the very end), and nothing after it. ``html.parser`` reads malformed
+markup differently from one Python release to another, so on another release
+a disagreement on malformed markup may be the reference's change rather than
+the package's.
 
 Run as a script to check a fixture or cache tree against the reference:
 
@@ -188,12 +191,18 @@ class _AuthorPageExtractor(HTMLParser):
 
 
 def _feed(extractor: HTMLParser, text: str):
-    """Run an extractor over a whole page. The stdlib parser signals some
-    malformed markup (``<![foo``, say) with AssertionError, and a numeric
-    character reference too long for ``int`` with ValueError."""
+    """Run an extractor over a page up to its first unterminated construct.
+    ``feed`` stops at that construct and leaves the rest unread; ``close``,
+    which would make the construct text and read on, runs only when what is
+    left unread does not start with "<", where it merely flushes the text
+    held back for a character reference that might continue. The stdlib
+    parser signals some malformed markup (``<![foo``, say) with
+    AssertionError, and a numeric character reference too long for ``int``
+    with ValueError."""
     try:
         extractor.feed(text)
-        extractor.close()
+        if not extractor.rawdata.startswith("<"):
+            extractor.close()
     except (AssertionError, ValueError) as exc:
         line, col = extractor.getpos()
         scanned = sum(len(part) + 1 for part in text.split("\n")[: line - 1]) + col

@@ -203,9 +203,11 @@ class TestCliSoundTags:
         b = from_gexf((out2 / "notion.gexf").read_text("utf-8"))
         assert a.canonical_form() == b.canonical_form()
 
-    def test_cache_flag_beats_env_var(self, tmp_path, monkeypatch):
+    def test_cache_flag_is_read_and_old_cache_variable_ignored(self, tmp_path, monkeypatch):
         # Only the flag's cache holds the page and the live path is cut off,
-        # so the run succeeds only if --cache wins over the env var.
+        # so the run succeeds only if the --cache directory is read; the
+        # SCHOLAR_SOUNDER_CACHE variable, which the tool no longer reads,
+        # names another directory.
         flag_cache = tmp_path / "flag_cache"
         page = flag_cache / "labels" / "physical_optics" / "0.html"
         page.parent.mkdir(parents=True)

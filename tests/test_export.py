@@ -333,8 +333,10 @@ class TestReaderAgreesWithReference:
         ), None),
         (re.sub(r"<graph.*</graph>", "", MIXED_GEXF, flags=re.S), "no <graph> element"),
         (MIXED_GEXF.replace("</nodes>", '<node label="x"/></nodes>'), "node without id"),
+        (MIXED_GEXF.replace('value="0.5"', 'value="NaN"'),
+         "bad double value 'NaN' for 'score' (at node a)"),
     ], ids=["self-loop", "same-pair-reversed", "non-integral-weight", "redeclared-attribute",
-            "no-graph", "node-without-id"])
+            "no-graph", "node-without-id", "non-finite-double"])
     def test_readers_give_the_same_error_or_graph(self, doc, error):
         """Stricter than assert_readers_agree: a rejection must carry the
         same message and location."""

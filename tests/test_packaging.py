@@ -152,8 +152,8 @@ def test_write_atomic_is_the_only_file_writer():
 
 # Functions whose ValueError is caught or is a documented programming error:
 # ``Graph.add_edge`` guards graphs built in code, and ``from_gexf`` turns
-# ``_parse_bool``'s into a FormatError.
-VALUE_ERROR_RAISERS = {"add_edge", "_parse_bool"}
+# ``_parse_bool``'s and ``_parse_double``'s into a FormatError.
+VALUE_ERROR_RAISERS = {"add_edge", "_parse_bool", "_parse_double"}
 
 
 def foreign_raises(tree):
