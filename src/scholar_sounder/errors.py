@@ -29,6 +29,11 @@ class HttpStatusError(FetchError):
         self.status = status
 
 
+class CacheError(ScholarSounderError):
+    """The live cache could not be opened, read or written. Not a FetchError,
+    so it ends the run rather than turning a page into a failure."""
+
+
 class ParseError(ScholarSounderError):
     """Expected structural markers absent from a page.
 

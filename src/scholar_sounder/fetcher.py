@@ -7,11 +7,12 @@ import logging
 import os
 import re
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import quote
 
-from .errors import FetchError, FixtureMissingError, HttpStatusError, NetworkError
+from .errors import CacheError, FetchError, FixtureMissingError, HttpStatusError, NetworkError
 from .parser import AUTHOR_PROFILE, LABEL_SEARCH, MARKERS
 
 log = logging.getLogger(__name__)
@@ -82,10 +83,10 @@ def build_url(request: PageRequest, page_token: str | None = None) -> str:
     return url
 
 
-def _relative_page_path(request: PageRequest) -> Path:
+def _relative_page_path(request: PageRequest) -> str:
     if request.kind == LABEL_SEARCH:
-        return Path("labels") / request.key / f"{request.page_index}.html"
-    return Path("authors") / f"{request.key}.html"
+        return f"labels/{request.key}/{request.page_index}.html"
+    return f"authors/{request.key}.html"
 
 
 def _has_marker(request: PageRequest, body: bytes) -> bool:
@@ -97,7 +98,7 @@ def write_atomic(path: Path, data: bytes):
     """Replace ``path`` in one step, so a crash never leaves half a file. A
     failed write or rename leaves ``path`` as it was and removes the
     temporary file. The temporary name carries the process id, so two runs
-    that share a cache directory never rename each other's."""
+    that share an output directory never rename each other's."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(data)
@@ -120,6 +121,7 @@ class Fetcher:
         self.request_log: list[tuple[float, str]] = []
         self.cache_hits = 0
         self.pages_fetched = 0
+        self._cache = None  # sqlite3.Connection: opened on first use, closed when dropped
 
     def fetch(self, request: PageRequest, page_token: str | None = None) -> RawPage:
         """Return the page body for a request.
@@ -148,26 +150,46 @@ class Fetcher:
             raise FixtureMissingError(path)
         return RawPage(request=request, body=path.read_bytes(), source="fixture")
 
-    # -- cache: one file per page, holding its body only --------------
+    # -- cache: one SQLite row per page, keyed by its fixture-tree path --
+
+    def _cache_row(self, sql: str, *params):
+        """Run one statement on ``cache_dir/pages.sqlite``, opening it on first
+        use; each statement is its own transaction, so writes go through."""
+        # Imported here, so fixture and analysis runs never load it.
+        import sqlite3
+
+        path = self.policy.cache_dir / "pages.sqlite"
+        try:
+            if self._cache is None:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                # Any thread may drop the Fetcher, so any thread may close it.
+                self._cache = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+                weakref.finalize(self, self._cache.close)
+                self._cache.executescript(
+                    "PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; PRAGMA cache_size=-64;"
+                    "CREATE TABLE IF NOT EXISTS pages(path TEXT PRIMARY KEY, body BLOB NOT NULL)"
+                )
+            return self._cache.execute(sql, params).fetchone()
+        except sqlite3.Error as exc:
+            raise CacheError(f"page cache {path}: {exc}") from None
 
     def _read_cache(self, request: PageRequest) -> RawPage | None:
         if self.policy.cache_dir is None:
             return None
-        path = self.policy.cache_dir / _relative_page_path(request)
-        if not path.is_file():
+        key = _relative_page_path(request)
+        row = self._cache_row("SELECT body FROM pages WHERE path = ?", key)
+        if row is None:
             return None
-        body = path.read_bytes()
-        if not _has_marker(request, body):
-            log.warning("ignoring cached page without marker: %s", path)
+        if not _has_marker(request, row[0]):
+            log.warning("ignoring cached page without marker: %s", key)
             return None
-        return RawPage(request=request, body=body, source="cache")
+        return RawPage(request=request, body=row[0], source="cache")
 
     def _write_cache(self, request: PageRequest, body: bytes):
-        if self.policy.cache_dir is None:
-            return
-        path = self.policy.cache_dir / _relative_page_path(request)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(path, body)
+        if self.policy.cache_dir is not None:
+            self._cache_row(
+                "INSERT OR REPLACE INTO pages VALUES (?, ?)", _relative_page_path(request), body
+            )
 
     # -- live ---------------------------------------------------------
 

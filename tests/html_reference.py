@@ -10,22 +10,26 @@ markup differently from one Python release to another, so on another release
 a disagreement on malformed markup may be the reference's change rather than
 the package's.
 
-Run as a script to check a fixture or cache tree against the reference:
+Run as a script to check a fixture tree or a live cache against the
+reference:
 
     PYTHONPATH=src python3 tests/html_reference.py DIR
 
 It parses every ``labels/<tag>/<n>.html`` and ``authors/<id>.html`` under
-DIR with both implementations and prints the first disagreement (path,
-field, both values). It exits 1 on a disagreement and 2 when DIR holds no
-pages.
+DIR, and every row of ``DIR/pages.sqlite`` (keyed by the same paths), with
+both implementations and prints the first disagreement (path, field, both
+values). It exits 1 on a disagreement and 2 when DIR holds no pages.
 """
 
 from __future__ import annotations
 
+import sqlite3
 import sys
+from contextlib import closing
 from dataclasses import asdict
 from html.parser import HTMLParser
-from pathlib import Path
+from itertools import chain
+from pathlib import Path, PurePosixPath
 from urllib.parse import parse_qs, urlparse
 
 from scholar_sounder import parser
@@ -263,13 +267,33 @@ def compare(request: PageRequest, body: bytes):
     )
 
 
+def request_at(path: PurePosixPath) -> PageRequest | None:
+    """The request that a tree path, ``labels/<tag>/<n>.html`` or
+    ``authors/<id>.html``, stands for; None for any other path."""
+    if path.suffix != ".html":
+        return None
+    if len(path.parts) == 3 and path.parts[0] == "labels" and path.stem.isdecimal():
+        return PageRequest(LABEL_SEARCH, path.parent.name, int(path.stem))
+    if len(path.parts) == 2 and path.parts[0] == "authors":
+        return PageRequest(AUTHOR_PROFILE, path.stem)
+    return None
+
+
 def pages(root: Path):
     """(path, request) for every page of a fixture or cache tree."""
-    for path in sorted((root / "labels").glob("*/*.html")):
-        if path.stem.isdecimal():
-            yield path, PageRequest(LABEL_SEARCH, path.parent.name, int(path.stem))
-    for path in sorted((root / "authors").glob("*.html")):
-        yield path, PageRequest(AUTHOR_PROFILE, path.stem)
+    for path in sorted((root / "labels").glob("*/*.html")) + sorted((root / "authors").glob("*.html")):
+        if request := request_at(PurePosixPath(path.relative_to(root).as_posix())):
+            yield path, request
+
+
+def cache_pages(root: Path):
+    """(name, request, body) for every row of a live cache, ``root/pages.sqlite``."""
+    cache = root / "pages.sqlite"
+    if cache.is_file():
+        with closing(sqlite3.connect(cache)) as db:
+            for key, body in db.execute("SELECT path, body FROM pages ORDER BY path"):
+                if request := request_at(PurePosixPath(key)):
+                    yield f"{cache}:{key}", request, body
 
 
 def main(argv: list[str]) -> int:
@@ -277,15 +301,18 @@ def main(argv: list[str]) -> int:
         print("usage: html_reference.py DIR", file=sys.stderr)
         return 2
     checked = 0
-    for path, request in pages(Path(argv[0])):
-        diff = compare(request, path.read_bytes())
+    root = Path(argv[0])
+    tree = ((path, request, path.read_bytes()) for path, request in pages(root))
+    for name, request, body in chain(tree, cache_pages(root)):
+        diff = compare(request, body)
         if diff:
             field, new, reference = diff
-            print(f"{path}: {field}: package {new!r}, reference {reference!r}")
+            print(f"{name}: {field}: package {new!r}, reference {reference!r}")
             return 1
         checked += 1
     if not checked:
-        print(f"no labels/<tag>/<n>.html or authors/<id>.html pages under {argv[0]}", file=sys.stderr)
+        print(f"no labels/<tag>/<n>.html or authors/<id>.html pages under {argv[0]}"
+              " or in its pages.sqlite", file=sys.stderr)
         return 2
     print(f"{checked} pages parse the same")
     return 0

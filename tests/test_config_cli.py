@@ -18,7 +18,7 @@ from scholar_sounder.cli import build_parser, main
 from scholar_sounder.config import Config, build_config, read_config_file
 from scholar_sounder.errors import ConfigError, NetworkError, ParseError, SoundingError
 from scholar_sounder.export import from_gexf, make_bundle, to_gexf
-from scholar_sounder.fetcher import LABEL_SEARCH, Fetcher, FetchPolicy
+from scholar_sounder.fetcher import LABEL_SEARCH, Fetcher, FetchPolicy, PageRequest
 from scholar_sounder.parser import parse_label_page
 from scholar_sounder.notion_graph import TraceRecord
 
@@ -209,9 +209,10 @@ class TestCliSoundTags:
         # SCHOLAR_SOUNDER_CACHE variable, which the tool no longer reads,
         # names another directory.
         flag_cache = tmp_path / "flag_cache"
-        page = flag_cache / "labels" / "physical_optics" / "0.html"
-        page.parent.mkdir(parents=True)
-        page.write_bytes((FIXTURES_DIR / "labels" / "physical_optics" / "0.html").read_bytes())
+        Fetcher(FetchPolicy(mode="live", cache_dir=flag_cache))._write_cache(
+            PageRequest(LABEL_SEARCH, "physical_optics", 0),
+            (FIXTURES_DIR / "labels" / "physical_optics" / "0.html").read_bytes(),
+        )
         monkeypatch.setenv("SCHOLAR_SOUNDER_CACHE", str(tmp_path / "env_cache"))
 
         def offline(self, request, page_token):
@@ -226,6 +227,26 @@ class TestCliSoundTags:
         assert code == 0
         manifest = json.loads((out / "run_manifest.json").read_text("utf-8"))
         assert manifest["counts"]["cache_hits"] == 1
+
+    def test_a_cache_that_is_not_a_database_exits_two_with_one_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "pages.sqlite").write_bytes(b"not a database\n" * 512)
+
+        def offline(self, request, page_token):
+            raise NetworkError("live fetch attempted")
+
+        monkeypatch.setattr(Fetcher, "_fetch_live", offline)
+        code = main([
+            "all", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out"),
+            "--mode", "live", "--cache", str(cache),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(cache / "pages.sqlite") in err and "live fetch attempted" not in err
 
     def test_empty_out_flag_is_ignored(self, tmp_path):
         file_out = tmp_path / "file_out"

@@ -2,10 +2,12 @@ import errno
 import http.server
 import os
 import socket
+import sqlite3
 import subprocess
 import sys
 import threading
 import time
+from contextlib import closing
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
@@ -34,6 +36,16 @@ from pathlib import Path
 from scholar_sounder.fetcher import write_atomic
 for _ in range(200):
     write_atomic(Path(sys.argv[1]), sys.argv[2].encode() * 65536)
+"""
+TWO_CACHE_WRITERS_CHILD = """
+import sys
+from pathlib import Path
+from scholar_sounder.fetcher import LABEL_SEARCH, FetchPolicy, Fetcher, PageRequest
+fetcher = Fetcher(FetchPolicy(mode="live", cache_dir=Path(sys.argv[1])))
+sys.stdin.read()  # both writers start when the parent closes their stdin
+for n in range(200):
+    request = PageRequest(LABEL_SEARCH, sys.argv[2], n)
+    fetcher._write_cache(request, f'<div id="gsc_sa_ccl">{sys.argv[2]} {n}</div>'.encode())
 """
 
 
@@ -137,15 +149,13 @@ class TestWriteAtomic:
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
     def test_two_processes_writing_one_path(self, tmp_path):
-        """Two runs that share a cache directory write the same pages: neither
-        may rename the other's temporary file or lose its own."""
+        """Two runs that share an output directory write the same files:
+        neither may rename the other's temporary file or lose its own."""
         target = tmp_path / "page.html"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
         writers = [
             subprocess.Popen(
                 [sys.executable, "-c", TWO_WRITERS_CHILD, str(target), fill],
-                env=env, stderr=subprocess.PIPE, text=True,
+                env=child_env(), stderr=subprocess.PIPE, text=True,
             )
             for fill in "ab"
         ]
@@ -222,14 +232,27 @@ def server_url(server) -> str:
     return f"http://127.0.0.1:{server.server_address[1]}"
 
 
+def child_env() -> dict:
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+
+def cache_rows(cache_dir) -> dict[str, bytes]:
+    """Every row of a live cache, read with a connection of its own."""
+    with closing(sqlite3.connect(cache_dir / "pages.sqlite")) as db:
+        return dict(db.execute("SELECT path, body FROM pages"))
+
+
 CACHED_PAGE = b'<html><div id="gsc_sa_ccl">cached</div></html>'
 
 
 class TestCache:
     def _seed_cache(self, cache_dir, req, body):
-        path = cache_dir / "labels" / req.key / f"{req.page_index}.html"
-        path.parent.mkdir(parents=True)
-        path.write_bytes(body)
+        key = f"labels/{req.key}/{req.page_index}.html"
+        with closing(sqlite3.connect(cache_dir / "pages.sqlite")) as db:
+            db.execute("CREATE TABLE pages(path TEXT PRIMARY KEY, body BLOB NOT NULL)")
+            db.execute("INSERT INTO pages VALUES (?, ?)", (key, body))
+            db.commit()
 
     def test_live_mode_serves_from_cache_without_network(self, tmp_path):
         req = PageRequest(LABEL_SEARCH, "optics", 0)
@@ -267,11 +290,14 @@ class TestCache:
         policy = self.live_policy(cache_dir=str(tmp_path / "explicit"))
         assert policy.cache_dir == tmp_path / "explicit"
 
-    def test_live_fetch_writes_one_file_per_page(self, scripted_server, tmp_path):
+    def test_live_fetch_writes_one_row_per_page(self, scripted_server, tmp_path):
         server = scripted_server((200, LABEL_PAGE))
-        live_fetcher(server_url(server), tmp_path).fetch(LABEL_REQUEST)
-        files = [p for p in tmp_path.rglob("*") if p.is_file()]
-        assert files == [tmp_path / "labels" / "physical_optics" / "0.html"]
+        fetcher = live_fetcher(server_url(server), tmp_path)
+        fetcher.fetch(LABEL_REQUEST)
+        assert cache_rows(tmp_path) == {"labels/physical_optics/0.html": LABEL_PAGE}
+        names = {p.name for p in tmp_path.rglob("*")}
+        assert "pages.sqlite" in names
+        assert names <= {"pages.sqlite", "pages.sqlite-wal", "pages.sqlite-shm"}
 
     def test_live_fetch_without_cache_dir_requests_every_time_and_writes_nothing(
         self, scripted_server, tmp_path, monkeypatch
@@ -295,10 +321,7 @@ class TestCache:
         raw = fetcher.fetch(LABEL_REQUEST)
         assert raw.source == "live"
         assert server.hits == 1
-        html_path = tmp_path / "labels" / "physical_optics" / "0.html"
-        assert html_path.read_bytes() == LABEL_PAGE
-        assert not list(tmp_path.rglob("*.tmp"))
-        assert not list(tmp_path.rglob("*.meta.json"))
+        assert cache_rows(tmp_path) == {"labels/physical_optics/0.html": LABEL_PAGE}
         rerun = live_fetcher(server_url(server), tmp_path).fetch(LABEL_REQUEST)
         assert rerun.source == "cache"
         assert rerun.body == LABEL_PAGE
@@ -315,20 +338,52 @@ class TestCache:
     def test_corrupt_sidecar_is_a_miss_and_is_rewritten(
         self, scripted_server, tmp_path, caplog, sidecar
     ):
-        """Older versions wrote a ``.meta.json`` sidecar beside each cached
-        page. One left over, whatever it holds, is never opened: the page is
-        a cache hit, with no warning, and the sidecar stays as it was."""
-        self._seed_cache(tmp_path, LABEL_REQUEST, LABEL_PAGE)
-        meta_path = tmp_path / "labels" / "physical_optics" / "0.html.meta.json"
+        """Older versions cached one file per page, some with a ``.meta.json``
+        sidecar beside it. Such a page, whatever its sidecar holds, is never
+        opened: it is a miss, with no warning, the page is fetched and
+        rewritten as a row, and the old files stay as they were."""
+        page_path = tmp_path / "labels" / "physical_optics" / "0.html"
+        page_path.parent.mkdir(parents=True)
+        page_path.write_bytes(LABEL_PAGE)
+        meta_path = page_path.with_name("0.html.meta.json")
         meta_path.write_bytes(sidecar)
-        server = scripted_server()
+        server = scripted_server((200, LABEL_PAGE))
         with caplog.at_level("WARNING", logger="scholar_sounder.fetcher"):
             raw = live_fetcher(server_url(server), tmp_path).fetch(LABEL_REQUEST)
-        assert raw.source == "cache"
+        assert raw.source == "live"
         assert raw.body == LABEL_PAGE
-        assert server.hits == 0
+        assert server.hits == 1
         assert not [r for r in caplog.records if r.levelname == "WARNING"]
+        assert cache_rows(tmp_path) == {"labels/physical_optics/0.html": LABEL_PAGE}
+        assert page_path.read_bytes() == LABEL_PAGE
         assert meta_path.read_bytes() == sidecar
+
+    def test_two_processes_write_one_cache(self, tmp_path):
+        """Two runs that share a cache directory write pages at the same
+        time: both finish, and no page of either is lost."""
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", TWO_CACHE_WRITERS_CHILD, str(tmp_path), tag],
+                env=child_env(), stdin=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for tag in ("optics", "lasers")
+        ]
+        for writer in writers:
+            writer.stdin.close()
+        errors = [writer.stderr.read() for writer in writers]
+        for writer in writers:
+            writer.wait(timeout=120)
+        assert [writer.returncode for writer in writers] == [0, 0], errors
+        assert len(cache_rows(tmp_path)) == 400
+        fetcher = Fetcher(
+            FetchPolicy(mode="live", cache_dir=tmp_path, base_url="http://127.0.0.1:1")
+        )
+        for tag in ("optics", "lasers"):
+            for n in range(200):
+                raw = fetcher.fetch(PageRequest(LABEL_SEARCH, tag, n))
+                assert raw.body == f'<div id="gsc_sa_ccl">{tag} {n}</div>'.encode()
+        assert fetcher.cache_hits == 400
+        assert fetcher.request_log == []
 
 
 class TestLiveFaults:
@@ -406,7 +461,7 @@ class TestLiveFaults:
         with pytest.raises(HttpStatusError):
             fetcher.fetch(LABEL_REQUEST)
         assert server.hits == 1
-        assert not list(cache.rglob("*"))
+        assert cache_rows(cache) == {}
 
     def test_truncated_body_is_retried(self, scripted_server, tmp_path):
         server = scripted_server(TRUNCATED, (200, LABEL_PAGE))

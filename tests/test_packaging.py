@@ -74,7 +74,7 @@ def test_no_runtime_dependencies_declared():
 
 # Modules that only a live fetch needs (``xml.sax.saxutils`` imports
 # ``urllib.request``, and with it the rest of this list).
-LIVE_ONLY_MODULES = ["http.client", "urllib.request", "ssl", "email.parser", "xml.sax"]
+LIVE_ONLY_MODULES = ["http.client", "urllib.request", "ssl", "email.parser", "xml.sax", "sqlite3"]
 
 IMPORT_PROBE = """
 import json, sys
@@ -98,7 +98,7 @@ print(json.dumps(seen))
 
 
 def test_offline_runs_never_load_the_http_stack(tmp_path):
-    """Fixture runs, analyze and export import no HTTP, TLS or SAX module."""
+    """Fixture runs, analyze and export import no HTTP, TLS, SAX or SQLite module."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "base_tags": ["physical optics"],
@@ -140,8 +140,9 @@ def file_writes(tree):
 
 
 def test_write_atomic_is_the_only_file_writer():
-    """Every output, cache page and manifest goes through fetcher.write_atomic,
-    so no write can leave half a file or bypass the manifest's digests."""
+    """Every output and the manifest go through fetcher.write_atomic, so no
+    write can leave half a file or bypass the manifest's digests. Cache
+    pages are rows of the live cache's SQLite table."""
     writes = {
         path.name: lines
         for path in sorted(PACKAGE_DIR.glob("*.py"))

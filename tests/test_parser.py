@@ -22,6 +22,7 @@ from scholar_sounder.parser import normalize_tag, parse_author_page, parse_label
 import html_reference
 from conftest import load_golden
 from htmlgen import pad_page, render_label_page, render_profile_page
+from test_fetcher import LABEL_PAGE, live_fetcher, scripted_server, server_url  # noqa: F401
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -679,6 +680,24 @@ class TestReferenceTreeChecker:
         out = capsys.readouterr().out
         assert out == (
             f"{fixtures_dir / 'authors' / 'A_CHAVEZ.html'}: name: "
+            "package '', reference 'Sabino Chavez-Cerda'\n"
+        )
+
+    def test_script_on_a_live_cache(
+        self, scripted_server, fixtures_dir, tmp_path, capsys, monkeypatch
+    ):
+        profile = (fixtures_dir / "authors" / "A_CHAVEZ.html").read_bytes()
+        server = scripted_server((200, LABEL_PAGE), (200, profile))
+        fetcher = live_fetcher(server_url(server), tmp_path)
+        fetcher.fetch(PageRequest(LABEL_SEARCH, "physical_optics", 0))
+        fetcher.fetch(PageRequest(AUTHOR_PROFILE, "A_CHAVEZ"))
+        del fetcher  # closes the cache
+        assert html_reference.main([str(tmp_path)]) == 0
+        assert capsys.readouterr().out == "2 pages parse the same\n"
+        monkeypatch.setattr(parser._AuthorPageExtractor, "handle_data", lambda self, data: None)
+        assert html_reference.main([str(tmp_path)]) == 1
+        assert capsys.readouterr().out == (
+            f"{tmp_path / 'pages.sqlite'}:authors/A_CHAVEZ.html: name: "
             "package '', reference 'Sabino Chavez-Cerda'\n"
         )
 
