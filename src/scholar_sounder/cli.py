@@ -1,8 +1,8 @@
 """Command-line orchestration: load config, run soundings, run analysis,
 write exports and a run manifest.
 
-Exit codes: 0 success, 1 config error, 2 a fetch, parse, file, encoding or
-format failure or an interrupt (Ctrl-C) that aborted the run, 3 completed with
+Exit codes: 0 success, 1 config error, 2 a fetch, file, encoding or format
+failure or an interrupt (Ctrl-C) that aborted the run, 3 completed with
 warnings (recorded in the manifest).
 """
 
@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import astuple, fields
 from datetime import datetime, timezone
@@ -30,7 +31,7 @@ from .export import (
     ExportBundle, from_gexf, json_text, make_bundle, to_edge_csv, to_gexf, to_graphml,
     to_json_report,
 )
-from .fetcher import Fetcher, write_atomic
+from .fetcher import Fetcher
 from .notion_graph import TraceRecord, sound_tags
 from .parser import parse_author_page, parse_label_page
 
@@ -93,6 +94,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true")
 
     return parser
+
+
+def write_atomic(path: Path, data: bytes):
+    """Replace ``path`` in one step, so a crash never leaves half a file. A
+    failed write or rename leaves ``path`` as it was and removes the
+    temporary file. The temporary name carries the process id, so two runs
+    that share an output directory never rename each other's."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class RunContext:

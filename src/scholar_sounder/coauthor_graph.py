@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .analysis import Graph
-from .errors import FetchError, ParseError, ScholarSounderError, SoundingError
+from .errors import FetchError, ScholarSounderError, SoundingError
 from .fetcher import AUTHOR_PROFILE, PageRequest
 from .notion_graph import fetch_label_pages
 from .parser import SYNTHETIC_ID_PREFIX, AuthorSummary
@@ -45,8 +45,8 @@ class CoauthorNetwork(Graph):
 
 def seed_authors(config, pages_of) -> list[AuthorSummary]:
     """Author summaries from the base tags' result pages, ``pages_of(tag)``,
-    deduplicated by id, keeping first-seen document order. A fetch or parse
-    failure aborts with the base tag attached, as in ``sound_tags``."""
+    deduplicated by id, keeping first-seen document order. A fetch failure
+    aborts with the base tag attached, as in ``sound_tags``."""
     seeds: list[AuthorSummary] = []
     seen: set[str] = set()
     for base in config.base_tags:
@@ -69,10 +69,11 @@ def sound_authors(config, fetch, parse_profile, seeds=None, parse_label=None) ->
     fetched; each listed co-author gains an edge and, if unseen, is admitted
     at hop h+1 and queued if h+1 <= hop_limit. No author is admitted once
     the network holds author_cap nodes, and a listing of an author not
-    admitted adds no edge. Fetch or parse failures keep the author as a
-    stub and the run continues. FIFO order makes the result deterministic.
-    Without ``seeds``, the seeds come from the base tags' result pages,
-    fetched with ``fetch`` and parsed with ``parse_label``.
+    admitted adds no edge. ``fetch`` returns only pages holding their
+    marker; its failures keep the author as a stub and the run continues.
+    FIFO order makes the result deterministic. Without ``seeds``, the seeds
+    come from the base tags' result pages, fetched with ``fetch`` and parsed
+    with ``parse_label``.
     """
     net = CoauthorNetwork()
     if seeds is None:
@@ -124,7 +125,7 @@ def _fetch_profile(author_id, fetch, parse_profile, net: CoauthorNetwork):
     try:
         raw = fetch(request)
         profile = parse_profile(raw)
-    except (FetchError, ParseError) as exc:
+    except FetchError as exc:
         log.warning("profile fetch failed for %s: %s", author_id, exc)
         net.nodes[author_id]["fetch_failed"] = True
         net.report.failures += 1

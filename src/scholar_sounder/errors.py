@@ -34,18 +34,6 @@ class CacheError(ScholarSounderError):
     so it ends the run rather than turning a page into a failure."""
 
 
-class ParseError(ScholarSounderError):
-    """Expected structural markers absent from a page.
-
-    ``offset`` is the byte position up to which the document scanned
-    cleanly before the first mismatch.
-    """
-
-    def __init__(self, message, offset=0):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
-
-
 class ConfigError(ScholarSounderError):
     """Invalid configuration, naming the offending entry."""
 
@@ -64,7 +52,7 @@ class FormatError(ScholarSounderError):
 
 
 class SoundingError(ScholarSounderError):
-    """A fetch or parse failure that aborted a sounding run."""
+    """A fetch failure that aborted a sounding run."""
 
     def __init__(self, tag, cause):
         super().__init__(f"sounding failed at '{tag}': {cause}")

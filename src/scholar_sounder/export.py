@@ -2,7 +2,7 @@
 
 GEXF 1.2 is the primary format and the only one with a reader; GraphML,
 edge CSV and the JSON summary are write-only. Each writer returns the
-file's text, which ``cli`` writes with ``fetcher.write_atomic``. Everything
+file's text, which ``cli`` writes with ``write_atomic``. Everything
 is emitted in canonical sorted order so identical inputs give
 byte-identical files; ``json_text`` is the one layout of every JSON file.
 The XML writers quote each node id once and escape only string values;

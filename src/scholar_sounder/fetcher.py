@@ -4,7 +4,6 @@ fixture corpus for offline runs."""
 from __future__ import annotations
 
 import logging
-import os
 import re
 import time
 import weakref
@@ -90,22 +89,10 @@ def _relative_page_path(request: PageRequest) -> str:
 
 
 def _has_marker(request: PageRequest, body: bytes) -> bool:
-    """False for an interstitial page or a body cut off before its results."""
+    """False for an interstitial page or a body cut off before its results.
+    The marker is ASCII, and UTF-8 decoding with replacement never absorbs an
+    ASCII byte, so the parser's decoded text holds it exactly when this is True."""
     return MARKERS[request.kind].encode() in body
-
-
-def write_atomic(path: Path, data: bytes):
-    """Replace ``path`` in one step, so a crash never leaves half a file. A
-    failed write or rename leaves ``path`` as it was and removes the
-    temporary file. The temporary name carries the process id, so two runs
-    that share an output directory never rename each other's."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 class Fetcher:
@@ -124,12 +111,14 @@ class Fetcher:
         self._cache = None  # sqlite3.Connection: opened on first use, closed when dropped
 
     def fetch(self, request: PageRequest, page_token: str | None = None) -> RawPage:
-        """Return the page body for a request.
+        """Return the page body for a request; it holds its kind's marker,
+        whatever its source, or FetchError is raised.
 
         Fixture mode reads only from ``fixtures_dir`` and never touches the
-        network. Live mode checks the cache first and writes every fresh
-        body to the cache before returning it. A key that is not a plain id
-        raises FetchError before any file or the network is touched.
+        network. Live mode checks the cache first, passing over a cached
+        page without its marker, and writes every fresh body to the cache
+        before returning it. A key that is not a plain id raises FetchError
+        before any file or the network is touched.
         """
         if not PLAIN_KEY.fullmatch(request.key):
             raise FetchError(f"refusing page key {request.key!r}: not a plain id")
@@ -148,7 +137,10 @@ class Fetcher:
         path = self.policy.fixtures_dir / _relative_page_path(request)
         if not path.is_file():
             raise FixtureMissingError(path)
-        return RawPage(request=request, body=path.read_bytes(), source="fixture")
+        body = path.read_bytes()
+        if not _has_marker(request, body):
+            raise FetchError(f"fixture {path} lacks marker '{MARKERS[request.kind]}'")
+        return RawPage(request=request, body=body, source="fixture")
 
     # -- cache: one SQLite row per page, keyed by its fixture-tree path --
 

@@ -120,8 +120,9 @@ def sound_tags(config, fetch, parse, base_pages=None) -> NotionNetwork:
 
     Each base tag gets at most ``config.depth`` expansion iterations; all
     expansions merge into one network, and every visit appends a trace
-    record. Fetch/parse failures abort with the offending tag attached,
-    except missing fixtures, which degrade to empty pages. A dict passed as
+    record. ``fetch`` returns only pages holding their marker; its failures
+    abort with the offending tag attached, except missing fixtures, which
+    degrade to empty pages. A dict passed as
     ``base_pages`` receives the parsed pages of each base tag as it is visited.
     """
     net = NotionNetwork()

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from html import unescape
 from urllib.parse import parse_qs, urlparse
 
-from .errors import ParseError
-
-# The page kinds, and the structural marker the service embeds in each.
-# Parsing keys off these; anything else in the HTML is cosmetic.
+# The page kinds, and the structural marker the service embeds in each. The
+# fetcher returns no page without its marker; anything else in the HTML is
+# cosmetic.
 LABEL_SEARCH = "label_search"
 AUTHOR_PROFILE = "author_profile"
 LABEL_RESULTS_MARKER = "gsc_sa_ccl"
@@ -270,18 +269,12 @@ _START = rf"""
       (?:>|(?P<empty>/>)|(?P<nottag>)(?=[^a-zA-Z=/>]))
   | </(?:\s*(?P<endtag>[a-zA-Z][-.a-zA-Z0-9:_]*)\s*>|(?P<endtag2>{_TAG_NAME})[^>]*>)
 """
-# A keyword that runs to the end of the page is unterminated.
-_BAD_SECTION = rf"""
-    (?P<badsection><!\[(?!{_SECTION}|{_MS_SECTION})(?![a-zA-Z][-_.a-zA-Z0-9]*\s*\Z)
-      (?P<keyword>[a-zA-Z][-_.a-zA-Z0-9]*))
-  | (?P<nokeyword><!\[)(?=[^a-zA-Z])
-"""
 # Skipped: comments, declarations, processing instructions, marked sections.
 _TOKEN = re.compile(
     rf"""(?P<text>[^<]+) | {_START}
       | (?P<skip></[^>]*>|<\?[^>]*>|<!(?!--|\[)[^>]*>|<!--.*?--\s*>
           |<!\[{_SECTION}.*?\]\s*\]\s*>|<!\[{_MS_SECTION}.*?\]\s*>)
-      | {_BAD_SECTION} | (?P<chars><(?=[^a-zA-Z/!?])) | (?P<unterminated><)""",
+      | (?P<chars><(?=[^a-zA-Z/!?])) | (?P<unterminated><)""",
     re.S | re.X,
 )
 _ATTRIBUTE = re.compile(rf"({_ATTR_NAME})(\s*=+\s*({_VALUE}))?{_SEPARATORS}")
@@ -290,25 +283,14 @@ _END_TAG = re.compile(r"</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>")
 _RAW_TEXT_END = {name: re.compile(rf"</\s*{name}\s*>", re.I) for name in ("script", "style")}
 
 
-def _offset(text: str, at: int) -> int:
-    return len(text[:at].encode("utf-8"))
-
-
-def _unescape(chunk: str, text: str, at: int) -> str:
-    """Character references in ``chunk`` (found at ``at``) resolved."""
-    try:
-        return unescape(chunk)
-    except ValueError as exc:  # a decimal reference too long for int()
-        raise ParseError(f"malformed markup: {exc}", offset=_offset(text, at)) from None
-
-
 def _feed(extractor, text: str):
     """Drive an extractor's handle_starttag(tag, attrs), handle_endtag(tag)
     and handle_data(text) over a page, up to its first unterminated
     construct. Tag and attribute names come lower-cased; attrs is a dict,
     the last of repeated names winning, and a valueless attribute maps to
-    None. A marked section with an unknown or missing keyword (``<![foo``)
-    raises ParseError, as does a character reference too long to resolve."""
+    None. Markup that html.parser rejects ends the page too: a marked
+    section with an unknown or missing keyword (``<![foo``), which the
+    catch-all "<" takes, and a decimal reference too long for int()."""
     on_start, on_end, on_data = (
         extractor.handle_starttag, extractor.handle_endtag, extractor.handle_data
     )
@@ -318,7 +300,12 @@ def _feed(extractor, text: str):
             kind = m.lastgroup
             if kind == "text":
                 chunk = m.group()
-                on_data(_unescape(chunk, text, m.start()) if "&" in chunk else chunk)
+                if "&" in chunk:
+                    try:
+                        chunk = unescape(chunk)
+                    except ValueError:
+                        return
+                on_data(chunk)
             elif kind == "start" or kind == "empty":
                 end = m.end()
                 tag_end = m.end("tag")
@@ -333,7 +320,10 @@ def _feed(extractor, text: str):
                             if value[:1] in ("'", '"'):
                                 value = value[1:-1]
                             if "&" in value:
-                                value = _unescape(value, text, m.start())
+                                try:
+                                    value = unescape(value)
+                                except ValueError:
+                                    return
                         attrs[name.lower()] = value
                 tag = m.group("tag").lower()
                 on_start(tag, attrs)
@@ -346,15 +336,6 @@ def _feed(extractor, text: str):
                 on_data(m.group())
             elif kind == "endtag" or kind == "endtag2":
                 on_end(m.group(kind).lower())
-            elif kind == "badsection":
-                raise ParseError(
-                    f"malformed markup: unknown marked section keyword {m.group('keyword')!r}",
-                    offset=_offset(text, m.start()),
-                )
-            elif kind == "nokeyword":
-                raise ParseError(
-                    "malformed markup: no keyword after '<!['", offset=_offset(text, m.end())
-                )
             elif kind == "unterminated":
                 return
         else:
@@ -388,9 +369,8 @@ def parse_label_page(page, queried: str) -> LabelPage:
     counted in ``dropped``. Label strings come back normalized and
     deduplicated; labels that normalize to nothing are dropped.
     """
-    text = _page_text(page, LABEL_SEARCH, "label results container")
     ex = _LabelPageExtractor()
-    _feed(ex, text)
+    _feed(ex, page.body.decode("utf-8", errors="replace"))
     return _label_page(ex, queried)
 
 
@@ -401,21 +381,9 @@ def parse_author_page(page) -> AuthorProfile:
     profile link get the synthetic id ``name:<normalized name>``, or are
     dropped when their name normalizes to nothing.
     """
-    text = _page_text(page, AUTHOR_PROFILE, "profile marker")
     ex = _AuthorPageExtractor()
-    _feed(ex, text)
+    _feed(ex, page.body.decode("utf-8", errors="replace"))
     return _author_profile(ex, page.request.key)
-
-
-def _page_text(page, kind: str, what: str) -> str:
-    """The decoded body of a ``kind`` page. ParseError at the end of the body
-    when it lacks the kind's marker: the marker is ASCII, and decoding never
-    absorbs an ASCII byte, so the body ran out before any copy of it."""
-    text = page.body.decode("utf-8", errors="replace")
-    marker = MARKERS[kind]
-    if marker not in text:
-        raise ParseError(f"{what} '{marker}' not found", offset=len(page.body))
-    return text
 
 
 # The characters XML 1.0 cannot hold, not even as character references.

@@ -33,7 +33,6 @@ from pathlib import Path, PurePosixPath
 from urllib.parse import parse_qs, urlparse
 
 from scholar_sounder import parser
-from scholar_sounder.errors import ParseError
 from scholar_sounder.fetcher import AUTHOR_PROFILE, LABEL_SEARCH, PageRequest, RawPage
 from scholar_sounder.parser import LABEL_RESULTS_MARKER, PROFILE_MARKER, _count
 
@@ -202,39 +201,30 @@ def _feed(extractor: HTMLParser, text: str):
     held back for a character reference that might continue. The stdlib
     parser signals some malformed markup (``<![foo``, say) with
     AssertionError, and a numeric character reference too long for ``int``
-    with ValueError."""
+    with ValueError; html.parser stops there, and so does the page."""
     try:
         extractor.feed(text)
         if not extractor.rawdata.startswith("<"):
             extractor.close()
-    except (AssertionError, ValueError) as exc:
-        line, col = extractor.getpos()
-        scanned = sum(len(part) + 1 for part in text.split("\n")[: line - 1]) + col
-        raise ParseError(
-            f"malformed markup: {exc}", offset=len(text[:scanned].encode("utf-8"))
-        ) from None
+    except (AssertionError, ValueError):
+        return
 
 
 def parse_label_page(page, queried: str) -> parser.LabelPage:
-    text = parser._page_text(page, LABEL_SEARCH, "label results container")
     ex = _LabelPageExtractor()
-    _feed(ex, text)
+    _feed(ex, page.body.decode("utf-8", errors="replace"))
     return parser._label_page(ex, queried)
 
 
 def parse_author_page(page) -> parser.AuthorProfile:
-    text = parser._page_text(page, AUTHOR_PROFILE, "profile marker")
     ex = _AuthorPageExtractor()
-    _feed(ex, text)
+    _feed(ex, page.body.decode("utf-8", errors="replace"))
     return parser._author_profile(ex, page.request.key)
 
 
 def outcome(parse, *args):
-    """A parse result as plain data, or ``{"ParseError": offset}``."""
-    try:
-        return asdict(parse(*args))
-    except ParseError as exc:
-        return {"ParseError": exc.offset}
+    """A parse result as plain data."""
+    return asdict(parse(*args))
 
 
 def first_difference(a, b, field: str = ""):

@@ -16,7 +16,7 @@ from scholar_sounder import bundled_fixtures_dir, cli
 from scholar_sounder.analysis import Graph
 from scholar_sounder.cli import build_parser, main
 from scholar_sounder.config import Config, build_config, read_config_file
-from scholar_sounder.errors import ConfigError, NetworkError, ParseError, SoundingError
+from scholar_sounder.errors import ConfigError, FetchError, NetworkError, SoundingError
 from scholar_sounder.export import from_gexf, make_bundle, to_gexf
 from scholar_sounder.fetcher import LABEL_SEARCH, Fetcher, FetchPolicy, PageRequest
 from scholar_sounder.parser import parse_label_page
@@ -427,12 +427,37 @@ class TestCliSoundAuthors:
         assert manifest["outputs"] == []
         assert not (out / "report.json").exists()
 
+    def test_base_tag_page_cut_before_its_marker_aborts_with_the_tag(self, tmp_path, capsys):
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(FIXTURES_DIR, fixtures)
+        page = fixtures / "labels" / "physical_optics" / "0.html"
+        body = page.read_bytes()
+        page.write_bytes(body[:body.index(b"gsc_sa_ccl")])
+        config, out = write_config(tmp_path), tmp_path / "out"
+        code = main(["all", "--config", str(config), "--fixtures", str(fixtures), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sounding failed at 'physical_optics': ")
+        assert err.count("\n") == 1
+
+    def test_profile_cut_before_its_marker_leaves_a_fetch_failed_stub(self, tmp_path):
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(FIXTURES_DIR, fixtures)
+        profile = fixtures / "authors" / "A_TUDOR.html"
+        body = profile.read_bytes()
+        profile.write_bytes(body[:body.index(b"gsc_prf_in")])
+        config, out = write_config(tmp_path), tmp_path / "out"
+        code = main(["all", "--config", str(config), "--fixtures", str(fixtures), "--out", str(out)])
+        assert code == 3
+        node = from_gexf((out / "coauthors.gexf").read_text("utf-8")).graph.nodes["A_TUDOR"]
+        assert node["stub"] is True and node["fetch_failed"] is True
+
     def test_abort_in_author_phase_keeps_the_tag_phase_outputs(self, tmp_path, monkeypatch):
         config = write_config(tmp_path)
         main(["sound-tags", "--config", str(config), "--out", str(tmp_path / "tags")])
 
         def fail(*args, **kwargs):
-            raise SoundingError("physical_optics", ParseError("no results"))
+            raise SoundingError("physical_optics", FetchError("no results"))
 
         monkeypatch.setattr(cli, "sound_authors", fail)
         out = tmp_path / "out"
@@ -709,7 +734,7 @@ class TestCliAnalyzeExport:
         def disk_full(src, dst):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr("scholar_sounder.fetcher.os.replace", disk_full)
+        monkeypatch.setattr("scholar_sounder.cli.os.replace", disk_full)
         code = main([command[0], "--in", str(gexf_path), "--out", str(out), *command[1:]])
         assert code == 2
         err = capsys.readouterr().err

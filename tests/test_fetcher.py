@@ -1,6 +1,7 @@
 import errno
 import http.server
 import os
+import re
 import socket
 import sqlite3
 import subprocess
@@ -13,7 +14,8 @@ from urllib.parse import parse_qs, urlsplit
 
 import pytest
 
-from scholar_sounder import bundled_fixtures_dir, fetcher as fetcher_module
+from scholar_sounder import bundled_fixtures_dir, cli, fetcher as fetcher_module
+from scholar_sounder.cli import write_atomic
 from scholar_sounder.config import build_config
 from scholar_sounder.errors import FetchError, FixtureMissingError, HttpStatusError, NetworkError
 from scholar_sounder.fetcher import (
@@ -24,16 +26,15 @@ from scholar_sounder.fetcher import (
     Fetcher,
     PageRequest,
     build_url,
-    write_atomic,
 )
-from scholar_sounder.parser import parse_label_page
+from scholar_sounder.parser import MARKERS, parse_label_page
 
 
 ROOT = Path(__file__).resolve().parent.parent
 TWO_WRITERS_CHILD = """
 import sys
 from pathlib import Path
-from scholar_sounder.fetcher import write_atomic
+from scholar_sounder.cli import write_atomic
 for _ in range(200):
     write_atomic(Path(sys.argv[1]), sys.argv[2].encode() * 65536)
 """
@@ -92,6 +93,44 @@ class TestFixtureMode:
         b = fixture_fetcher.fetch(req)
         assert a.body == b.body
 
+    @pytest.mark.parametrize("kind", [LABEL_SEARCH, AUTHOR_PROFILE], ids=["label", "profile"])
+    def test_page_without_its_marker_is_refused(self, fixture_fetcher, tmp_path, kind):
+        """A fixture that lacks its kind's marker is a failed fetch, not a
+        gap in the corpus. The marker is ASCII, and decoding never absorbs
+        an ASCII byte, so checking the bytes refuses what a check of the
+        decoded text would."""
+        requests = {
+            LABEL_SEARCH: PageRequest(LABEL_SEARCH, "physical_optics", 0),
+            AUTHOR_PROFILE: PageRequest(AUTHOR_PROFILE, "A_TUDOR"),
+        }
+        request = requests.pop(kind)
+        [other] = requests.values()
+        body = fixture_fetcher.fetch(request).body
+        marker = MARKERS[kind].encode()
+        at = body.find(marker)
+        marker_less = [
+            body[:50],
+            body[:100],
+            b"",
+            body[:at + len(marker) - 1],
+            b"\xff\xfe" + body[:at + 3],  # invalid UTF-8 before the cut
+            body[:at] + b"\xe2\x82",  # cut inside a character
+            body[:at] + marker[:4] + b"\xc3" + marker[4:],  # the marker split by a bad byte
+            "王伟".encode()[:-1] + marker[:-1],
+            fixture_fetcher.fetch(other).body,  # the other kind's page
+        ]
+        fetcher = Fetcher(FetchPolicy(mode="fixture", fixtures_dir=tmp_path))
+        path = tmp_path / fetcher_module._relative_page_path(request)
+        path.parent.mkdir(parents=True)
+        for truncated in marker_less:
+            path.write_bytes(truncated)
+            message = re.escape(f"{path} lacks marker '{MARKERS[kind]}'")
+            with pytest.raises(FetchError, match=message) as info:
+                fetcher.fetch(request)
+            assert not isinstance(info.value, FixtureMissingError), truncated
+        path.write_bytes(body)
+        assert fetcher.fetch(request).body == body
+
 
 class TestPageKey:
     """A page key is used as a path component and a URL parameter, so only
@@ -139,9 +178,9 @@ class TestWriteAtomic:
             raise OSError(errno.ENOSPC, "No space left on device")
 
         if step == "write":
-            monkeypatch.setattr(fetcher_module.Path, "write_bytes", half_written)
+            monkeypatch.setattr(cli.Path, "write_bytes", half_written)
         else:
-            monkeypatch.setattr(fetcher_module.os, "replace", disk_full)
+            monkeypatch.setattr(cli.os, "replace", disk_full)
         with pytest.raises(OSError) as raised:
             write_atomic(target, b"new")
         assert raised.value.errno == errno.ENOSPC

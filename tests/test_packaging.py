@@ -140,7 +140,7 @@ def file_writes(tree):
 
 
 def test_write_atomic_is_the_only_file_writer():
-    """Every output and the manifest go through fetcher.write_atomic, so no
+    """Every output and the manifest go through cli.write_atomic, so no
     write can leave half a file or bypass the manifest's digests. Cache
     pages are rows of the live cache's SQLite table."""
     writes = {

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scholar_sounder import parser
-from scholar_sounder.errors import ParseError
 from scholar_sounder.fetcher import AUTHOR_PROFILE, LABEL_SEARCH, PageRequest, RawPage
 from scholar_sounder.parser import normalize_tag, parse_author_page, parse_label_page
 
@@ -117,30 +116,6 @@ class TestParseLabelPage:
         assert page.authors == []
         assert page.next_page_token is None
 
-    @pytest.mark.parametrize("kind", [LABEL_SEARCH, AUTHOR_PROFILE], ids=["label", "profile"])
-    def test_truncated_html_raises_with_offset(self, fixture_fetcher, kind):
-        keys = {LABEL_SEARCH: "physical_optics", AUTHOR_PROFILE: "A_TUDOR"}
-        key = keys.pop(kind)
-        [(other, other_key)] = keys.items()
-        body = fixture_fetcher.fetch(PageRequest(kind, key)).body
-        marker = parser.MARKERS[kind].encode()
-        at = body.find(marker)
-        # Bodies without the marker; the offset is where each ran out.
-        marker_less = [
-            body[:100],
-            b"",
-            body[:at + len(marker) - 1],
-            b"\xff\xfe" + body[:at + 3],  # invalid UTF-8 before the cut
-            body[:at] + b"\xe2\x82",  # cut inside a character
-            body[:at] + marker[:4] + b"\xc3" + marker[4:],  # the marker split by a bad byte
-            "王伟".encode()[:-1] + marker[:-1],
-            fixture_fetcher.fetch(PageRequest(other, other_key)).body,  # the other kind's page
-        ]
-        for truncated in marker_less:
-            with pytest.raises(ParseError) as exc:
-                parse(kind, key, truncated)
-            assert exc.value.offset == len(truncated), truncated
-
     def test_next_page_token_extracted(self, fixture_fetcher):
         raw = fixture_fetcher.fetch(PageRequest(LABEL_SEARCH, "quantum_optics", 0))
         page = parse_label_page(raw, "quantum_optics")
@@ -149,14 +124,6 @@ class TestParseLabelPage:
         page1 = parse_label_page(raw1, "quantum_optics")
         assert page1.next_page_token is None
         assert len(page.authors) + len(page1.authors) == 8
-
-    def test_wrong_page_kind_rejected(self, fixture_fetcher):
-        """A profile page lacks the label-results marker, so the body check
-        refuses it as a label page."""
-        raw = fixture_fetcher.fetch(PageRequest(AUTHOR_PROFILE, "A_TUDOR"))
-        with pytest.raises(ParseError) as exc:
-            parse_label_page(raw, "physical_optics")
-        assert exc.value.offset == len(raw.body)
 
     def test_parse_determinism(self, fixture_fetcher):
         raw = fixture_fetcher.fetch(PageRequest(LABEL_SEARCH, "physical_optics", 0))
@@ -195,11 +162,6 @@ class TestParseAuthorPage:
         assert profile.cited_by is None
         assert profile.h_index is None
 
-    def test_truncated_profile_raises(self, fixture_fetcher):
-        raw = fixture_fetcher.fetch(PageRequest(AUTHOR_PROFILE, "A_TUDOR"))
-        with pytest.raises(ParseError):
-            parse_author_page(make_raw(AUTHOR_PROFILE, "A_TUDOR", raw.body[:50]))
-
 
 LABEL_MARKER = '<div id="gsc_sa_ccl">'
 PROFILE_MARKER = '<div id="gsc_prf_in">'
@@ -216,7 +178,7 @@ FRAGMENTS = [
 BODIES = st.lists(st.sampled_from(FRAGMENTS) | st.text(max_size=6), max_size=30).map("".join)
 
 
-class TestParsersRaiseOnlyParseError:
+class TestParsersNeverRaise:
     def test_labels_that_normalize_to_nothing_are_dropped(self):
         authors = {"A_X": ("Author X", ["Optics", "王伟", "!!"], 3)}
         html = render_label_page("optics", ["A_X"], authors=authors)
@@ -247,41 +209,34 @@ class TestParsersRaiseOnlyParseError:
         profile = parse_author_page(make_raw(AUTHOR_PROFILE, "A_X", html))
         assert (profile.cited_by, profile.h_index) == (None, 7)
 
-    @pytest.mark.parametrize("kind, marker", [
-        (LABEL_SEARCH, LABEL_MARKER), (AUTHOR_PROFILE, PROFILE_MARKER),
-    ], ids=["label", "profile"])
-    def test_markup_the_html_parser_rejects_raises_parse_error(self, kind, marker):
-        raw = make_raw(kind, "optics", f"<html>{marker}</div>\n<![foo</html>")
-        with pytest.raises(ParseError, match="malformed markup") as info:
-            parse_label_page(raw, "optics") if kind == LABEL_SEARCH else parse_author_page(raw)
-        assert info.value.offset == len(f"<html>{marker}</div>\n")
-
-    @pytest.mark.parametrize("kind, marker", [
-        (LABEL_SEARCH, LABEL_MARKER), (AUTHOR_PROFILE, PROFILE_MARKER),
-    ], ids=["label", "profile"])
-    def test_overlong_character_reference_raises_parse_error(self, kind, marker):
-        raw = make_raw(kind, "optics", f"<html>{marker}</div>&#{'9' * 5000};</html>")
-        with pytest.raises(ParseError, match="malformed markup") as info:
-            parse_label_page(raw, "optics") if kind == LABEL_SEARCH else parse_author_page(raw)
-        assert info.value.offset == len(f"<html>{marker}</div>")
+    @pytest.mark.parametrize("kind", [LABEL_SEARCH, AUTHOR_PROFILE], ids=["label", "profile"])
+    @pytest.mark.parametrize("construct", ["<![foo", "&#" + "9" * 5000 + ";"],
+                             ids=["unknown-section-keyword", "overlong-character-reference"])
+    def test_markup_the_html_parser_rejects_ends_the_page(self, kind, construct):
+        """The entries before the construct are kept, and none after it."""
+        if kind == LABEL_SEARCH:
+            authors = {aid: (aid, ["Optics"], 1) for aid in ("A1", "A2")}
+            html, key = render_label_page("optics", ["A1", "A2"], authors=authors), "optics"
+            entry = '<div class="gsc_1usr">'
+        else:
+            html = render_profile_page("A_X", "X", ["Optics"], 1, 1, [("A1", "A1"), ("A2", "A2")])
+            key, entry = "A_X", '<li class="gsc_rsb_aa">'
+        at = html.rindex(entry)
+        parsed = parse(kind, key, html[:at] + construct + html[at:])
+        if kind == LABEL_SEARCH:
+            assert [author.author_id for author in parsed.authors] == ["A1"]
+        else:
+            assert parsed.coauthors == [("A1", "A1")]
 
     @settings(max_examples=300, deadline=None)
     @given(before=BODIES, after=BODIES)
     def test_label_page_fuzz(self, before, after):
-        raw = make_raw(LABEL_SEARCH, "optics", before + LABEL_MARKER + after)
-        try:
-            parse_label_page(raw, "optics")
-        except ParseError:
-            pass
+        parse_label_page(make_raw(LABEL_SEARCH, "optics", before + LABEL_MARKER + after), "optics")
 
     @settings(max_examples=300, deadline=None)
     @given(before=BODIES, after=BODIES)
     def test_profile_page_fuzz(self, before, after):
-        raw = make_raw(AUTHOR_PROFILE, "A_X", before + PROFILE_MARKER + after)
-        try:
-            parse_author_page(raw)
-        except ParseError:
-            pass
+        parse_author_page(make_raw(AUTHOR_PROFILE, "A_X", before + PROFILE_MARKER + after))
 
 
 class TestGoldenStability:
@@ -364,13 +319,9 @@ class ReferenceRecorder(Recorder, HTMLParser):
 
 
 def token_calls(recorder, feed, text):
-    """The calls ``feed`` makes on ``recorder`` for ``text``, and the offset
-    of the ParseError it raised or None."""
-    try:
-        feed(recorder, text)
-    except ParseError as exc:
-        return recorder.calls, exc.offset
-    return recorder.calls, None
+    """The calls ``feed`` makes on ``recorder`` for ``text``."""
+    feed(recorder, text)
+    return recorder.calls
 
 
 def tokens(text):
@@ -418,6 +369,11 @@ class TestTokenizer:
         ("<a<a\x0b\x00", []),
         ("<a<a\xa0\x00", []),
         ("<a b='x> <c> '", []),
+        ("ab\n<![foo</x>", [("data", "ab\n")]),
+        ("é<![1", [("data", "é")]),
+        ("<![foo", []),
+        ("<p>&#" + "9" * 5000 + ";", [("start", "p", {})]),
+        ('é<a title="&#' + "9" * 5000 + ';">', [("data", "é")]),
     ], ids=[
         "character-references", "gt-in-quoted-value", "unquoted-and-valueless",
         "upper-case-names", "last-repeated-attribute-wins", "self-closing",
@@ -431,22 +387,13 @@ class TestTokenizer:
         "nul-after-vertical-tab-in-a-tag-without-gt-ends-the-page",
         "nul-after-no-break-space-in-a-tag-without-gt-ends-the-page",
         "start-tag-inside-an-unclosed-quote-is-not-read",
+        "unknown-section-keyword-ends-the-page", "no-section-keyword-ends-the-page",
+        "marked-section-open-at-the-end-ends-the-page",
+        "overlong-reference-in-text-ends-the-page",
+        "overlong-reference-in-attribute-ends-the-page",
     ])
     def test_tokens(self, text, calls):
-        assert tokens(text) == (calls, None)
-
-    @pytest.mark.parametrize("text, offset", [
-        ("ab\n<![foo</x>", 3),
-        ("é<![1", 5),
-        ("<p>&#" + "9" * 5000 + ";", 3),
-        ('é<a title="&#' + "9" * 5000 + ';">', 2),
-    ], ids=["unknown-section-keyword", "no-section-keyword", "overlong-reference-in-text",
-            "overlong-reference-in-attribute"])
-    def test_rejected_markup_raises_at_its_byte_offset(self, text, offset):
-        assert tokens(text)[1] == offset
-
-    def test_marked_section_open_at_the_end_ends_the_page(self):
-        assert tokens("<![foo") == ([], None)
+        assert tokens(text) == calls
 
     @pytest.mark.parametrize("construct", [
         "<a b='", "<a", "<!--", "</a", "<!--x>", "<![CDATA[x>", "<![if x>", "<?x",
@@ -467,7 +414,7 @@ class TestTokenizer:
         start = time.process_time()
         parser._feed(NoOp(), text)
         assert time.process_time() - start < 2.0
-        assert tokens("<a c='>' " * 2) == ([], None)
+        assert tokens("<a c='>' " * 2) == []
 
 
 # The fuzz fragments plus the constructs where a tokenizer is most likely to
@@ -511,8 +458,7 @@ def load_bench_corpus():
 
 class TestAgreesWithReference:
     """The package parses every page as the html.parser-driven extractors of
-    tests/html_reference.py do: the same LabelPage or AuthorProfile, or a
-    ParseError at the same offset."""
+    tests/html_reference.py do: the same LabelPage or AuthorProfile."""
 
     def assert_tree_agrees(self, root: Path, expected_pages: int):
         pages = list(html_reference.pages(root))
