@@ -26,7 +26,7 @@ from .analysis import (
 )
 from .config import Config, build_config, read_config_file
 from .coauthor_graph import seed_authors, sound_authors
-from .errors import ConfigError, FormatError, ScholarSounderError, SoundingError
+from .errors import ConfigError, FormatError, ScholarSounderError
 from .export import (
     ExportBundle, from_gexf, json_text, make_bundle, to_edge_csv, to_gexf, to_graphml,
     to_json_report,
@@ -166,8 +166,9 @@ def _write_network(ctx: RunContext, stem: str, net):
 def _cmd_sound(args, which: str) -> int:
     """Run the phases ``which`` names. The tag phase writes ``trace.tsv``, a
     header and one row per tag visit; the co-author run counts are in
-    ``report.json``'s ``coauthor_run`` only. A run aborted by an error or an
-    interrupt keeps what the finished phases wrote, as the manifest lists."""
+    ``report.json``'s ``coauthor_run`` only. An abort (an error such as a tag
+    page's ``SoundingError`` from ``fetch_label_pages``, or an interrupt) keeps
+    what the finished phases wrote, as the manifest lists; ``main`` reports it."""
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "verbose")}
     config = build_config(read_config_file(args.config), flags)
     ctx = RunContext(config)
@@ -194,15 +195,10 @@ def _cmd_sound(args, which: str) -> int:
             report[COAUTHORS] = _analysis_sections(net)
             report["coauthor_run"] = vars(net.report)
             del net  # serialising report.json is the run's memory peak
-    except SoundingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        status = EXIT_ABORTED
-    else:
         ctx.write("report.json", json_text(report))
-        status = EXIT_PARTIAL if ctx.warnings else EXIT_OK
-    finally:  # also on an interrupt, which main reports
+    finally:  # also on an abort or an interrupt, which main reports
         ctx.finish_manifest()
-    return status
+    return EXIT_PARTIAL if ctx.warnings else EXIT_OK
 
 
 def _load_gexf(args) -> tuple[ExportBundle, Path]:
@@ -277,10 +273,8 @@ def _cmd_export(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")  # no-op after the first call
+    logging.getLogger().setLevel(logging.DEBUG if args.verbose else logging.WARNING)
     try:
         if args.command in ("sound-tags", "sound-authors", "all"):
             return _cmd_sound(args, args.command)

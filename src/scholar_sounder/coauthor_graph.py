@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .analysis import Graph
-from .errors import FetchError, ScholarSounderError, SoundingError
+from .errors import FetchError
 from .fetcher import AUTHOR_PROFILE, PageRequest
 from .notion_graph import fetch_label_pages
 from .parser import SYNTHETIC_ID_PREFIX, AuthorSummary
@@ -30,7 +30,8 @@ class RunReport:
 class CoauthorNetwork(Graph):
     """Undirected co-authorship graph. Node attributes: ``name``, ``labels``
     (a list), ``cited_by``, ``h_index``, ``hop``, ``stub`` (profile never
-    fetched) and ``fetch_failed`` (a fetch was attempted and failed)."""
+    fetched) and ``fetch_failed`` (its fetch failed, or the author has no
+    profile link, a ``name:`` id, so no fetch was tried)."""
 
     def __init__(self):
         super().__init__()
@@ -45,16 +46,12 @@ class CoauthorNetwork(Graph):
 
 def seed_authors(config, pages_of) -> list[AuthorSummary]:
     """Author summaries from the base tags' result pages, ``pages_of(tag)``,
-    deduplicated by id, keeping first-seen document order. A fetch failure
-    aborts with the base tag attached, as in ``sound_tags``."""
+    deduplicated by id, keeping first-seen document order. A failed page has
+    already raised its ``SoundingError`` in ``fetch_label_pages``."""
     seeds: list[AuthorSummary] = []
     seen: set[str] = set()
     for base in config.base_tags:
-        try:
-            pages = pages_of(base)
-        except ScholarSounderError as exc:
-            raise SoundingError(base, exc) from exc
-        for page in pages:
+        for page in pages_of(base):
             for author in page.authors:
                 if author.author_id not in seen:
                     seen.add(author.author_id)

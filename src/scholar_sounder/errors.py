@@ -52,7 +52,7 @@ class FormatError(ScholarSounderError):
 
 
 class SoundingError(ScholarSounderError):
-    """A fetch failure that aborted a sounding run."""
+    """A failed tag page: raised by ``fetch_label_pages``, reported by ``cli.main``."""
 
     def __init__(self, tag, cause):
         super().__init__(f"sounding failed at '{tag}': {cause}")

@@ -9,7 +9,7 @@ import logging
 from dataclasses import dataclass
 
 from .analysis import Graph
-from .errors import FixtureMissingError, ScholarSounderError, SoundingError
+from .errors import FetchError, FixtureMissingError, SoundingError
 from .fetcher import LABEL_SEARCH, PageRequest
 from .parser import LabelPage
 
@@ -96,8 +96,9 @@ def select_next_tag(net: NotionNetwork, dictionary: list[str]) -> str | None:
 
 def fetch_label_pages(tag: str, config, fetch, parse) -> list[LabelPage]:
     """Fetch up to max_pages_per_label result pages for a tag, chaining the
-    continuation token each page embeds. A missing fixture counts as "no
-    page": the corpus simply ends there."""
+    continuation token each page embeds. The one place a failed tag page is
+    decided: a missing fixture ends the corpus there; any other ``FetchError``
+    aborts the run as a ``SoundingError`` naming the tag, which ``cli.main`` reports."""
     pages: list[LabelPage] = []
     token: str | None = None
     for index in range(config.fetch.max_pages_per_label):
@@ -107,6 +108,8 @@ def fetch_label_pages(tag: str, config, fetch, parse) -> list[LabelPage]:
         except FixtureMissingError as exc:
             log.info("no fixture for %s page %d (%s); treating as empty", tag, index, exc)
             break
+        except FetchError as exc:
+            raise SoundingError(tag, exc) from exc
         page = parse(raw, tag)
         pages.append(page)
         token = page.next_page_token
@@ -120,9 +123,8 @@ def sound_tags(config, fetch, parse, base_pages=None) -> NotionNetwork:
 
     Each base tag gets at most ``config.depth`` expansion iterations; all
     expansions merge into one network, and every visit appends a trace
-    record. ``fetch`` returns only pages holding their marker; its failures
-    abort with the offending tag attached, except missing fixtures, which
-    degrade to empty pages. A dict passed as
+    record. ``fetch`` returns only pages holding their marker; a failed tag
+    page aborts with ``fetch_label_pages``' ``SoundingError``. A dict passed as
     ``base_pages`` receives the parsed pages of each base tag as it is visited.
     """
     net = NotionNetwork()
@@ -138,12 +140,9 @@ def sound_tags(config, fetch, parse, base_pages=None) -> NotionNetwork:
             iteration += 1
             nodes_before = len(net.nodes)
             edges_before = len(net.edges)
-            try:
-                pages = fetch_label_pages(current, config, fetch, parse)
-                for page in pages:
-                    absorb_label_page(net, page, current, depth=step, edge_policy=config.edge_policy)
-            except ScholarSounderError as exc:
-                raise SoundingError(current, exc) from exc
+            pages = fetch_label_pages(current, config, fetch, parse)
+            for page in pages:
+                absorb_label_page(net, page, current, depth=step, edge_policy=config.edge_policy)
             net.nodes[current]["visited"] = True
             if base_pages is not None and current in config.base_tags:
                 base_pages[current] = pages

@@ -34,7 +34,7 @@ from urllib.parse import parse_qs, urlparse
 
 from scholar_sounder import parser
 from scholar_sounder.fetcher import AUTHOR_PROFILE, LABEL_SEARCH, PageRequest, RawPage
-from scholar_sounder.parser import LABEL_RESULTS_MARKER, PROFILE_MARKER, _count
+from scholar_sounder.parser import PROFILE_MARKER, _count
 
 
 def _author_id_from_href(href: str) -> str | None:
@@ -62,7 +62,6 @@ class _LabelPageExtractor(HTMLParser):
 
     def __init__(self):
         super().__init__(convert_charrefs=True)
-        self.container_seen = False
         self.blocks: list[dict] = []
         self.next_page_token: str | None = None
         self._block: dict | None = None
@@ -74,8 +73,6 @@ class _LabelPageExtractor(HTMLParser):
     def handle_starttag(self, tag, attrs):
         d = dict(attrs)
         cls = _classes(attrs)
-        if d.get("id") == LABEL_RESULTS_MARKER:
-            self.container_seen = True
         if tag == "div" and "gsc_1usr" in cls:
             self._block = {"name": "", "author_id": None, "labels": [], "cited_by": None}
             self._depth = 1
@@ -131,7 +128,6 @@ class _AuthorPageExtractor(HTMLParser):
     def __init__(self):
         super().__init__(convert_charrefs=True)
         self.name = ""
-        self.name_seen = False
         self.labels: list[str] = []
         self.metrics: dict[str, int] = {}
         self.coauthors: list[dict] = []
@@ -147,7 +143,6 @@ class _AuthorPageExtractor(HTMLParser):
         d = dict(attrs)
         cls = _classes(attrs)
         if d.get("id") == PROFILE_MARKER:
-            self.name_seen = True
             self._in_name = True
         if "gsc_prf_inta" in cls:
             self._in_interest = True

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import logging
 import os
 import re
 import shutil
@@ -245,8 +246,21 @@ class TestCliSoundTags:
         ])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        # A CacheError is no page failure: no tag is named before it.
+        assert err.startswith(f"error: page cache {cache / 'pages.sqlite'}: ")
+        assert err.count("\n") == 1
         assert str(cache / "pages.sqlite") in err and "live fetch attempted" not in err
+
+    def test_verbose_applies_to_every_call_in_a_process(self, tmp_path, caplog):
+        caplog.set_level(logging.WARNING)  # the root level, restored afterwards
+        caplog.handler.setLevel(logging.NOTSET)  # keep whatever the root lets through
+        assert self.run_sound_tags(tmp_path)[0] == 0
+        assert not caplog.records
+        assert self.run_sound_tags(tmp_path, "--verbose")[0] == 0
+        assert [r for r in caplog.records if r.levelno < logging.WARNING]
+        caplog.clear()
+        assert self.run_sound_tags(tmp_path)[0] == 0
+        assert not caplog.records
 
     def test_empty_out_flag_is_ignored(self, tmp_path):
         file_out = tmp_path / "file_out"

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from scholar_sounder.analysis import canonical_pair
 from scholar_sounder.config import build_config
+from scholar_sounder.errors import FixtureMissingError, NetworkError, SoundingError
 from scholar_sounder.export import make_bundle
 from scholar_sounder.notion_graph import (
     EDGE_POLICY_CLIQUE,
@@ -17,7 +18,7 @@ from scholar_sounder.notion_graph import (
     sound_tags,
     theme_matches,
 )
-from scholar_sounder.fetcher import LABEL_SEARCH
+from scholar_sounder.fetcher import LABEL_SEARCH, PageRequest
 from scholar_sounder.parser import AuthorSummary, LabelPage, normalize_tag, parse_label_page
 
 from conftest import load_golden
@@ -162,6 +163,34 @@ def sorted_scan(net, dictionary):
     return best
 
 
+class TestFetchLabelPages:
+    """fetch_label_pages decides what a failed tag page does."""
+
+    def failing_at_page_one(self, fixture_fetcher, error):
+        def fetch(request, token=None):
+            if request.page_index == 1:
+                raise error
+            return fixture_fetcher.fetch(request, token)
+
+        return fetch
+
+    def test_a_fetch_error_after_page_zero_aborts_naming_the_tag(self, fixture_fetcher):
+        error = NetworkError("connection refused")
+        fetch = self.failing_at_page_one(fixture_fetcher, error)
+        config = memory_config(base_tags=["quantum_optics"])
+        with pytest.raises(SoundingError, match="'quantum_optics'") as info:
+            fetch_label_pages("quantum_optics", config, fetch, parse_label_page)
+        assert info.value.__cause__ is error
+
+    def test_a_missing_page_after_page_zero_ends_the_tags_pages(self, fixture_fetcher):
+        fetch = self.failing_at_page_one(fixture_fetcher, FixtureMissingError("1.html"))
+        config = memory_config(base_tags=["quantum_optics"])
+        pages = fetch_label_pages("quantum_optics", config, fetch, parse_label_page)
+        first = fixture_fetcher.fetch(PageRequest(LABEL_SEARCH, "quantum_optics", 0))
+        assert pages == [parse_label_page(first, "quantum_optics")]
+        assert pages[0].next_page_token  # page 0 names a page 1
+
+
 class TestSoundTags:
     def test_golden_run(self, optics_config, fixture_fetcher):
         net = sound_tags(optics_config, fixture_fetcher.fetch, parse_label_page)
@@ -205,8 +234,6 @@ class TestSoundTags:
     def test_edge_evidence_recount(self, optics_config, fixture_fetcher):
         """Brute-force recount over the fetched pages reproduces every edge
         weight (star policy: one unit per (page, author entry) co-listing)."""
-        from scholar_sounder.fetcher import LABEL_SEARCH, PageRequest
-
         net = sound_tags(optics_config, fixture_fetcher.fetch, parse_label_page)
         recount: dict = {}
         for record in net.trace:

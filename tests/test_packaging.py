@@ -151,6 +151,34 @@ def test_write_atomic_is_the_only_file_writer():
     assert writes == {}
 
 
+def prints_outside_main(path: Path):
+    """Line numbers of ``print`` calls in ``path`` outside ``cli.main``."""
+    tree = ast.parse(path.read_text("utf-8"))
+    inside = {
+        id(inner)
+        for node in tree.body
+        if path.name == "cli.py" and isinstance(node, ast.FunctionDef) and node.name == "main"
+        for inner in ast.walk(node)
+    }
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "print" and id(node) not in inside
+        ):
+            yield node.lineno
+
+
+def test_only_main_prints():
+    """cli.main is the one place that reports an error: every abort reaches
+    it as an exception and leaves as one ``error:`` line and an exit code."""
+    prints = {
+        path.name: lines
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (lines := list(prints_outside_main(path)))
+    }
+    assert prints == {}
+
+
 # Functions whose ValueError is caught or is a documented programming error:
 # ``Graph.add_edge`` guards graphs built in code, and ``from_gexf`` turns
 # ``_parse_bool``'s and ``_parse_double``'s into a FormatError.
