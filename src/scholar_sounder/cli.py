@@ -35,8 +35,6 @@ from .fetcher import Fetcher
 from .notion_graph import TraceRecord, sound_tags
 from .parser import parse_author_page, parse_label_page
 
-log = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_ABORTED = 2
@@ -176,15 +174,15 @@ def _cmd_sound(args, which: str) -> int:
     seeds = None  # sound_authors alone fetches the base tags' pages itself
     try:
         if which in ("sound-tags", "all"):
-            base_pages: dict = {}  # the author phase is seeded from these
-            net = sound_tags(config, ctx.fetcher.fetch, parse_label_page, base_pages)
+            net = sound_tags(config, ctx.fetcher.fetch, parse_label_page)
             _write_network(ctx, "notion", net)
             trace = ["\t".join(f.name for f in fields(TraceRecord))]
             trace += ["\t".join(map(str, astuple(r))) for r in net.trace]
             ctx.write("trace.tsv", "\n".join(trace) + "\n")
             report.update(_analysis_sections(net))
-            seeds = seed_authors(config, base_pages.__getitem__)
-            del net, base_pages  # freed before the author phase runs
+            if which == "all":  # the author phase is seeded from the pages already parsed
+                seeds = seed_authors(config, net.base_pages.__getitem__)
+            del net  # freed before the author phase runs
         if which in ("sound-authors", "all"):
             net = sound_authors(
                 config, ctx.fetcher.fetch, parse_author_page, seeds=seeds,
@@ -243,6 +241,8 @@ def _cmd_analyze(args) -> int:
         raise ConfigError("--k-core", "must be at least 1")
     if not math.isfinite(args.min_weight):
         raise ConfigError("--min-weight", "must be a finite number")
+    if args.min_weight and args.kcore is None:
+        raise ConfigError("--min-weight", "is the k-core's edge threshold, so it needs --k-core")
     bundle, out_dir = _load_gexf(args)
     report_path = out_dir / "report.json"
     report = _read_json_object(report_path) if report_path.is_file() else {}

@@ -21,21 +21,20 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class RunReport:
-    profiles_fetched: int = 0
-    stubs: int = 0
-    failures: int = 0
-    reciprocal_edges: int = 0
+    profiles_fetched: int
+    stubs: int
+    failures: int
+    reciprocal_edges: int
 
 
 class CoauthorNetwork(Graph):
     """Undirected co-authorship graph. Node attributes: ``name``, ``labels``
     (a list), ``cited_by``, ``h_index``, ``hop``, ``stub`` (profile never
-    fetched) and ``fetch_failed`` (its fetch failed, or the author has no
-    profile link, a ``name:`` id, so no fetch was tried)."""
+    fetched) and ``fetch_failed`` (its fetch was due but failed, or the
+    author has no profile link, a ``name:`` id, so no fetch was tried).
+    ``sound_authors`` sets ``report`` from the finished network."""
 
-    def __init__(self):
-        super().__init__()
-        self.report = RunReport()
+    report: RunReport
 
     def admit(self, author_id: str, name: str, hop: int, labels=(), cited_by=None):
         self.add_node(
@@ -46,17 +45,14 @@ class CoauthorNetwork(Graph):
 
 def seed_authors(config, pages_of) -> list[AuthorSummary]:
     """Author summaries from the base tags' result pages, ``pages_of(tag)``,
-    deduplicated by id, keeping first-seen document order. A failed page has
-    already raised its ``SoundingError`` in ``fetch_label_pages``."""
-    seeds: list[AuthorSummary] = []
-    seen: set[str] = set()
+    each id's first in document order. A failed page has already raised its
+    ``SoundingError`` in ``fetch_label_pages``."""
+    seeds: dict[str, AuthorSummary] = {}
     for base in config.base_tags:
         for page in pages_of(base):
             for author in page.authors:
-                if author.author_id not in seen:
-                    seen.add(author.author_id)
-                    seeds.append(author)
-    return seeds
+                seeds.setdefault(author.author_id, author)
+    return list(seeds.values())
 
 
 def sound_authors(config, fetch, parse_profile, seeds=None, parse_label=None) -> CoauthorNetwork:
@@ -86,7 +82,7 @@ def sound_authors(config, fetch, parse_profile, seeds=None, parse_label=None) ->
     while queue:
         author_id = queue.popleft()
         node = net.nodes[author_id]
-        profile = _fetch_profile(author_id, fetch, parse_profile, net)
+        profile = _fetch_profile(author_id, fetch, parse_profile, node)
         if profile is None:
             continue
         node["stub"] = False
@@ -113,24 +109,27 @@ def sound_authors(config, fetch, parse_profile, seeds=None, parse_label=None) ->
     return net
 
 
-def _fetch_profile(author_id, fetch, parse_profile, net: CoauthorNetwork):
-    if author_id.startswith(SYNTHETIC_ID_PREFIX):
-        # No profile link was ever seen; the node stays a flagged stub.
-        net.nodes[author_id]["fetch_failed"] = True
-        return None
-    request = PageRequest(kind=AUTHOR_PROFILE, key=author_id)
-    try:
-        raw = fetch(request)
-        profile = parse_profile(raw)
-    except FetchError as exc:
-        log.warning("profile fetch failed for %s: %s", author_id, exc)
-        net.nodes[author_id]["fetch_failed"] = True
-        net.report.failures += 1
-        return None
-    net.report.profiles_fetched += 1
-    return profile
+def _fetch_profile(author_id, fetch, parse_profile, node: dict):
+    """The author's parsed profile, or None: the one place a failed profile
+    is decided. An author without a profile link (a ``name:`` id) is never
+    requested, and a failed fetch is logged; either way the node stays a
+    stub flagged ``fetch_failed`` and the run goes on."""
+    if not author_id.startswith(SYNTHETIC_ID_PREFIX):
+        try:
+            return parse_profile(fetch(PageRequest(kind=AUTHOR_PROFILE, key=author_id)))
+        except FetchError as exc:
+            log.warning("profile fetch failed for %s: %s", author_id, exc)
+    node["fetch_failed"] = True
+    return None
 
 
 def _finalize_report(net: CoauthorNetwork):
-    net.report.stubs = sum(1 for attrs in net.nodes.values() if attrs["stub"])
-    net.report.reciprocal_edges = sum(1 for w in net.edges.values() if w == 2)
+    """Set the run counts, read off the finished network: a stub was never
+    fetched, and a failure is a ``fetch_failed`` node with a profile link."""
+    stubs = sum(1 for attrs in net.nodes.values() if attrs["stub"])
+    failures = sum(
+        1 for author_id, attrs in net.nodes.items()
+        if attrs["fetch_failed"] and not author_id.startswith(SYNTHETIC_ID_PREFIX)
+    )
+    reciprocal = sum(1 for w in net.edges.values() if w == 2)  # each side lists the other
+    net.report = RunReport(len(net.nodes) - stubs, stubs, failures, reciprocal)

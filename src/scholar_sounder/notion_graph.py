@@ -39,11 +39,13 @@ class NotionNetwork(Graph):
     entries, across fetched pages, listing the tag), ``visited`` (its label
     page has been fetched) and ``depth_discovered``. Edge weight doubles as
     the provenance count: the number of (page, author entry) pairs
-    co-listing both ends."""
+    co-listing both ends. ``trace`` holds one record per visit, and
+    ``base_pages`` each base tag's result pages as parsed."""
 
     def __init__(self):
         super().__init__()
         self.trace: list[TraceRecord] = []
+        self.base_pages: dict[str, list[LabelPage]] = {}
 
     def ensure_node(self, tag: str, depth: int = 0) -> dict:
         return self.nodes.setdefault(tag, {"rate": 0, "visited": False, "depth_discovered": depth})
@@ -118,44 +120,32 @@ def fetch_label_pages(tag: str, config, fetch, parse) -> list[LabelPage]:
     return pages
 
 
-def sound_tags(config, fetch, parse, base_pages=None) -> NotionNetwork:
+def sound_tags(config, fetch, parse) -> NotionNetwork:
     """Run the full sounding loop over every base tag.
 
-    Each base tag gets at most ``config.depth`` expansion iterations; all
-    expansions merge into one network, and every visit appends a trace
-    record. ``fetch`` returns only pages holding their marker; a failed tag
-    page aborts with ``fetch_label_pages``' ``SoundingError``. A dict passed as
-    ``base_pages`` receives the parsed pages of each base tag as it is visited.
+    Each base tag gets at most ``config.depth`` visits: the base tag itself
+    unless already visited, then each time the highest-rated frontier tag
+    (``select_next_tag``). All visits merge into one network and each appends
+    a trace record. Each base tag's pages go into ``base_pages``, also when an
+    earlier base tag's turn visited it. ``fetch`` returns only pages holding
+    their marker; a failed tag page aborts with ``fetch_label_pages``' ``SoundingError``.
     """
     net = NotionNetwork()
-    iteration = 0
     for base in config.base_tags:
         net.ensure_node(base, 0)
-        current: str | None = base if not net.nodes[base]["visited"] else None
         for step in range(config.depth):
-            if current is None:
-                current = select_next_tag(net, config.dictionary)
-            if current is None:
+            tag = base if not net.nodes[base]["visited"] else select_next_tag(net, config.dictionary)
+            if tag is None:
                 break
-            iteration += 1
-            nodes_before = len(net.nodes)
-            edges_before = len(net.edges)
-            pages = fetch_label_pages(current, config, fetch, parse)
+            nodes_before, edges_before = len(net.nodes), len(net.edges)
+            pages = fetch_label_pages(tag, config, fetch, parse)
             for page in pages:
-                absorb_label_page(net, page, current, depth=step, edge_policy=config.edge_policy)
-            net.nodes[current]["visited"] = True
-            if base_pages is not None and current in config.base_tags:
-                base_pages[current] = pages
-            net.trace.append(
-                TraceRecord(
-                    iteration=iteration,
-                    base_tag=base,
-                    visited_tag=current,
-                    pages_fetched=len(pages),
-                    new_nodes=len(net.nodes) - nodes_before,
-                    new_edges=len(net.edges) - edges_before,
-                )
-            )
-            current = None
+                absorb_label_page(net, page, tag, depth=step, edge_policy=config.edge_policy)
+            net.nodes[tag]["visited"] = True
+            if tag in config.base_tags:
+                net.base_pages[tag] = pages
+            net.trace.append(TraceRecord(
+                len(net.trace) + 1, base, tag, len(pages),
+                len(net.nodes) - nodes_before, len(net.edges) - edges_before,
+            ))
     return net
-

@@ -6,9 +6,10 @@ from __future__ import annotations
 import random
 
 from scholar_sounder.errors import FixtureMissingError
-from scholar_sounder.fetcher import AUTHOR_PROFILE, LABEL_SEARCH, RawPage
+from scholar_sounder.fetcher import LABEL_SEARCH, RawPage
 
 from htmlgen import render_label_page, render_profile_page
+from sounding_reference import UNLINKED, listed_name
 
 
 class InMemoryCorpus:
@@ -30,6 +31,25 @@ class InMemoryCorpus:
         if html is None:
             raise FixtureMissingError(f"<memory:{request.key}/{request.page_index}>")
         return RawPage(request=request, body=html.encode("utf-8"), source="fixture")
+
+
+def render_corpus(corpus) -> InMemoryCorpus:
+    """A ``sounding_reference.Corpus`` as result pages, each but the last of
+    a tag naming a next page, and a profile page per author that has one."""
+    shown = {aid: (a.name, list(a.labels), a.cited_by) for aid, a in corpus.authors.items()}
+    memory = InMemoryCorpus()
+    for tag, pages in corpus.pages.items():
+        for index, ids in enumerate(pages):
+            token = f"{tag}-{index + 1}" if index + 1 < len(pages) else None
+            memory.add_label_page(tag, index, render_label_page(tag, ids, token, authors=shown))
+    for aid, a in corpus.authors.items():
+        if a.has_profile:
+            listed = [
+                (None if c.startswith(UNLINKED) else c, listed_name(corpus, c)) for c in a.coauthors
+            ]
+            html = render_profile_page(aid, a.name, list(a.labels), a.cited_by, a.h_index, listed)
+            memory.add_profile(aid, html)
+    return memory
 
 
 def random_label_corpus(rng: random.Random, n_tags: int = 50, theme_words=("optics", "laser")):

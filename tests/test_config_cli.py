@@ -796,6 +796,15 @@ class TestCliAnalyzeExport:
         assert "--min-weight" in err
         assert not out.exists()
 
+    def test_analyze_min_weight_without_k_core_is_a_config_error(self, gexf_path, tmp_path, capsys):
+        """The threshold filters only the k-core, so alone it would do nothing."""
+        out = tmp_path / "analysis"
+        code = main(["analyze", "--in", str(gexf_path), "--out", str(out), "--min-weight", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field '--min-weight':") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_analyze_rejects_missing_input(self, tmp_path, capsys):
         code = main(["analyze", "--in", str(tmp_path / "nope.gexf"), "--out", str(tmp_path)])
         assert code == 2

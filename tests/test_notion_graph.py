@@ -1,6 +1,6 @@
 import json
 import random
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +22,7 @@ from scholar_sounder.fetcher import LABEL_SEARCH, PageRequest
 from scholar_sounder.parser import AuthorSummary, LabelPage, normalize_tag, parse_label_page
 
 from conftest import load_golden
-from fakes import InMemoryCorpus, random_label_corpus
+from fakes import random_label_corpus
 
 OPTICS_DICT = ["optics", "optical", "photonics", "laser"]
 
@@ -263,13 +263,12 @@ class TestSoundTags:
             base_tags=["physical_optics", "singular_optics", "nonlinear_optics"], depth=4
         )
         config.fetch = fixture_fetcher.policy
-        base_pages = {}
-        net = sound_tags(config, fixture_fetcher.fetch, parse_label_page, base_pages)
+        net = sound_tags(config, fixture_fetcher.fetch, parse_label_page)
         assert [r.base_tag for r in net.trace if r.visited_tag == "singular_optics"] == [
             "physical_optics"
         ]
-        assert sorted(base_pages) == sorted(config.base_tags)
-        for tag, pages in base_pages.items():
+        assert sorted(net.base_pages) == sorted(config.base_tags)
+        for tag, pages in net.base_pages.items():
             assert pages == fetch_label_pages(tag, config, fixture_fetcher.fetch, parse_label_page)
 
     def test_requests_are_label_pages_of_normalized_tags_counting_from_zero(self, fixture_fetcher):

@@ -44,7 +44,10 @@ def imported_names(tree):
             yield from (alias.asname or alias.name for alias in node.names)
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE_DIR.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")),
+    ids=lambda p: p.name,
+)
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text("utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
