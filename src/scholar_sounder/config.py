@@ -28,6 +28,7 @@ INTEGER_BOUNDS = {
     "depth": 1, "hop_limit": 0, "author_cap": 1,
     "fetch.min_delay_ms": 1, "fetch.max_pages_per_label": 1,
 }
+MAX_DELAY_MS = 86_400_000  # one day; time.sleep overflows far above it
 
 
 @dataclass
@@ -110,6 +111,8 @@ def build_config(data: dict, flags: dict | None = None) -> Config:
         value = getattr(*_field(config, key))
         _require(type(value) is int, key, "must be an integer")
         _require(value >= minimum, key, f"must be at least {minimum}")
+    _require(config.fetch.min_delay_ms <= MAX_DELAY_MS, "fetch.min_delay_ms",
+             f"must be at most {MAX_DELAY_MS}")
     _require(config.edge_policy in ("star", "clique"), "edge_policy", "must be 'star' or 'clique'")
     _require(config.fetch.mode in ("live", "fixture"), "fetch.mode", "must be 'live' or 'fixture'")
     for key in ("out_dir", "fetch.fixtures_dir", "fetch.cache_dir"):
@@ -117,6 +120,7 @@ def build_config(data: dict, flags: dict | None = None) -> Config:
         value = getattr(owner, name)
         if value is not None or owner is config:  # None leaves a fetch path unset
             _require(isinstance(value, (str, Path)), key, "must be a string")
+            _require("\0" not in str(value), key, "must not contain a NUL character")
             setattr(owner, name, Path(value))
     if config.fetch.mode == "fixture":
         root = config.fetch.fixtures_dir

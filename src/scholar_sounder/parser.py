@@ -1,6 +1,10 @@
 """HTML parsing for label-search and author-profile pages, plus tag
 normalization into the canonical underscore form (e.g. ``physical_optics``).
 
+``_tokens`` splits a page into its start tags, end tags and text, as
+html.parser reads them. ``parse_label_page`` and ``parse_author_page`` each
+walk that list once, with their state in local variables.
+
 Two string conversions are pure and repeat across pages, so each is
 memoised for the life of the process: ``normalize_tag`` and the author id
 of a profile link (``_author_id_from_href``). Their keys are labels, names
@@ -99,143 +103,6 @@ def _count(text: str) -> int | None:
     return int(m.group()) if m and len(m.group()) <= 18 else None
 
 
-def _classes(attrs: dict) -> list[str]:
-    return (attrs.get("class") or "").split()
-
-
-class _LabelPageExtractor:
-    """Pulls author blocks out of a label-search results page.
-
-    Markers: results container ``gsc_sa_ccl``, one ``gsc_1usr`` div per
-    author, name link in ``gs_ai_name``, interest links ``gs_ai_one_int``,
-    cited-by line ``gs_ai_cby``, next-page button ``gs_btnPR`` carrying a
-    ``data-after`` token.
-    """
-
-    def __init__(self):
-        self.blocks: list[dict] = []
-        self.next_page_token: str | None = None
-        self._block: dict | None = None
-        self._depth = 0  # div depth inside the current block
-        self._in_name = False
-        self._in_interest = False
-        self._in_cby = False
-
-    def handle_starttag(self, tag, d):
-        cls = _classes(d)
-        if tag == "div" and "gsc_1usr" in cls:
-            self._block = {"name": "", "author_id": None, "labels": [], "cited_by": None}
-            self._depth = 1
-            self._in_name = self._in_interest = self._in_cby = False
-            return
-        if self._block is not None and tag == "div":
-            self._depth += 1
-            if "gs_ai_cby" in cls:
-                self._in_cby = True
-        if self._block is not None and tag == "a":
-            href = d.get("href", "")
-            if "gs_ai_one_int" in cls:
-                self._in_interest = True
-                self._block["labels"].append("")
-            elif "user=" in href and self._block["author_id"] is None:
-                self._block["author_id"] = _author_id_from_href(href)
-                self._in_name = True
-        if tag == "button" and "gs_btnPR" in cls and "data-after" in d:
-            if "disabled" not in d and d["data-after"]:
-                self.next_page_token = d["data-after"]
-
-    def handle_endtag(self, tag):
-        if tag == "a":
-            self._in_name = False
-            self._in_interest = False
-        if self._block is not None and tag == "div":
-            if self._in_cby:
-                self._in_cby = False
-            self._depth -= 1
-            if self._depth == 0:
-                self.blocks.append(self._block)
-                self._block = None
-
-    def handle_data(self, data):
-        if self._block is None:
-            return
-        if self._in_name:
-            self._block["name"] += data
-        elif self._in_interest:
-            self._block["labels"][-1] += data
-        elif self._in_cby:
-            count = _count(data)
-            if count is not None:
-                self._block["cited_by"] = count
-
-
-class _AuthorPageExtractor:
-    """Pulls name, interests, metrics, and the co-author sidebar out of a
-    profile page. Markers: ``gsc_prf_in`` (name), ``gsc_prf_inta``
-    (interest links), ``gsc_rsb_std`` metric cells keyed by the row header,
-    ``gsc_rsb_aa`` co-author list items."""
-
-    def __init__(self):
-        self.name = ""
-        self.labels: list[str] = []
-        self.metrics: dict[str, int] = {}
-        self.coauthors: list[dict] = []
-        self._in_name = False
-        self._in_interest = False
-        self._row_header = ""
-        self._in_row_header = False
-        self._in_metric = False
-        self._coauthor: dict | None = None
-        self._in_coauthor_name = False
-
-    def handle_starttag(self, tag, d):
-        cls = _classes(d)
-        if d.get("id") == PROFILE_MARKER:
-            self._in_name = True
-        if "gsc_prf_inta" in cls:
-            self._in_interest = True
-            self.labels.append("")
-        if tag == "td":
-            if "gsc_rsb_sc1" in cls:
-                self._in_row_header = True
-                self._row_header = ""
-            elif "gsc_rsb_std" in cls and self._row_header:
-                self._in_metric = True
-        if tag == "li" and "gsc_rsb_aa" in cls:
-            self._coauthor = {"name": "", "author_id": None}
-        if self._coauthor is not None and tag == "a" and "user=" in d.get("href", ""):
-            self._coauthor["author_id"] = _author_id_from_href(d["href"])
-            self._in_coauthor_name = True
-        if self._coauthor is not None and tag == "span":
-            self._in_coauthor_name = True
-
-    def handle_endtag(self, tag):
-        if tag in ("div", "span", "a", "td"):
-            self._in_name = False
-            self._in_interest = False
-            self._in_row_header = False
-            self._in_metric = False
-            if tag in ("a", "span"):
-                self._in_coauthor_name = False
-        if tag == "li" and self._coauthor is not None:
-            self.coauthors.append(self._coauthor)
-            self._coauthor = None
-
-    def handle_data(self, data):
-        if self._in_name:
-            self.name += data
-        elif self._in_interest:
-            self.labels[-1] += data
-        elif self._in_row_header:
-            self._row_header += data
-        elif self._in_metric:
-            count = _count(data)
-            if count is not None and self._row_header.strip().lower() not in self.metrics:
-                self.metrics[self._row_header.strip().lower()] = count
-        elif self._in_coauthor_name and self._coauthor is not None:
-            self._coauthor["name"] += data
-
-
 # -- tokenizer ----------------------------------------------------------
 #
 # One pattern splits a page into the tokens html.parser finds when it is
@@ -283,17 +150,16 @@ _END_TAG = re.compile(r"</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>")
 _RAW_TEXT_END = {name: re.compile(rf"</\s*{name}\s*>", re.I) for name in ("script", "style")}
 
 
-def _feed(extractor, text: str):
-    """Drive an extractor's handle_starttag(tag, attrs), handle_endtag(tag)
-    and handle_data(text) over a page, up to its first unterminated
-    construct. Tag and attribute names come lower-cased; attrs is a dict,
-    the last of repeated names winning, and a valueless attribute maps to
-    None. Markup that html.parser rejects ends the page too: a marked
-    section with an unknown or missing keyword (``<![foo``), which the
-    catch-all "<" takes, and a decimal reference too long for int()."""
-    on_start, on_end, on_data = (
-        extractor.handle_starttag, extractor.handle_endtag, extractor.handle_data
-    )
+def _tokens(text: str) -> list[tuple]:
+    """A page's tokens up to its first unterminated construct, as
+    ``("start", tag, attrs)``, ``("end", tag, None)`` and ``("data", text,
+    None)``. Tag and attribute names come lower-cased; attrs is a dict, the
+    last of repeated names winning, and a valueless attribute maps to None.
+    Markup that html.parser rejects ends the page too: a marked section with
+    an unknown or missing keyword (``<![foo``), which the catch-all "<"
+    takes, and a decimal reference too long for int()."""
+    out: list[tuple] = []
+    append = out.append
     pos = 0
     while pos is not None:
         for m in _TOKEN.finditer(text, pos):
@@ -304,8 +170,10 @@ def _feed(extractor, text: str):
                     try:
                         chunk = unescape(chunk)
                     except ValueError:
-                        return
-                on_data(chunk)
+                        return out
+                append(("data", chunk, None))
+            elif kind == "endtag" or kind == "endtag2":
+                append(("end", m.group(kind).lower(), None))
             elif kind == "start" or kind == "empty":
                 end = m.end()
                 tag_end = m.end("tag")
@@ -323,67 +191,165 @@ def _feed(extractor, text: str):
                                 try:
                                     value = unescape(value)
                                 except ValueError:
-                                    return
+                                    return out
                         attrs[name.lower()] = value
                 tag = m.group("tag").lower()
-                on_start(tag, attrs)
+                append(("start", tag, attrs))
                 if kind == "empty":
-                    on_end(tag)
+                    append(("end", tag, None))
                 elif tag in _RAW_TEXT_END:
-                    pos = _raw_text(text, end, tag, on_end, on_data)
+                    pos = _raw_text(text, end, tag, out)
                     break
             elif kind == "chars" or kind == "nottag":
-                on_data(m.group())
-            elif kind == "endtag" or kind == "endtag2":
-                on_end(m.group(kind).lower())
+                append(("data", m.group(), None))
             elif kind == "unterminated":
-                return
+                return out
         else:
-            return
+            return out
+    return out
 
 
-def _raw_text(text: str, pos: int, tag: str, on_end, on_data) -> int | None:
-    """Hand the raw text of a script or style element to ``on_data`` and
-    return where its end tag ends; None when it never ends, in which case
-    the rest of the page is dropped, as html.parser drops it."""
+def _raw_text(text: str, pos: int, tag: str, out: list) -> int | None:
+    """Append the raw text of a script or style element and its end tag to
+    ``out`` and return where the end tag ends; None when it never ends, in
+    which case the rest of the page is dropped, as html.parser drops it."""
     close = _RAW_TEXT_END[tag]
     while True:
         m = close.search(text, pos)
         if m is None:
             return None
         if m.start() > pos:
-            on_data(text[pos:m.start()])
+            out.append(("data", text[pos:m.start()], None))
         name = _END_TAG.match(m.group())
         if name and name.group(1).lower() == tag:
-            on_end(tag)
+            out.append(("end", tag, None))
             return m.end()
-        on_data(m.group())  # matched only by case folding, as "</ſcript>"
+        out.append(("data", m.group(), None))  # matched only by case folding, as "</ſcript>"
         pos = m.end()
 
 
 def parse_label_page(page, queried: str) -> LabelPage:
     """Parse a label-search results page into structured author entries.
 
-    Entries that do not carry the queried tag, or that have neither a
-    profile link nor a name that survives normalization, are dropped and
-    counted in ``dropped``. Label strings come back normalized and
-    deduplicated; labels that normalize to nothing are dropped.
+    Markers: results container ``gsc_sa_ccl``, one ``gsc_1usr`` div per
+    author, name link in ``gs_ai_name``, interest links ``gs_ai_one_int``,
+    cited-by line ``gs_ai_cby``, next-page button ``gs_btnPR`` carrying a
+    ``data-after`` token. Entries that do not carry the queried tag, or that
+    have neither a profile link nor a name that survives normalization, are
+    dropped and counted in ``dropped``. Label strings come back normalized
+    and deduplicated; labels that normalize to nothing are dropped.
     """
-    ex = _LabelPageExtractor()
-    _feed(ex, page.body.decode("utf-8", errors="replace"))
-    return _label_page(ex, queried)
+    blocks: list[dict] = []
+    next_page_token = None
+    block = None
+    depth = 0  # div depth inside the current block
+    in_name = in_interest = in_cby = False
+    for kind, value, attrs in _tokens(page.body.decode("utf-8", errors="replace")):
+        if kind == "data":
+            if block is None:
+                continue
+            if in_name:
+                block["name"] += value
+            elif in_interest:
+                block["labels"][-1] += value
+            elif in_cby:
+                count = _count(value)
+                if count is not None:
+                    block["cited_by"] = count
+        elif kind == "start":
+            cls = (attrs.get("class") or "").split()
+            if value == "div" and "gsc_1usr" in cls:
+                block = {"name": "", "author_id": None, "labels": [], "cited_by": None}
+                depth = 1
+                in_name = in_interest = in_cby = False
+                continue
+            if block is not None and value == "div":
+                depth += 1
+                if "gs_ai_cby" in cls:
+                    in_cby = True
+            if block is not None and value == "a":
+                href = attrs.get("href") or ""  # None when the attribute has no value
+                if "gs_ai_one_int" in cls:
+                    in_interest = True
+                    block["labels"].append("")
+                elif "user=" in href and block["author_id"] is None:
+                    block["author_id"] = _author_id_from_href(href)
+                    in_name = True
+            if value == "button" and "gs_btnPR" in cls and "data-after" in attrs:
+                if "disabled" not in attrs and attrs["data-after"]:
+                    next_page_token = attrs["data-after"]
+        else:
+            if value == "a":
+                in_name = in_interest = False
+            if block is not None and value == "div":
+                in_cby = False
+                depth -= 1
+                if depth == 0:
+                    blocks.append(block)
+                    block = None
+    return _label_page(blocks, next_page_token, queried)
 
 
 def parse_author_page(page) -> AuthorProfile:
     """Parse an author profile page: labels, metrics, co-author sidebar.
 
-    Self-references in the co-author list are stripped; entries without a
-    profile link get the synthetic id ``name:<normalized name>``, or are
-    dropped when their name normalizes to nothing.
+    Markers: ``gsc_prf_in`` (name), ``gsc_prf_inta`` (interest links),
+    ``gsc_rsb_std`` metric cells keyed by the row header, ``gsc_rsb_aa``
+    co-author list items. Self-references in the co-author list are
+    stripped; entries without a profile link get the synthetic id
+    ``name:<normalized name>``, or are dropped when their name normalizes to
+    nothing.
     """
-    ex = _AuthorPageExtractor()
-    _feed(ex, page.body.decode("utf-8", errors="replace"))
-    return _author_profile(ex, page.request.key)
+    name = row_header = ""
+    labels: list[str] = []
+    metrics: dict[str, int] = {}
+    coauthors: list[dict] = []
+    coauthor = None
+    in_name = in_interest = in_row_header = in_metric = in_coauthor_name = False
+    for kind, value, attrs in _tokens(page.body.decode("utf-8", errors="replace")):
+        if kind == "data":
+            if in_name:
+                name += value
+            elif in_interest:
+                labels[-1] += value
+            elif in_row_header:
+                row_header += value
+            elif in_metric:
+                count = _count(value)
+                key = row_header.strip().lower()
+                if count is not None and key not in metrics:
+                    metrics[key] = count
+            elif in_coauthor_name and coauthor is not None:
+                coauthor["name"] += value
+        elif kind == "start":
+            cls = (attrs.get("class") or "").split()
+            if attrs.get("id") == PROFILE_MARKER:
+                in_name = True
+            if "gsc_prf_inta" in cls:
+                in_interest = True
+                labels.append("")
+            if value == "td":
+                if "gsc_rsb_sc1" in cls:
+                    in_row_header = True
+                    row_header = ""
+                elif "gsc_rsb_std" in cls and row_header:
+                    in_metric = True
+            if value == "li" and "gsc_rsb_aa" in cls:
+                coauthor = {"name": "", "author_id": None}
+            if coauthor is not None and value == "a" and "user=" in (attrs.get("href") or ""):
+                coauthor["author_id"] = _author_id_from_href(attrs["href"])
+                in_coauthor_name = True
+            if coauthor is not None and value == "span":
+                in_coauthor_name = True
+        else:
+            if value in ("div", "span", "a", "td"):
+                in_name = in_interest = in_row_header = in_metric = False
+                if value in ("a", "span"):
+                    in_coauthor_name = False
+            if value == "li" and coauthor is not None:
+                coauthors.append(coauthor)
+                coauthor = None
+    return _author_profile(page.request.key, name, labels, metrics, coauthors)
 
 
 # The characters XML 1.0 cannot hold, not even as character references.
@@ -395,12 +361,12 @@ def _xml_safe(text: str) -> str:
     return text if text.isprintable() else _NOT_XML.sub("\ufffd", text)
 
 
-def _label_page(ex, queried: str) -> LabelPage:
-    """The page an extractor's author blocks and pager describe."""
+def _label_page(blocks: list[dict], next_page_token: str | None, queried: str) -> LabelPage:
+    """The page that a results page's author blocks and pager describe."""
     authors: list[AuthorSummary] = []
     seen_ids: set[str] = set()
     dropped = 0
-    for block in ex.blocks:
+    for block in blocks:
         labels = _normalize_label_list(block["labels"])
         name = _xml_safe(block["name"].strip())
         author_id = _xml_safe(block["author_id"] or "") or _synthetic_id(name)
@@ -425,36 +391,30 @@ def _label_page(ex, queried: str) -> LabelPage:
     return LabelPage(
         queried_tag=queried,
         authors=authors,
-        next_page_token=ex.next_page_token,
+        next_page_token=next_page_token,
         dropped=dropped,
     )
 
 
-def _author_profile(ex, author_id: str) -> AuthorProfile:
-    """The profile an extractor collected for ``author_id``."""
-    coauthors: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    for c in ex.coauthors:
-        name = _xml_safe(c["name"].strip())
-        cid = _xml_safe(c["author_id"] or "") or _synthetic_id(name)
-        if not cid or cid == author_id or cid in seen:
-            continue
-        seen.add(cid)
-        coauthors.append((cid, name))
+def _author_profile(author_id: str, name: str, labels: list[str], metrics: dict[str, int],
+                    coauthors: list[dict]) -> AuthorProfile:
+    """The profile that a profile page's fields describe for ``author_id``."""
+    listed: dict[str, str] = {}  # id -> name, the first listing of each id
+    for c in coauthors:
+        shown = _xml_safe(c["name"].strip())
+        cid = _xml_safe(c["author_id"] or "") or _synthetic_id(shown)
+        if cid and cid != author_id:
+            listed.setdefault(cid, shown)
     return AuthorProfile(
         author_id=author_id,
-        name=_xml_safe(ex.name.strip()),
-        labels=_normalize_label_list(ex.labels),
-        coauthors=coauthors,
-        cited_by=ex.metrics.get("citations"),
-        h_index=ex.metrics.get("h-index"),
+        name=_xml_safe(name.strip()),
+        labels=_normalize_label_list(labels),
+        coauthors=list(listed.items()),
+        cited_by=metrics.get("citations"),
+        h_index=metrics.get("h-index"),
     )
 
 
 def _normalize_label_list(raw_labels: list[str]) -> list[str]:
-    out: list[str] = []
-    for raw in raw_labels:
-        tag = normalize_tag(raw)
-        if tag and tag not in out:
-            out.append(tag)
-    return out
+    """The labels normalized, each once in first-seen order, empty ones dropped."""
+    return [tag for tag in dict.fromkeys(map(normalize_tag, raw_labels)) if tag]

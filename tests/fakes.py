@@ -32,6 +32,14 @@ class InMemoryCorpus:
             raise FixtureMissingError(f"<memory:{request.key}/{request.page_index}>")
         return RawPage(request=request, body=html.encode("utf-8"), source="fixture")
 
+    def write_tree(self, root):
+        """Write the pages as a fixture tree: labels/<tag>/<n>.html and authors/<id>.html."""
+        files = {f"labels/{tag}/{index}.html": html for (tag, index), html in self.label_pages.items()}
+        files.update({f"authors/{aid}.html": html for aid, html in self.profiles.items()})
+        for name, html in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(html, "utf-8")
+
 
 def render_corpus(corpus) -> InMemoryCorpus:
     """A ``sounding_reference.Corpus`` as result pages, each but the last of

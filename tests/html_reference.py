@@ -83,7 +83,7 @@ class _LabelPageExtractor(HTMLParser):
             if "gs_ai_cby" in cls:
                 self._in_cby = True
         if self._block is not None and tag == "a":
-            href = d.get("href", "")
+            href = d.get("href") or ""
             if "gs_ai_one_int" in cls:
                 self._in_interest = True
                 self._block["labels"].append("")
@@ -155,7 +155,7 @@ class _AuthorPageExtractor(HTMLParser):
                 self._in_metric = True
         if tag == "li" and "gsc_rsb_aa" in cls:
             self._coauthor = {"name": "", "author_id": None}
-        if self._coauthor is not None and tag == "a" and "user=" in d.get("href", ""):
+        if self._coauthor is not None and tag == "a" and "user=" in (d.get("href") or ""):
             self._coauthor["author_id"] = _author_id_from_href(d["href"])
             self._in_coauthor_name = True
         if self._coauthor is not None and tag == "span":
@@ -208,13 +208,13 @@ def _feed(extractor: HTMLParser, text: str):
 def parse_label_page(page, queried: str) -> parser.LabelPage:
     ex = _LabelPageExtractor()
     _feed(ex, page.body.decode("utf-8", errors="replace"))
-    return parser._label_page(ex, queried)
+    return parser._label_page(ex.blocks, ex.next_page_token, queried)
 
 
 def parse_author_page(page) -> parser.AuthorProfile:
     ex = _AuthorPageExtractor()
     _feed(ex, page.body.decode("utf-8", errors="replace"))
-    return parser._author_profile(ex, page.request.key)
+    return parser._author_profile(page.request.key, ex.name, ex.labels, ex.metrics, ex.coauthors)
 
 
 def outcome(parse, *args):

@@ -87,6 +87,12 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="fixtures_dir"):
             build_config(minimal_data(fetch={"mode": "fixture"}))
 
+    def test_delay_of_one_day_is_the_largest_allowed(self):
+        config = build_config(minimal_data(fetch={"mode": "live", "min_delay_ms": 86_400_000}))
+        assert config.fetch.min_delay_ms == 86_400_000
+        with pytest.raises(ConfigError, match="fetch.min_delay_ms"):
+            build_config(minimal_data(fetch={"mode": "live", "min_delay_ms": 86_400_001}))
+
     def test_bad_edge_policy_rejected(self):
         with pytest.raises(ConfigError, match="edge_policy"):
             build_config(minimal_data(edge_policy="mesh"))
@@ -323,6 +329,24 @@ class TestCliSoundTags:
         err = capsys.readouterr().err
         assert err == f"error: config field 'fetch.fixtures_dir': no such directory: {missing}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, flags, field, reason", [
+        ({"out_dir": "o\0x"}, [], "out_dir", "must not contain a NUL character"),
+        ({"fetch": {"mode": "fixture", "fixtures_dir": "f\0x"}}, ["--out", "out"],
+         "fetch.fixtures_dir", "must not contain a NUL character"),
+        ({"fetch": {"mode": "fixture", "fixtures_dir": str(FIXTURES_DIR), "cache_dir": "c\0x"}},
+         ["--out", "out"], "fetch.cache_dir", "must not contain a NUL character"),
+        ({}, ["--out", "out", "--delay-ms", str(10**400)], "fetch.min_delay_ms",
+         "must be at most 86400000"),
+    ], ids=["out-dir-nul", "fixtures-dir-nul", "cache-dir-nul", "huge-delay"])
+    def test_value_that_would_end_in_a_traceback_exits_one_with_one_line(
+        self, tmp_path, capsys, monkeypatch, overrides, flags, field, reason
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main(["all", "--config", str(write_config(tmp_path, **overrides)), *flags])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: config field '{field}': {reason}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_config_not_utf8_exits_one_with_one_line(self, tmp_path, capsys):
         config, out = tmp_path / "config.json", tmp_path / "out"

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from html.parser import HTMLParser
 from pathlib import Path
 
@@ -170,7 +170,7 @@ PROFILE_MARKER = '<div id="gsc_prf_in">'
 FRAGMENTS = [
     '<div class="gsc_1usr">', '<div class="gs_ai_cby">', "</div>", '<h3 class="gs_ai_name">',
     '<a class="gs_ai_one_int">', '<a href="/citations?user=A1">', '<a href="?user=">',
-    '<a href="http://[::1?user=x">', "</a>", '<button class="gs_btnPR" data-after="t">',
+    '<a href="http://[::1?user=x">', "<a href>", "</a>", '<button class="gs_btnPR" data-after="t">',
     '<a class="gsc_prf_inta">', '<td class="gsc_rsb_sc1">', '<td class="gsc_rsb_std">', "</td>",
     '<li class="gsc_rsb_aa">', "</li>", "<span>", "</span>", "<![", "<!", "<?", "</", "<",
     "&#", "&amp;", "王伟", "!!", "Optics", "Cited by 12", "Citations", "h-index", "12", "9" * 5000,
@@ -227,6 +227,21 @@ class TestParsersNeverRaise:
             assert [author.author_id for author in parsed.authors] == ["A1"]
         else:
             assert parsed.coauthors == [("A1", "A1")]
+
+    @pytest.mark.parametrize("kind", [LABEL_SEARCH, AUTHOR_PROFILE], ids=["label", "profile"])
+    def test_a_link_whose_href_has_no_value_is_no_profile_link(self, kind):
+        # A valueless attribute maps to None, which raised TypeError when read as a string.
+        if kind == LABEL_SEARCH:
+            html = render_label_page("optics", ["A_X"], authors={"A_X": ("X", ["Optics"], 3)})
+            html, key = html.replace('<a href="/citations?user=A_X&amp;hl=en">', "<a href>"), "optics"
+            page = parse(kind, key, html)
+            assert (page.authors, page.dropped) == ([], 1)
+        else:
+            html = render_profile_page("A_X", "X", ["Optics"], 1, 1, [("B", "B"), ("C", "C")])
+            html, key = html.replace('<a href="/citations?user=B&amp;hl=en">', "<a href>"), "A_X"
+            assert parse(kind, key, html).coauthors == [("C", "C")]
+        assert "<a href>" in html
+        assert html_reference.compare(PageRequest(kind, key), html.encode()) is None
 
     @settings(max_examples=300, deadline=None)
     @given(before=BODIES, after=BODIES)
@@ -285,22 +300,12 @@ class TestPager:
         assert html_reference.parse_label_page(raw, "optics").next_page_token == token
 
 
-class NoOp:
-    def handle_starttag(self, tag, attrs):
-        pass
-
-    def handle_endtag(self, tag):
-        pass
-
-    def handle_data(self, data):
-        pass
-
-
-class Recorder:
-    """An extractor that records the calls a tokenizer makes on it."""
+class Recorder(HTMLParser):
+    """An extractor that records the calls html.parser makes on it."""
 
     def __init__(self):
         self.calls = []
+        super().__init__()
 
     def handle_starttag(self, tag, attrs):
         self.calls.append(("start", tag, dict(attrs)))
@@ -312,24 +317,16 @@ class Recorder:
         self.calls.append(("data", data))
 
 
-class ReferenceRecorder(Recorder, HTMLParser):
-    def __init__(self):
-        Recorder.__init__(self)
-        HTMLParser.__init__(self)
-
-
-def token_calls(recorder, feed, text):
-    """The calls ``feed`` makes on ``recorder`` for ``text``."""
-    feed(recorder, text)
-    return recorder.calls
-
-
 def tokens(text):
-    return token_calls(Recorder(), parser._feed, text)
+    """The package's tokens for ``text``, in the form ``Recorder`` records."""
+    return [(kind, value, attrs) if kind == "start" else (kind, value)
+            for kind, value, attrs in parser._tokens(text)]
 
 
 def reference_tokens(text):
-    return token_calls(ReferenceRecorder(), html_reference._feed, text)
+    recorder = Recorder()
+    html_reference._feed(recorder, text)
+    return recorder.calls
 
 
 class TestTokenizer:
@@ -403,7 +400,7 @@ class TestTokenizer:
         # every repetition: 20,000 of "<a b='" take it over a minute.
         text = construct * 20_000
         start = time.process_time()
-        parser._feed(NoOp(), text)
+        parser._tokens(text)
         assert time.process_time() - start < 1.0
 
     def test_start_tags_that_fail_inside_failed_heads_cost_linear_time(self):
@@ -412,9 +409,26 @@ class TestTokenizer:
         # took 20 s at 8,000 repetitions.
         text = "<a c='>' " * 8_000
         start = time.process_time()
-        parser._feed(NoOp(), text)
+        parser._tokens(text)
         assert time.process_time() - start < 2.0
         assert tokens("<a c='>' " * 2) == []
+
+
+class TestParseCost:
+    @pytest.mark.parametrize("kind", [LABEL_SEARCH, AUTHOR_PROFILE])
+    def test_many_labels_cost_linear_time(self, kind):
+        # Deduplicating by list membership is quadratic: 20,000 labels took
+        # 2.5 s of process time on a shared 2-core host.
+        labels = [f"{kind} label {i}" for i in range(20_000)]
+        if kind == LABEL_SEARCH:
+            html = render_label_page("optics", ["A_X"], authors={"A_X": ("X", ["Optics", *labels], 1)})
+        else:
+            html = render_profile_page("A_X", "X", labels, 1, 1, [])
+        start = time.process_time()
+        parsed = parse(kind, "optics" if kind == LABEL_SEARCH else "A_X", html)
+        assert time.process_time() - start < 1.0
+        labels_parsed = parsed.authors[0].labels if kind == LABEL_SEARCH else parsed.labels
+        assert len(labels_parsed) == 20_000 + (kind == LABEL_SEARCH)
 
 
 # The fuzz fragments plus the constructs where a tokenizer is most likely to
@@ -611,6 +625,12 @@ class TestParserMemory:
         assert growth < 100_000
 
 
+def blank_the_name(monkeypatch):
+    """Make the package parse every profile's name as empty."""
+    parse_author = parser.parse_author_page
+    monkeypatch.setattr(parser, "parse_author_page", lambda page: replace(parse_author(page), name=""))
+
+
 class TestReferenceTreeChecker:
     def test_script_on_the_bundled_fixtures(self, fixtures_dir):
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -621,7 +641,7 @@ class TestReferenceTreeChecker:
         assert (run.returncode, run.stdout) == (0, "15 pages parse the same\n")
 
     def test_first_disagreement_is_reported(self, fixtures_dir, monkeypatch, capsys):
-        monkeypatch.setattr(parser._AuthorPageExtractor, "handle_data", lambda self, data: None)
+        blank_the_name(monkeypatch)
         assert html_reference.main([str(fixtures_dir)]) == 1
         out = capsys.readouterr().out
         assert out == (
@@ -640,7 +660,7 @@ class TestReferenceTreeChecker:
         del fetcher  # closes the cache
         assert html_reference.main([str(tmp_path)]) == 0
         assert capsys.readouterr().out == "2 pages parse the same\n"
-        monkeypatch.setattr(parser._AuthorPageExtractor, "handle_data", lambda self, data: None)
+        blank_the_name(monkeypatch)
         assert html_reference.main([str(tmp_path)]) == 1
         assert capsys.readouterr().out == (
             f"{tmp_path / 'pages.sqlite'}:authors/A_CHAVEZ.html: name: "
