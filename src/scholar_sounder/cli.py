@@ -161,29 +161,30 @@ def _write_network(ctx: RunContext, stem: str, net):
     ctx.write(f"edges_{stem}.csv", to_edge_csv(bundle))
 
 
-def _cmd_sound(args, which: str) -> int:
-    """Run the phases ``which`` names. The tag phase writes ``trace.tsv``, a
-    header and one row per tag visit; the co-author run counts are in
-    ``report.json``'s ``coauthor_run`` only. An abort (an error such as a tag
-    page's ``SoundingError`` from ``fetch_label_pages``, or an interrupt) keeps
-    what the finished phases wrote, as the manifest lists; ``main`` reports it."""
+def _cmd_sound(args) -> int:
+    """Run the phases that ``args.command`` names. The tag phase writes
+    ``trace.tsv``, a header and one row per tag visit; the co-author run
+    counts are in ``report.json``'s ``coauthor_run`` only. An abort (an error
+    such as a tag page's ``SoundingError`` from ``fetch_label_pages``, or an
+    interrupt) keeps what the finished phases wrote, as the manifest lists;
+    ``main`` reports it."""
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "verbose")}
     config = build_config(read_config_file(args.config), flags)
     ctx = RunContext(config)
     report: dict = {"metadata": {"config_digest": config.digest()}}
     seeds = None  # sound_authors alone fetches the base tags' pages itself
     try:
-        if which in ("sound-tags", "all"):
+        if args.command in ("sound-tags", "all"):
             net = sound_tags(config, ctx.fetcher.fetch, parse_label_page)
             _write_network(ctx, "notion", net)
             trace = ["\t".join(f.name for f in fields(TraceRecord))]
             trace += ["\t".join(map(str, astuple(r))) for r in net.trace]
             ctx.write("trace.tsv", "\n".join(trace) + "\n")
             report.update(_analysis_sections(net))
-            if which == "all":  # the author phase is seeded from the pages already parsed
+            if args.command == "all":  # the author phase is seeded from the pages already parsed
                 seeds = seed_authors(config, net.base_pages.__getitem__)
             del net  # freed before the author phase runs
-        if which in ("sound-authors", "all"):
+        if args.command in ("sound-authors", "all"):
             net = sound_authors(
                 config, ctx.fetcher.fetch, parse_author_page, seeds=seeds,
                 parse_label=parse_label_page,
@@ -277,7 +278,7 @@ def main(argv=None) -> int:
     logging.getLogger().setLevel(logging.DEBUG if args.verbose else logging.WARNING)
     try:
         if args.command in ("sound-tags", "sound-authors", "all"):
-            return _cmd_sound(args, args.command)
+            return _cmd_sound(args)
         if args.command == "analyze":
             return _cmd_analyze(args)
         return _cmd_export(args)

@@ -57,7 +57,7 @@ def absorb_label_page(
     current: str,
     depth: int = 0,
     edge_policy: str = EDGE_POLICY_STAR,
-) -> NotionNetwork:
+):
     """Fold one results page into the network.
 
     Per author entry, every label other than the current tag gains +1 rate,
@@ -77,7 +77,6 @@ def absorb_label_page(
             for i in range(len(labels)):
                 for j in range(i + 1, len(labels)):
                     net.add_weight(labels[i], labels[j])
-    return net
 
 
 def select_next_tag(net: NotionNetwork, dictionary: list[str]) -> str | None:

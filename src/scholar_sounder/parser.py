@@ -249,9 +249,9 @@ def parse_label_page(page, queried: str) -> LabelPage:
             if block is None:
                 continue
             if in_name:
-                block["name"] += value
+                block["name"].append(value)
             elif in_interest:
-                block["labels"][-1] += value
+                block["labels"][-1].append(value)
             elif in_cby:
                 count = _count(value)
                 if count is not None:
@@ -259,7 +259,7 @@ def parse_label_page(page, queried: str) -> LabelPage:
         elif kind == "start":
             cls = (attrs.get("class") or "").split()
             if value == "div" and "gsc_1usr" in cls:
-                block = {"name": "", "author_id": None, "labels": [], "cited_by": None}
+                block = {"name": [], "author_id": None, "labels": [], "cited_by": None}
                 depth = 1
                 in_name = in_interest = in_cby = False
                 continue
@@ -271,7 +271,7 @@ def parse_label_page(page, queried: str) -> LabelPage:
                 href = attrs.get("href") or ""  # None when the attribute has no value
                 if "gs_ai_one_int" in cls:
                     in_interest = True
-                    block["labels"].append("")
+                    block["labels"].append([])
                 elif "user=" in href and block["author_id"] is None:
                     block["author_id"] = _author_id_from_href(href)
                     in_name = True
@@ -300,8 +300,8 @@ def parse_author_page(page) -> AuthorProfile:
     ``name:<normalized name>``, or are dropped when their name normalizes to
     nothing.
     """
-    name = row_header = ""
-    labels: list[str] = []
+    name = row_header = metric_key = ""
+    labels: list[list[str]] = []
     metrics: dict[str, int] = {}
     coauthors: list[dict] = []
     coauthor = None
@@ -311,23 +311,22 @@ def parse_author_page(page) -> AuthorProfile:
             if in_name:
                 name += value
             elif in_interest:
-                labels[-1] += value
+                labels[-1].append(value)
             elif in_row_header:
                 row_header += value
             elif in_metric:
                 count = _count(value)
-                key = row_header.strip().lower()
-                if count is not None and key not in metrics:
-                    metrics[key] = count
+                if count is not None and metric_key not in metrics:
+                    metrics[metric_key] = count
             elif in_coauthor_name and coauthor is not None:
-                coauthor["name"] += value
+                coauthor["name"].append(value)
         elif kind == "start":
             cls = (attrs.get("class") or "").split()
             if attrs.get("id") == PROFILE_MARKER:
                 in_name = True
             if "gsc_prf_inta" in cls:
                 in_interest = True
-                labels.append("")
+                labels.append([])
             if value == "td":
                 if "gsc_rsb_sc1" in cls:
                     in_row_header = True
@@ -335,7 +334,7 @@ def parse_author_page(page) -> AuthorProfile:
                 elif "gsc_rsb_std" in cls and row_header:
                     in_metric = True
             if value == "li" and "gsc_rsb_aa" in cls:
-                coauthor = {"name": "", "author_id": None}
+                coauthor = {"name": [], "author_id": None}
             if coauthor is not None and value == "a" and "user=" in (attrs.get("href") or ""):
                 coauthor["author_id"] = _author_id_from_href(attrs["href"])
                 in_coauthor_name = True
@@ -343,6 +342,8 @@ def parse_author_page(page) -> AuthorProfile:
                 in_coauthor_name = True
         else:
             if value in ("div", "span", "a", "td"):
+                if in_row_header:  # the header text changes only while this is set
+                    metric_key = row_header.strip().lower()
                 in_name = in_interest = in_row_header = in_metric = False
                 if value in ("a", "span"):
                     in_coauthor_name = False
@@ -363,45 +364,28 @@ def _xml_safe(text: str) -> str:
 
 def _label_page(blocks: list[dict], next_page_token: str | None, queried: str) -> LabelPage:
     """The page that a results page's author blocks and pager describe."""
-    authors: list[AuthorSummary] = []
-    seen_ids: set[str] = set()
+    authors: dict[str, AuthorSummary] = {}  # id -> entry, the first listing of each id
     dropped = 0
     for block in blocks:
         labels = _normalize_label_list(block["labels"])
-        name = _xml_safe(block["name"].strip())
+        name = _xml_safe("".join(block["name"]).strip())
         author_id = _xml_safe(block["author_id"] or "") or _synthetic_id(name)
-        if not author_id:
+        if author_id in authors:
+            continue
+        if not author_id or queried not in labels:
             dropped += 1
             continue
-        if author_id in seen_ids:
-            continue
-        if queried not in labels:
-            dropped += 1
-            continue
-        seen_ids.add(author_id)
-        authors.append(
-            AuthorSummary(
-                author_id=author_id,
-                name=name,
-                labels=labels,
-                cited_by=block["cited_by"],
-                low_confidence=block["author_id"] is None,
-            )
-        )
-    return LabelPage(
-        queried_tag=queried,
-        authors=authors,
-        next_page_token=next_page_token,
-        dropped=dropped,
-    )
+        authors[author_id] = AuthorSummary(author_id, name, labels, block["cited_by"],
+                                           low_confidence=block["author_id"] is None)
+    return LabelPage(queried, list(authors.values()), next_page_token, dropped)
 
 
-def _author_profile(author_id: str, name: str, labels: list[str], metrics: dict[str, int],
+def _author_profile(author_id: str, name: str, labels: list[list[str]], metrics: dict[str, int],
                     coauthors: list[dict]) -> AuthorProfile:
     """The profile that a profile page's fields describe for ``author_id``."""
     listed: dict[str, str] = {}  # id -> name, the first listing of each id
     for c in coauthors:
-        shown = _xml_safe(c["name"].strip())
+        shown = _xml_safe("".join(c["name"]).strip())
         cid = _xml_safe(c["author_id"] or "") or _synthetic_id(shown)
         if cid and cid != author_id:
             listed.setdefault(cid, shown)
@@ -415,6 +399,7 @@ def _author_profile(author_id: str, name: str, labels: list[str], metrics: dict[
     )
 
 
-def _normalize_label_list(raw_labels: list[str]) -> list[str]:
-    """The labels normalized, each once in first-seen order, empty ones dropped."""
-    return [tag for tag in dict.fromkeys(map(normalize_tag, raw_labels)) if tag]
+def _normalize_label_list(raw_labels: list[list[str]]) -> list[str]:
+    """The labels, each given as the chunks of its text, normalized, each once
+    in first-seen order, empty ones dropped."""
+    return [tag for tag in dict.fromkeys(map(normalize_tag, map("".join, raw_labels))) if tag]

@@ -74,7 +74,7 @@ class _LabelPageExtractor(HTMLParser):
         d = dict(attrs)
         cls = _classes(attrs)
         if tag == "div" and "gsc_1usr" in cls:
-            self._block = {"name": "", "author_id": None, "labels": [], "cited_by": None}
+            self._block = {"name": [], "author_id": None, "labels": [], "cited_by": None}
             self._depth = 1
             self._in_name = self._in_interest = self._in_cby = False
             return
@@ -86,7 +86,7 @@ class _LabelPageExtractor(HTMLParser):
             href = d.get("href") or ""
             if "gs_ai_one_int" in cls:
                 self._in_interest = True
-                self._block["labels"].append("")
+                self._block["labels"].append([])
             elif "user=" in href and self._block["author_id"] is None:
                 self._block["author_id"] = _author_id_from_href(href)
                 self._in_name = True
@@ -110,9 +110,9 @@ class _LabelPageExtractor(HTMLParser):
         if self._block is None:
             return
         if self._in_name:
-            self._block["name"] += data
+            self._block["name"].append(data)
         elif self._in_interest:
-            self._block["labels"][-1] += data
+            self._block["labels"][-1].append(data)
         elif self._in_cby:
             count = _count(data)
             if count is not None:
@@ -128,7 +128,7 @@ class _AuthorPageExtractor(HTMLParser):
     def __init__(self):
         super().__init__(convert_charrefs=True)
         self.name = ""
-        self.labels: list[str] = []
+        self.labels: list[list[str]] = []
         self.metrics: dict[str, int] = {}
         self.coauthors: list[dict] = []
         self._in_name = False
@@ -146,7 +146,7 @@ class _AuthorPageExtractor(HTMLParser):
             self._in_name = True
         if "gsc_prf_inta" in cls:
             self._in_interest = True
-            self.labels.append("")
+            self.labels.append([])
         if tag == "td":
             if "gsc_rsb_sc1" in cls:
                 self._in_row_header = True
@@ -154,7 +154,7 @@ class _AuthorPageExtractor(HTMLParser):
             elif "gsc_rsb_std" in cls and self._row_header:
                 self._in_metric = True
         if tag == "li" and "gsc_rsb_aa" in cls:
-            self._coauthor = {"name": "", "author_id": None}
+            self._coauthor = {"name": [], "author_id": None}
         if self._coauthor is not None and tag == "a" and "user=" in (d.get("href") or ""):
             self._coauthor["author_id"] = _author_id_from_href(d["href"])
             self._in_coauthor_name = True
@@ -177,7 +177,7 @@ class _AuthorPageExtractor(HTMLParser):
         if self._in_name:
             self.name += data
         elif self._in_interest:
-            self.labels[-1] += data
+            self.labels[-1].append(data)
         elif self._in_row_header:
             self._row_header += data
         elif self._in_metric:
@@ -185,7 +185,7 @@ class _AuthorPageExtractor(HTMLParser):
             if count is not None and self._row_header.strip().lower() not in self.metrics:
                 self.metrics[self._row_header.strip().lower()] = count
         elif self._in_coauthor_name and self._coauthor is not None:
-            self._coauthor["name"] += data
+            self._coauthor["name"].append(data)
 
 
 def _feed(extractor: HTMLParser, text: str):

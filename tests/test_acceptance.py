@@ -1,10 +1,8 @@
 """Acceptance suite: one test per release criterion. Each test ends with a
 single PASS line (visible with -s / on failure the assert is the FAIL line)."""
 
-import http.server
 import json
 import random
-import threading
 import time
 from dataclasses import asdict
 
@@ -20,7 +18,7 @@ from scholar_sounder.fetcher import LABEL_SEARCH, FetchPolicy, Fetcher, PageRequ
 from scholar_sounder.notion_graph import sound_tags
 from scholar_sounder.parser import parse_author_page, parse_label_page
 
-from conftest import load_golden
+from conftest import LABEL_PAGE, load_golden, server_url
 from fakes import random_label_corpus, random_profile_corpus
 from test_analysis import (
     communities,
@@ -186,48 +184,27 @@ def test_criterion_7_round_trip_and_determinism(tmp_path):
     _report(7, "100 bundles round-trip and reruns are byte-identical minus timestamps")
 
 
-class _StubHandler(http.server.BaseHTTPRequestHandler):
-    body = (bundled_fixtures_dir() / "labels" / "physical_optics" / "0.html").read_bytes()
-
-    def do_GET(self):
-        self.send_response(200)
-        self.send_header("Content-Type", "text/html")
-        self.end_headers()
-        self.wfile.write(self.body)
-
-    def log_message(self, *args):
-        pass
-
-
-def test_criterion_8_politeness(tmp_path):
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        policy = FetchPolicy(
-            mode="live",
-            cache_dir=tmp_path / "cache",
-            min_delay_ms=200,
-            base_url=f"http://127.0.0.1:{server.server_address[1]}",
-        )
-        fetcher = Fetcher(policy)
-        requests = [PageRequest(LABEL_SEARCH, f"tag_{i}", 0) for i in range(10)]
-        start = time.monotonic()
-        for request in requests:
-            assert fetcher.fetch(request).source == "live"
-        gaps = [
-            b - a
-            for (a, _), (b, _) in zip(fetcher.request_log, fetcher.request_log[1:])
-        ]
-        assert len(fetcher.request_log) == 10
-        assert all(gap >= 0.200 for gap in gaps), gaps
-        for request in requests:
-            assert fetcher.fetch(request).source == "cache"
-        assert len(fetcher.request_log) == 10, "second pass must not hit the network"
-        assert fetcher.cache_hits == 10
-        elapsed = time.monotonic() - start
-        assert elapsed < 5
-    finally:
-        server.shutdown()
-        server.server_close()
+def test_criterion_8_politeness(tmp_path, scripted_server):
+    server = scripted_server(*[(200, LABEL_PAGE)] * 10)
+    policy = FetchPolicy(
+        mode="live", cache_dir=tmp_path / "cache", min_delay_ms=200, base_url=server_url(server)
+    )
+    fetcher = Fetcher(policy)
+    requests = [PageRequest(LABEL_SEARCH, f"tag_{i}", 0) for i in range(10)]
+    start = time.monotonic()
+    for request in requests:
+        assert fetcher.fetch(request).source == "live"
+    gaps = [
+        b - a
+        for (a, _), (b, _) in zip(fetcher.request_log, fetcher.request_log[1:])
+    ]
+    assert len(fetcher.request_log) == 10
+    assert all(gap >= 0.200 for gap in gaps), gaps
+    for request in requests:
+        assert fetcher.fetch(request).source == "cache"
+    assert len(fetcher.request_log) == 10, "second pass must not hit the network"
+    assert server.hits == 10
+    assert fetcher.cache_hits == 10
+    elapsed = time.monotonic() - start
+    assert elapsed < 5
     _report(8, f"10 fetches gapped >= 200 ms, second pass fully cached, {elapsed:.1f}s total")

@@ -335,8 +335,11 @@ class TestReaderAgreesWithReference:
         (MIXED_GEXF.replace("</nodes>", '<node label="x"/></nodes>'), "node without id"),
         (MIXED_GEXF.replace('value="0.5"', 'value="NaN"'),
          "bad double value 'NaN' for 'score' (at node a)"),
+        (MIXED_GEXF.replace('value="true"', 'value="yes"'),
+         "bad boolean value 'yes' for 'visited' (at node a)"),
+        (MIXED_GEXF.replace('class="node"', 'class="edge"'), "unsupported attribute class 'edge'"),
     ], ids=["self-loop", "same-pair-reversed", "non-integral-weight", "redeclared-attribute",
-            "no-graph", "node-without-id", "non-finite-double"])
+            "no-graph", "node-without-id", "non-finite-double", "bad-boolean", "edge-attributes"])
     def test_readers_give_the_same_error_or_graph(self, doc, error):
         """Stricter than assert_readers_agree: a rejection must carry the
         same message and location."""

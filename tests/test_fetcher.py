@@ -1,12 +1,10 @@
 import errno
-import http.server
 import os
 import re
 import socket
 import sqlite3
 import subprocess
 import sys
-import threading
 import time
 from contextlib import closing
 from pathlib import Path
@@ -29,6 +27,7 @@ from scholar_sounder.fetcher import (
 )
 from scholar_sounder.parser import MARKERS, parse_label_page
 
+from conftest import LABEL_PAGE, STALL, STALL_S, TRUNCATED, server_url
 
 ROOT = Path(__file__).resolve().parent.parent
 TWO_WRITERS_CHILD = """
@@ -204,71 +203,13 @@ class TestWriteAtomic:
         assert list(tmp_path.glob("*.tmp")) == []
 
 
-LABEL_PAGE = (bundled_fixtures_dir() / "labels" / "physical_optics" / "0.html").read_bytes()
 LABEL_REQUEST = PageRequest(LABEL_SEARCH, "physical_optics", 0)
-TRUNCATED = "truncated"  # script step: 200 announcing the full page, half of it sent
-STALL = "stall"  # script step: no response for STALL_S, then the connection closes
-STALL_S = 0.6
-
-
-class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
-    """Answers each GET with the next step of the server's script: a
-    ``(status, body)`` pair, a ``(status, body, headers)`` triple,
-    TRUNCATED or STALL."""
-
-    def do_GET(self):
-        self.server.hits += 1
-        self.server.paths.append(self.path)
-        step = self.server.script.pop(0)
-        if step == STALL:
-            time.sleep(STALL_S)
-            return
-        status, body, *headers = (200, LABEL_PAGE) if step == TRUNCATED else step
-        self.send_response(status)
-        self.send_header("Content-Type", "text/html")
-        for name, value in (headers[0] if headers else {}).items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body[: len(body) // 2] if step == TRUNCATED else body)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def scripted_server():
-    """Start a loopback server that plays the given script, one step per
-    request; ``server.hits`` counts the requests it saw. Each request gets
-    its own thread, so a stalled one does not hold up the retry after it;
-    ``server.paths`` holds the request targets."""
-    servers = []
-
-    def start(*script):
-        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
-        server.script = list(script)
-        server.hits = 0
-        server.paths = []  # the request target of each request seen
-        threading.Thread(
-            target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-        ).start()
-        servers.append(server)
-        return server
-
-    yield start
-    for server in servers:
-        server.shutdown()
-        server.server_close()
 
 
 def live_fetcher(base_url, cache_dir) -> Fetcher:
     return Fetcher(
         FetchPolicy(mode="live", cache_dir=cache_dir, min_delay_ms=1, base_url=base_url)
     )
-
-
-def server_url(server) -> str:
-    return f"http://127.0.0.1:{server.server_address[1]}"
 
 
 def child_env() -> dict:
@@ -449,12 +390,19 @@ class TestLiveFaults:
         assert raw.body == LABEL_PAGE
         assert server.hits == 2
 
-    def test_retry_after_lengthens_the_wait(self, scripted_server, tmp_path):
-        server = scripted_server((429, b"", {"Retry-After": "1"}), (200, LABEL_PAGE))
+    @pytest.mark.parametrize("retry_after,ceiling_s,shortest,longest", [
+        ("1", 60, 1.0, float("inf")),
+        ("3", 0.2, 0.2, 2.0),  # held to the ceiling
+        ("Wed, 21 Oct 2026 07:28:00 GMT", 60, 0.0, 1.0),  # the HTTP-date form is ignored
+    ], ids=["seconds", "over the ceiling", "HTTP-date"])
+    def test_retry_after_lengthens_the_wait(self, scripted_server, tmp_path, monkeypatch,
+                                            retry_after, ceiling_s, shortest, longest):
+        monkeypatch.setattr(fetcher_module, "RETRY_AFTER_CEILING_S", ceiling_s)
+        server = scripted_server((429, b"", {"Retry-After": retry_after}), (200, LABEL_PAGE))
         fetcher = live_fetcher(server_url(server), tmp_path)
         assert fetcher.fetch(LABEL_REQUEST).source == "live"
         (first, _), (second, _) = fetcher.request_log
-        assert second - first >= 1.0
+        assert shortest <= second - first < longest
 
     def test_stall_then_ok_is_retried(self, scripted_server, tmp_path, monkeypatch):
         monkeypatch.setattr(fetcher_module, "REQUEST_TIMEOUT_S", 0.2)

@@ -19,9 +19,9 @@ from scholar_sounder.fetcher import AUTHOR_PROFILE, LABEL_SEARCH, PageRequest, R
 from scholar_sounder.parser import normalize_tag, parse_author_page, parse_label_page
 
 import html_reference
-from conftest import load_golden
+from conftest import LABEL_PAGE, load_golden, server_url
 from htmlgen import pad_page, render_label_page, render_profile_page
-from test_fetcher import LABEL_PAGE, live_fetcher, scripted_server, server_url  # noqa: F401
+from test_fetcher import live_fetcher
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -429,6 +429,36 @@ class TestParseCost:
         assert time.process_time() - start < 1.0
         labels_parsed = parsed.authors[0].labels if kind == LABEL_SEARCH else parsed.labels
         assert len(labels_parsed) == 20_000 + (kind == LABEL_SEARCH)
+
+    # One field's text in 60,000 chunks, 2.4 million characters. Adding each
+    # chunk to the text held in a dict or list copies it: each of the first
+    # four cases took 7-8 s of process time on a shared 2-core host. The
+    # profile name, a local, was already linear.
+    CHUNK = "<i>" + "x" * 40 + "</i>"
+    LONG = CHUNK * 60_000
+    # A 400,000-character row header, in 10,000 chunks, then 30,000 chunks of
+    # its metric cell: reading the header's key for every chunk took 10.6 s.
+    METRIC_ROW = (f'<td class="gsc_rsb_sc1">{CHUNK * 10_000}</td>'
+                  f'<td class="gsc_rsb_std">{"<i>1</i>" * 30_000}</td>'
+                  '<td class="gsc_rsb_sc1">Citations</td><td class="gsc_rsb_std">7</td>')
+
+    @pytest.mark.parametrize("kind,body,field,expected", [
+        (LABEL_SEARCH, f'<div class="gsc_1usr"><a href="?user=A1">{LONG}</a>'
+         '<a class="gs_ai_one_int">Optics</a></div>', lambda p: len(p.authors[0].name), 2_400_000),
+        (LABEL_SEARCH, '<div class="gsc_1usr"><a href="?user=A1">X</a><a class="gs_ai_one_int">Optics</a>'
+         f'<a class="gs_ai_one_int">{LONG}</a></div>', lambda p: len(p.authors[0].labels[1]), 2_400_000),
+        (AUTHOR_PROFILE, f'<a class="gsc_prf_inta">{LONG}</a>', lambda p: len(p.labels[0]), 2_400_000),
+        (AUTHOR_PROFILE, f'<li class="gsc_rsb_aa"><a href="?user=B1">{LONG}</a></li>',
+         lambda p: len(p.coauthors[0][1]), 2_400_000),
+        (AUTHOR_PROFILE, f'<div id="gsc_prf_in">{LONG}</div>', lambda p: len(p.name), 2_400_000),
+        (AUTHOR_PROFILE, METRIC_ROW, lambda p: p.cited_by, 7),
+    ], ids=["result name", "result label", "profile label", "coauthor name", "profile name",
+            "metric row"])
+    def test_text_in_many_chunks_costs_linear_time(self, kind, body, field, expected):
+        start = time.process_time()
+        parsed = parse(kind, "optics" if kind == LABEL_SEARCH else "A_X", body)
+        assert time.process_time() - start < 1.0
+        assert field(parsed) == expected
 
 
 # The fuzz fragments plus the constructs where a tokenizer is most likely to
