@@ -94,11 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def write_atomic(path: Path, data: bytes):
-    """Replace ``path`` in one step, so a crash never leaves half a file. A
-    failed write or rename leaves ``path`` as it was and removes the
-    temporary file. The temporary name carries the process id, so two runs
-    that share an output directory never rename each other's."""
+def write_atomic(path: Path, text: str) -> str:
+    """Replace ``path`` in one step with ``text`` as UTF-8, so a crash never
+    leaves half a file, and return the SHA-256 hex digest of the bytes
+    written. A failed write or rename leaves ``path`` as it was and removes
+    the temporary file. The temporary name carries the process id, so two
+    runs that share an output directory never rename each other's."""
+    data = text.encode("utf-8")
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(data)
@@ -106,6 +108,7 @@ def write_atomic(path: Path, data: bytes):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return hashlib.sha256(data).hexdigest()
 
 
 class RunContext:
@@ -118,9 +121,7 @@ class RunContext:
         config.out_dir.mkdir(parents=True, exist_ok=True)
 
     def write(self, name: str, text: str):
-        data = text.encode("utf-8")
-        write_atomic(self.config.out_dir / name, data)
-        self.digests[name] = hashlib.sha256(data).hexdigest()
+        self.digests[name] = write_atomic(self.config.out_dir / name, text)
 
     def finish_manifest(self):
         manifest = {
@@ -135,7 +136,7 @@ class RunContext:
             },
             "outputs": [{"path": n, "sha256": d} for n, d in sorted(self.digests.items())],
         }
-        write_atomic(self.config.out_dir / "run_manifest.json", json_text(manifest).encode("utf-8"))
+        write_atomic(self.config.out_dir / "run_manifest.json", json_text(manifest))
 
 
 def _analysis_sections(graph, kcore=None, min_weight=0.0, communities=True) -> dict:
@@ -211,7 +212,7 @@ def _load_gexf(args) -> tuple[ExportBundle, Path]:
 def _read_json_object(path: Path) -> dict:
     try:
         value = json.loads(path.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also a UnicodeDecodeError
         raise FormatError(f"{path} is not JSON: {exc}") from None
     if not isinstance(value, dict):
         raise FormatError(f"{path} does not hold a JSON object")
@@ -228,13 +229,12 @@ def _write_into_run(out_dir: Path, name: str, text: str):
     outputs = manifest.get("outputs")
     if not isinstance(outputs, list) or not all(isinstance(e, dict) for e in outputs):
         raise FormatError(f"{manifest_path} does not hold a list of outputs")
-    data = text.encode("utf-8")
-    write_atomic(out_dir / name, data)
+    digest = write_atomic(out_dir / name, text)
     listed = [entry for entry in outputs if entry.get("path") == name]
     for entry in listed:
-        entry["sha256"] = hashlib.sha256(data).hexdigest()
+        entry["sha256"] = digest
     if listed:
-        write_atomic(manifest_path, json_text(manifest).encode("utf-8"))
+        write_atomic(manifest_path, json_text(manifest))
 
 
 def _cmd_analyze(args) -> int:

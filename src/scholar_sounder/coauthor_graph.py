@@ -87,12 +87,10 @@ def sound_authors(config, fetch, parse_profile, seeds=None, parse_label=None) ->
             continue
         node["stub"] = False
         node["labels"] = list(profile.labels)
-        if profile.name:
-            node["name"] = node["name"] or profile.name
+        node["name"] = node["name"] or profile.name
+        node["h_index"] = profile.h_index
         if profile.cited_by is not None:
             node["cited_by"] = profile.cited_by
-        if profile.h_index is not None:
-            node["h_index"] = profile.h_index
         hop = node["hop"] + 1
         for coauthor_id, coauthor_name in profile.coauthors:
             if coauthor_id not in net.nodes:

@@ -136,7 +136,7 @@ def read_config_file(path) -> dict:
         raise ConfigError("<path>", f"no such file: {path}")
     try:
         return json.loads(path.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError("<file>", f"invalid JSON: {exc}")
     except UnicodeDecodeError as exc:
         raise ConfigError("<file>", f"not UTF-8: {exc}")
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError("<file>", f"invalid JSON: {exc}")

@@ -21,6 +21,9 @@ BASE_URL = "https://scholar.google.com"
 # Retries of a live request after a failed connection, a 5xx or a 429.
 MAX_RETRIES = 2
 
+# Seconds the page cache waits out another run's lock, also when opening a fresh cache.
+CACHE_LOCK_TIMEOUT_S = 5
+
 # Longest wait a Retry-After header can ask for before the next attempt.
 RETRY_AFTER_CEILING_S = 60
 
@@ -99,12 +102,11 @@ class Fetcher:
     """Reads pages from fixtures, or from the cache and then the live
     service, spacing live requests by the politeness delay. One request at
     a time, but only within one process: two runs sharing a cache directory
-    are not spaced against each other (ROADMAP item 5)."""
+    are not spaced against each other (ROADMAP item 18)."""
 
     def __init__(self, policy: FetchPolicy):
         self.policy = policy
-        self._last_request_at: float | None = None
-        # (monotonic timestamp, url) per network hit, for politeness audits
+        # (monotonic timestamp, url) per network hit: the politeness clock, and its audit
         self.request_log: list[tuple[float, str]] = []
         self.cache_hits = 0
         self.pages_fetched = 0
@@ -155,9 +157,16 @@ class Fetcher:
             if self._cache is None:
                 path.parent.mkdir(parents=True, exist_ok=True)
                 # Any thread may drop the Fetcher, so any thread may close it.
-                self._cache = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+                self._cache = sqlite3.connect(
+                    path, CACHE_LOCK_TIMEOUT_S, isolation_level=None, check_same_thread=False)
                 weakref.finalize(self, self._cache.close)
-                self._cache.executescript(
+                for _ in range(round(CACHE_LOCK_TIMEOUT_S / 0.01)):  # a WAL switch never waits
+                    try:
+                        self._cache.execute("PRAGMA journal_mode=WAL")
+                        break
+                    except sqlite3.OperationalError:
+                        time.sleep(0.01)
+                self._cache.executescript(  # its WAL switch is the last try
                     "PRAGMA journal_mode=WAL; PRAGMA synchronous=NORMAL; PRAGMA cache_size=-64;"
                     "CREATE TABLE IF NOT EXISTS pages(path TEXT PRIMARY KEY, body BLOB NOT NULL)"
                 )
@@ -231,9 +240,8 @@ class Fetcher:
         """Hold the request until min_delay_ms, or at_least_s if longer, has
         passed since the previous one started."""
         delay = max(self.policy.min_delay_ms / 1000.0, at_least_s)
-        if self._last_request_at is not None:
-            remaining = self._last_request_at + delay - time.monotonic()
+        if self.request_log:
+            remaining = self.request_log[-1][0] + delay - time.monotonic()
             if remaining > 0:
                 time.sleep(remaining)
-        self._last_request_at = time.monotonic()
-        self.request_log.append((self._last_request_at, url))
+        self.request_log.append((time.monotonic(), url))

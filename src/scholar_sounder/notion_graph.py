@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import combinations
 
 from .analysis import Graph
 from .errors import FetchError, FixtureMissingError, SoundingError
@@ -65,18 +66,13 @@ def absorb_label_page(
     to each co-listed label; ``clique`` links all label pairs of the entry.
     """
     net.ensure_node(current, depth)["visited"] = True
+    star = edge_policy == EDGE_POLICY_STAR
     for author in page.authors:
         others = [t for t in author.labels if t != current]
         for tag in others:
             net.ensure_node(tag, depth + 1)["rate"] += 1
-        if edge_policy == EDGE_POLICY_STAR:
-            for tag in others:
-                net.add_weight(current, tag)
-        else:  # EDGE_POLICY_CLIQUE
-            labels = author.labels
-            for i in range(len(labels)):
-                for j in range(i + 1, len(labels)):
-                    net.add_weight(labels[i], labels[j])
+        for a, b in [(current, t) for t in others] if star else combinations(author.labels, 2):
+            net.add_weight(a, b)
 
 
 def select_next_tag(net: NotionNetwork, dictionary: list[str]) -> str | None:

@@ -757,6 +757,47 @@ class TestCliAnalyzeExport:
         assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
         assert (out / "run_manifest.json").read_text("utf-8") == content
 
+    @pytest.fixture()
+    def default_int_digits(self):
+        """CPython's default limit on the digits of an int read from text,
+        pinned so that no environment setting lifts it for the test."""
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python reads integers of any length")
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("content", [
+        b"[" * 100_000, b'{"depth": ' + b"7" * 5000 + b"}", b'{"depth": "\xff"}',
+    ], ids=["deep-nesting", "long-integer", "not-utf8"])
+    @pytest.mark.parametrize("command, name, code", [
+        (["all"], "config.json", 1),
+        (["analyze", "--communities"], "report.json", 2),
+        (["export", "--format", "csv"], "run_manifest.json", 2),
+    ], ids=["config", "report", "manifest"])
+    def test_json_the_decoder_refuses_exits_with_one_line_naming_the_file(
+        self, gexf_path, tmp_path, capsys, default_int_digits, command, name, code, content
+    ):
+        """The JSON decoder refuses these with a RecursionError, a plain
+        ValueError or a UnicodeDecodeError, none of them a JSONDecodeError."""
+        work = tmp_path / "work"
+        work.mkdir()
+        bad = work / name
+        bad.write_bytes(content)
+        if command == ["all"]:
+            argv = ["all", "--config", str(bad), "--fixtures", "bundled", "--out", str(work / "out")]
+            named = "config field '<file>': "
+        else:
+            argv = [command[0], "--in", str(gexf_path), "--out", str(work), *command[1:]]
+            named = f"{bad} is not JSON: "
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert bad.read_bytes() == content
+        assert [p.name for p in work.iterdir()] == [name]
+
     @pytest.mark.parametrize("command, name", [
         (["analyze", "--communities"], "report.json"),
         (["export", "--format", "csv"], "edges_notion.csv"),

@@ -5,6 +5,7 @@ import socket
 import sqlite3
 import subprocess
 import sys
+import threading
 import time
 from contextlib import closing
 from pathlib import Path
@@ -15,7 +16,9 @@ import pytest
 from scholar_sounder import bundled_fixtures_dir, cli, fetcher as fetcher_module
 from scholar_sounder.cli import write_atomic
 from scholar_sounder.config import build_config
-from scholar_sounder.errors import FetchError, FixtureMissingError, HttpStatusError, NetworkError
+from scholar_sounder.errors import (
+    CacheError, FetchError, FixtureMissingError, HttpStatusError, NetworkError,
+)
 from scholar_sounder.fetcher import (
     AUTHOR_PROFILE,
     LABEL_SEARCH,
@@ -35,7 +38,7 @@ import sys
 from pathlib import Path
 from scholar_sounder.cli import write_atomic
 for _ in range(200):
-    write_atomic(Path(sys.argv[1]), sys.argv[2].encode() * 65536)
+    write_atomic(Path(sys.argv[1]), sys.argv[2] * 65536)
 """
 TWO_CACHE_WRITERS_CHILD = """
 import sys
@@ -181,7 +184,7 @@ class TestWriteAtomic:
         else:
             monkeypatch.setattr(cli.os, "replace", disk_full)
         with pytest.raises(OSError) as raised:
-            write_atomic(target, b"new")
+            write_atomic(target, "new")
         assert raised.value.errno == errno.ENOSPC
         assert target.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
@@ -337,6 +340,39 @@ class TestCache:
         assert cache_rows(tmp_path) == {"labels/physical_optics/0.html": LABEL_PAGE}
         assert page_path.read_bytes() == LABEL_PAGE
         assert meta_path.read_bytes() == sidecar
+
+    @staticmethod
+    def _hold_fresh_cache(cache_dir) -> sqlite3.Connection:
+        """Another opener of a fresh cache, still in rollback-journal mode,
+        holding a write transaction on it."""
+        holder = sqlite3.connect(
+            cache_dir / "pages.sqlite", isolation_level=None, check_same_thread=False
+        )
+        holder.execute("BEGIN IMMEDIATE")
+        return holder
+
+    def test_opening_a_fresh_cache_waits_for_another_opener(self, tmp_path):
+        """The switch to WAL meets the holder's lock at once, without waiting
+        out the busy timeout, so it is retried until the holder lets go."""
+        with closing(self._hold_fresh_cache(tmp_path)) as holder:
+            release = threading.Timer(0.3, holder.execute, ["ROLLBACK"])
+            release.start()
+            Fetcher(FetchPolicy(mode="live", cache_dir=tmp_path))._write_cache(
+                LABEL_REQUEST, LABEL_PAGE
+            )
+            release.join()
+        assert cache_rows(tmp_path) == {"labels/physical_optics/0.html": LABEL_PAGE}
+
+    def test_a_fresh_cache_held_past_the_lock_timeout_is_a_cache_error(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(fetcher_module, "CACHE_LOCK_TIMEOUT_S", 0.2)
+        fetcher = Fetcher(FetchPolicy(mode="live", cache_dir=tmp_path))
+        with closing(self._hold_fresh_cache(tmp_path)):
+            started = time.monotonic()
+            with pytest.raises(CacheError, match=re.escape(str(tmp_path / "pages.sqlite"))):
+                fetcher._write_cache(LABEL_REQUEST, LABEL_PAGE)
+            assert time.monotonic() - started >= 0.2
 
     def test_two_processes_write_one_cache(self, tmp_path):
         """Two runs that share a cache directory write pages at the same

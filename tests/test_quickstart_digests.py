@@ -14,6 +14,8 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from scholar_sounder.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "quickstart_sha256.json"
@@ -140,17 +142,27 @@ def test_all_and_analyze_cluster_each_network_alike(tmp_path):
         assert analyzed == {key: sections[key] for key in SECTIONS}, stem
 
 
-def test_export_into_a_run_directory_keeps_the_manifest_digests_true(tmp_path):
+@pytest.mark.parametrize("command, name", [
+    (["export", "--format", "gexf"], "notion.gexf"),
+    (["export", "--format", "graphml"], "notion.graphml"),
+    (["export", "--format", "csv"], "edges_notion.csv"),
+    (["export", "--format", "json"], "notion.json"),  # a file the manifest does not list
+    (["analyze", "--communities"], "report.json"),
+], ids=["gexf", "graphml", "csv", "json", "analyze"])
+def test_export_into_a_run_directory_keeps_the_manifest_digests_true(tmp_path, command, name):
+    """Every write into a run directory leaves each manifest entry's digest
+    equal to the SHA-256 of its file."""
     a = run_quickstart(tmp_path, "A")
     config = tmp_path / "clique.json"
     config.write_text(json.dumps({**QUICKSTART_CONFIG, "edge_policy": "clique", "depth": 2}))
     b = tmp_path / "B"
     assert main(["all", "--config", str(config), "--fixtures", "bundled", "--out", str(b)]) == 3
-    old = (a / "notion.graphml").read_bytes()
-    assert main([
-        "export", "--in", str(b / "notion.gexf"), "--format", "graphml", "--out", str(a),
-    ]) == 0
-    assert (a / "notion.graphml").read_bytes() == (b / "notion.graphml").read_bytes() != old
+    old = (a / name).read_bytes() if (a / name).exists() else None
+    assert main([command[0], "--in", str(b / "notion.gexf"), *command[1:], "--out", str(a)]) == 0
+    new = (a / name).read_bytes()
+    assert new != old
+    if command[0] == "export" and name in FILES:  # the other run's own file, byte for byte
+        assert new == (b / name).read_bytes()
     manifest = json.loads((a / "run_manifest.json").read_text("utf-8"))
     assert [entry["path"] for entry in manifest["outputs"]] == sorted(FILES)
     for entry in manifest["outputs"]:
