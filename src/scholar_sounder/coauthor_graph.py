@@ -36,12 +36,6 @@ class CoauthorNetwork(Graph):
 
     report: RunReport
 
-    def admit(self, author_id: str, name: str, hop: int, labels=(), cited_by=None):
-        self.add_node(
-            author_id, name=name, labels=list(labels), cited_by=cited_by, h_index=None,
-            hop=hop, stub=True, fetch_failed=False,
-        )
-
 
 def seed_authors(config, pages_of) -> list[AuthorSummary]:
     """Author summaries from the base tags' result pages, ``pages_of(tag)``,
@@ -60,24 +54,33 @@ def sound_authors(config, fetch, parse_profile, seeds=None, parse_label=None) ->
 
     Seeds sit at hop 0. Each queued author at hop h gets its profile
     fetched; each listed co-author gains an edge and, if unseen, is admitted
-    at hop h+1 and queued if h+1 <= hop_limit. No author is admitted once
-    the network holds author_cap nodes, and a listing of an author not
-    admitted adds no edge. ``fetch`` returns only pages holding their
-    marker; its failures keep the author as a stub and the run continues.
-    FIFO order makes the result deterministic. Without ``seeds``, the seeds
-    come from the base tags' result pages, fetched with ``fetch`` and parsed
-    with ``parse_label``.
+    at hop h+1. ``admit`` is the one place an author enters the network.
+    ``fetch`` returns only pages holding their marker; its failures keep the
+    author as a stub and the run continues. FIFO order makes the result
+    deterministic. Without ``seeds``, the seeds come from the base tags'
+    result pages, fetched with ``fetch`` and parsed with ``parse_label``.
     """
     net = CoauthorNetwork()
     if seeds is None:
         seeds = seed_authors(config, lambda tag: fetch_label_pages(tag, config, fetch, parse_label))
-
     queue: deque[str] = deque()
+
+    def admit(author_id: str, name: str, hop: int, labels=(), cited_by=None) -> bool:
+        """Add an unseen author as a stub at ``hop``, queued for its profile
+        if ``hop <= hop_limit``. No author is admitted once the network
+        holds ``author_cap`` nodes, so a listing of one not admitted adds no edge."""
+        if author_id in net.nodes or len(net.nodes) >= config.author_cap:
+            return False
+        net.add_node(
+            author_id, name=name, labels=list(labels), cited_by=cited_by, h_index=None,
+            hop=hop, stub=True, fetch_failed=False,
+        )
+        if hop <= config.hop_limit:
+            queue.append(author_id)
+        return True
+
     for summary in seeds:
-        if summary.author_id in net.nodes or len(net.nodes) >= config.author_cap:
-            continue
-        net.admit(summary.author_id, summary.name, 0, summary.labels, summary.cited_by)
-        queue.append(summary.author_id)
+        admit(summary.author_id, summary.name, 0, summary.labels, summary.cited_by)
 
     while queue:
         author_id = queue.popleft()
@@ -93,15 +96,10 @@ def sound_authors(config, fetch, parse_profile, seeds=None, parse_label=None) ->
             node["cited_by"] = profile.cited_by
         hop = node["hop"] + 1
         for coauthor_id, coauthor_name in profile.coauthors:
-            if coauthor_id not in net.nodes:
-                if len(net.nodes) >= config.author_cap:
-                    continue
-                net.admit(coauthor_id, coauthor_name, hop)
-                if hop <= config.hop_limit:
-                    queue.append(coauthor_id)
-            # One more direction attests the pair. Each profile is fetched
-            # once and lists a co-author once, so the weight is 1 or 2.
-            net.add_weight(author_id, coauthor_id)
+            if coauthor_id in net.nodes or admit(coauthor_id, coauthor_name, hop):
+                # One more direction attests the pair. Each profile is fetched
+                # once and lists a co-author once, so the weight is 1 or 2.
+                net.add_weight(author_id, coauthor_id)
 
     _finalize_report(net)
     return net

@@ -870,6 +870,17 @@ class TestCliAnalyzeExport:
         assert err.startswith("error: config field '--min-weight':") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["analyze", "--communities"], ["export", "--format", "csv"]],
+                             ids=["analyze", "export"])
+    def test_graphml_input_exits_two_with_one_line(self, gexf_path, tmp_path, capsys, command):
+        """A run writes notion.graphml beside notion.gexf; only the GEXF file is an input."""
+        out = tmp_path / "x"
+        graphml = str(gexf_path.with_suffix(".graphml"))
+        code = main([command[0], "--in", graphml, "--out", str(out), *command[1:]])
+        assert code == 2
+        assert capsys.readouterr().err == "error: root element is <graphml>, expected <gexf>\n"
+        assert not out.exists()
+
     def test_analyze_rejects_missing_input(self, tmp_path, capsys):
         code = main(["analyze", "--in", str(tmp_path / "nope.gexf"), "--out", str(tmp_path)])
         assert code == 2

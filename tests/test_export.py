@@ -338,8 +338,11 @@ class TestReaderAgreesWithReference:
         (MIXED_GEXF.replace('value="true"', 'value="yes"'),
          "bad boolean value 'yes' for 'visited' (at node a)"),
         (MIXED_GEXF.replace('class="node"', 'class="edge"'), "unsupported attribute class 'edge'"),
+        ('<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
+         '<graph edgedefault="undirected"/></graphml>', "root element is <graphml>, expected <gexf>"),
     ], ids=["self-loop", "same-pair-reversed", "non-integral-weight", "redeclared-attribute",
-            "no-graph", "node-without-id", "non-finite-double", "bad-boolean", "edge-attributes"])
+            "no-graph", "node-without-id", "non-finite-double", "bad-boolean", "edge-attributes",
+            "graphml-root"])
     def test_readers_give_the_same_error_or_graph(self, doc, error):
         """Stricter than assert_readers_agree: a rejection must carry the
         same message and location."""

@@ -51,8 +51,9 @@ def corpora(draw) -> Corpus:
 
 
 @st.composite
-def configs(draw):
-    return build_config({
+def config_data(draw) -> dict:
+    """A config file's contents."""
+    return {
         "base_tags": draw(st.lists(st.sampled_from(TAGS), min_size=1, max_size=3, unique=True)),
         "dictionary": ["optics", "laser"],
         "depth": draw(st.integers(1, 4)),
@@ -63,7 +64,11 @@ def configs(draw):
             "mode": "fixture", "fixtures_dir": ".",
             "max_pages_per_label": draw(st.integers(1, 3)),
         },
-    })
+    }
+
+
+def configs():
+    return config_data().map(build_config)
 
 
 @settings(max_examples=200, deadline=None)
