@@ -120,6 +120,7 @@ def build_config(data: dict, flags: dict | None = None) -> Config:
         value = getattr(owner, name)
         if value is not None or owner is config:  # None leaves a fetch path unset
             _require(isinstance(value, (str, Path)), key, "must be a string")
+            _require(value != "", key, "must not be empty")
             _require("\0" not in str(value), key, "must not contain a NUL character")
             setattr(owner, name, Path(value))
     if config.fetch.mode == "fixture":

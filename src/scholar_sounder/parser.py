@@ -48,13 +48,6 @@ def normalize_tag(raw: str) -> str:
 SYNTHETIC_ID_PREFIX = "name:"
 
 
-def _synthetic_id(name: str) -> str | None:
-    """``name:<normalized name>`` for an entry without a profile link; None
-    when nothing of the name survives normalization."""
-    slug = normalize_tag(name)
-    return SYNTHETIC_ID_PREFIX + slug if slug else None
-
-
 @dataclass
 class AuthorSummary:
     """One author entry on a label-search results page."""
@@ -114,7 +107,7 @@ def _count(text: str) -> int | None:
 # of the page at every later "<", costs time quadratic in the page; the 2025
 # CPython security releases also end it at the end of the input. Every "<"
 # then starts a complete token or ends the page, so finditer walks the page
-# once, starting again after the raw text of a script or style element.
+# once, reading a script or style element's raw text with its start tag.
 
 _TAG_NAME = r"[a-zA-Z][^\t\n\r\f />\x00]*"
 _SEPARATORS = r"(?:\s|/(?!>))*"
@@ -122,6 +115,7 @@ _SEPARATORS = r"(?:\s|/(?!>))*"
 # hold ">".
 _ATTR_NAME = r"""(?<=['"\s/])[^\s/>][^\s/=>]*"""
 _VALUE = r"""'[^']*'|"[^"]*"|(?!['"])[^>\s]*"""
+_ATTRS = rf"{_SEPARATORS}(?:{_ATTR_NAME}(?:\s*=+\s*(?:{_VALUE}))?{_SEPARATORS})*\s*"
 # Marked-section keywords: "<![CDATA[ ... ]]>" and "<![if ...]>".
 _SECTION = r"(?ai:temp|cdata|ignore|include|rcdata)(?![-_.a-zA-Z0-9])"
 _MS_SECTION = r"(?ai:if|else|endif)(?![-_.a-zA-Z0-9])"
@@ -129,25 +123,25 @@ _MS_SECTION = r"(?ai:if|else|endif)(?![-_.a-zA-Z0-9])"
 # A start tag: the longest head a tag can have, taken whole (a lookahead
 # does not backtrack), then ">" ("start") or "/>" ("empty"). A head
 # followed by anything but those, a letter, "=", "/" or the end of the page
-# is no tag ("nottag"), and its text is data.
-_START = rf"""
-    (?P<start>(?=(?P<head><(?P<tag>{_TAG_NAME}){_SEPARATORS}
-        (?:{_ATTR_NAME}(?:\s*=+\s*(?:{_VALUE}))?{_SEPARATORS})*\s*))(?P=head))
-      (?:>|(?P<empty>/>)|(?P<nottag>)(?=[^a-zA-Z=/>]))
-  | </(?:\s*(?P<endtag>[a-zA-Z][-.a-zA-Z0-9:_]*)\s*>|(?P<endtag2>{_TAG_NAME})[^>]*>)
-"""
+# is no tag ("nottag"), and its text is data. A script or style start tag
+# ending in ">" ("raw") takes its text up to an end tag of the same name in
+# any ASCII case, or to the end of the page.
 # Skipped: comments, declarations, processing instructions, marked sections.
 _TOKEN = re.compile(
-    rf"""(?P<text>[^<]+) | {_START}
+    rf"""(?P<text>[^<]+)
+      | </(?:\s*(?P<endtag>[a-zA-Z][-.a-zA-Z0-9:_]*)\s*>|(?P<endtag2>{_TAG_NAME})[^>]*>)
+      | (?P<raw>(?=(?P<rhead><(?P<rtag>(?ai:script|style))(?=[\t\n\r\f />\x00]){_ATTRS}))
+          (?P=rhead)>(?P<rawtext>.*?)(?:(?P<rawend></\s*(?ai:(?P=rtag))\s*>)|\Z))
+      | (?P<start>(?=(?P<head><(?P<tag>{_TAG_NAME}){_ATTRS}))(?P=head))
+          (?:>|(?P<empty>/>)|(?P<nottag>)(?=[^a-zA-Z=/>]))
       | (?P<skip></[^>]*>|<\?[^>]*>|<!(?!--|\[)[^>]*>|<!--.*?--\s*>
           |<!\[{_SECTION}.*?\]\s*\]\s*>|<!\[{_MS_SECTION}.*?\]\s*>)
       | (?P<chars><(?=[^a-zA-Z/!?])) | (?P<unterminated><)""",
     re.S | re.X,
 )
 _ATTRIBUTE = re.compile(rf"({_ATTR_NAME})(\s*=+\s*({_VALUE}))?{_SEPARATORS}")
-_END_TAG = re.compile(r"</\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>")
-# Elements whose content is raw text up to their end tag.
-_RAW_TEXT_END = {name: re.compile(rf"</\s*{name}\s*>", re.I) for name in ("script", "style")}
+# In raw text, the end tags that only case folding matches, as "</ſcript>".
+_RAW_TEXT_END = {name: re.compile(rf"(</\s*{name}\s*>)", re.I) for name in ("script", "style")}
 
 
 def _tokens(text: str) -> list[tuple]:
@@ -155,77 +149,58 @@ def _tokens(text: str) -> list[tuple]:
     ``("start", tag, attrs)``, ``("end", tag, None)`` and ``("data", text,
     None)``. Tag and attribute names come lower-cased; attrs is a dict, the
     last of repeated names winning, and a valueless attribute maps to None.
+    A script or style element's text is raw up to its end tag in any ASCII
+    case (``</ſcript>`` stays text), and one that never ends drops the rest.
     Markup that html.parser rejects ends the page too: a marked section with
     an unknown or missing keyword (``<![foo``), which the catch-all "<"
     takes, and a decimal reference too long for int()."""
     out: list[tuple] = []
     append = out.append
-    pos = 0
-    while pos is not None:
-        for m in _TOKEN.finditer(text, pos):
+    try:
+        for m in _TOKEN.finditer(text):
             kind = m.lastgroup
             if kind == "text":
-                chunk = m.group()
-                if "&" in chunk:
-                    try:
-                        chunk = unescape(chunk)
-                    except ValueError:
-                        return out
-                append(("data", chunk, None))
+                chunk = m[0]
+                append(("data", unescape(chunk) if "&" in chunk else chunk, None))
             elif kind == "endtag" or kind == "endtag2":
-                append(("end", m.group(kind).lower(), None))
+                append(("end", m[kind].lower(), None))
             elif kind == "start" or kind == "empty":
-                end = m.end()
-                tag_end = m.end("tag")
-                attrs = {}
-                if end - tag_end > 1:
-                    # Past the tag name only the head's attributes can
-                    # start a match.
-                    for name, given, value in _ATTRIBUTE.findall(text, tag_end, end):
-                        if not given:
-                            value = None
-                        else:
-                            if value[:1] in ("'", '"'):
-                                value = value[1:-1]
-                            if "&" in value:
-                                try:
-                                    value = unescape(value)
-                                except ValueError:
-                                    return out
-                        attrs[name.lower()] = value
-                tag = m.group("tag").lower()
-                append(("start", tag, attrs))
+                tag = m["tag"].lower()
+                append(("start", tag, _attrs(text, m.end("tag"), m.end())))
                 if kind == "empty":
                     append(("end", tag, None))
-                elif tag in _RAW_TEXT_END:
-                    pos = _raw_text(text, end, tag, out)
-                    break
+            elif kind == "raw":
+                tag = m["rtag"].lower()
+                append(("start", tag, _attrs(text, m.end("rtag"), m.start("rawtext"))))
+                *chunks, rest = _RAW_TEXT_END[tag].split(m["rawtext"])
+                out.extend(("data", chunk, None) for chunk in chunks if chunk)
+                if m["rawend"] is None:  # an element that never ends drops the rest
+                    return out
+                if rest:
+                    append(("data", rest, None))
+                append(("end", tag, None))
             elif kind == "chars" or kind == "nottag":
-                append(("data", m.group(), None))
+                append(("data", m[0], None))
             elif kind == "unterminated":
                 return out
-        else:
-            return out
+    except ValueError:  # a character reference too long for int()
+        pass
     return out
 
 
-def _raw_text(text: str, pos: int, tag: str, out: list) -> int | None:
-    """Append the raw text of a script or style element and its end tag to
-    ``out`` and return where the end tag ends; None when it never ends, in
-    which case the rest of the page is dropped, as html.parser drops it."""
-    close = _RAW_TEXT_END[tag]
-    while True:
-        m = close.search(text, pos)
-        if m is None:
-            return None
-        if m.start() > pos:
-            out.append(("data", text[pos:m.start()], None))
-        name = _END_TAG.match(m.group())
-        if name and name.group(1).lower() == tag:
-            out.append(("end", tag, None))
-            return m.end()
-        out.append(("data", m.group(), None))  # matched only by case folding, as "</ſcript>"
-        pos = m.end()
+def _attrs(text: str, start: int, end: int) -> dict:
+    """The attributes of a start tag whose name ends at ``start`` and whose
+    head ends by ``end``: past the name only they can start a match, and
+    there is no room for one in less than two characters."""
+    attrs = {}
+    for name, given, value in _ATTRIBUTE.findall(text, start, end) if end - start > 1 else ():
+        if given:
+            if value[:1] in ("'", '"'):
+                value = value[1:-1]
+            if "&" in value:
+                value = unescape(value)
+        attrs[name.lower()] = value if given else None
+    return attrs
 
 
 def parse_label_page(page, queried: str) -> LabelPage:
@@ -362,14 +337,24 @@ def _xml_safe(text: str) -> str:
     return text if text.isprintable() else _NOT_XML.sub("\ufffd", text)
 
 
+def _listed(link_id: str | None, name_chunks: list[str]) -> tuple[str | None, str]:
+    """The id and name of an author listed with ``link_id`` from a profile
+    link, if any, and the name in ``name_chunks``. Without a link the id is
+    ``name:<normalized name>``, None when nothing of the name survives."""
+    name = _xml_safe("".join(name_chunks).strip())
+    if link_id:
+        return _xml_safe(link_id), name
+    slug = normalize_tag(name)
+    return (SYNTHETIC_ID_PREFIX + slug if slug else None), name
+
+
 def _label_page(blocks: list[dict], next_page_token: str | None, queried: str) -> LabelPage:
     """The page that a results page's author blocks and pager describe."""
     authors: dict[str, AuthorSummary] = {}  # id -> entry, the first listing of each id
     dropped = 0
     for block in blocks:
         labels = _normalize_label_list(block["labels"])
-        name = _xml_safe("".join(block["name"]).strip())
-        author_id = _xml_safe(block["author_id"] or "") or _synthetic_id(name)
+        author_id, name = _listed(block["author_id"], block["name"])
         if author_id in authors:
             continue
         if not author_id or queried not in labels:
@@ -385,8 +370,7 @@ def _author_profile(author_id: str, name: str, labels: list[list[str]], metrics:
     """The profile that a profile page's fields describe for ``author_id``."""
     listed: dict[str, str] = {}  # id -> name, the first listing of each id
     for c in coauthors:
-        shown = _xml_safe("".join(c["name"]).strip())
-        cid = _xml_safe(c["author_id"] or "") or _synthetic_id(shown)
+        cid, shown = _listed(c["author_id"], c["name"])
         if cid and cid != author_id:
             listed.setdefault(cid, shown)
     return AuthorProfile(

@@ -348,6 +348,23 @@ class TestCliSoundTags:
         assert capsys.readouterr().err == f"error: config field '{field}': {reason}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"out_dir": ""}, "out_dir"),
+        ({"fetch": {"mode": "fixture", "fixtures_dir": ""}}, "fetch.fixtures_dir"),
+        ({"fetch": {"mode": "fixture", "fixtures_dir": str(FIXTURES_DIR), "cache_dir": ""}},
+         "fetch.cache_dir"),
+    ], ids=["out-dir", "fixtures-dir", "cache-dir"])
+    def test_empty_path_in_the_file_exits_one_with_one_line(
+        self, tmp_path, capsys, monkeypatch, overrides, field
+    ):
+        # An empty path would be the current directory: outputs, fixtures or
+        # the page cache there, without a word.
+        monkeypatch.chdir(tmp_path)
+        code = main(["all", "--config", str(write_config(tmp_path, **overrides)), "--depth", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: config field '{field}': must not be empty\n"
+        assert os.listdir(tmp_path) == ["config.json"]
+
     def test_config_not_utf8_exits_one_with_one_line(self, tmp_path, capsys):
         config, out = tmp_path / "config.json", tmp_path / "out"
         config.write_bytes(b'{"base_tags": ["optics\xff"], "dictionary": ["optics"]}')

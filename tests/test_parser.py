@@ -371,6 +371,26 @@ class TestTokenizer:
         ("<![foo", []),
         ("<p>&#" + "9" * 5000 + ";", [("start", "p", {})]),
         ('é<a title="&#' + "9" * 5000 + ';">', [("data", "é")]),
+        ("<SCRIPT>a</script>b", [("start", "script", {}), ("data", "a"), ("end", "script"),
+                                 ("data", "b")]),
+        ("<script/>x</script>", [("start", "script", {}), ("end", "script"), ("data", "x"),
+                                 ("end", "script")]),
+        ("<script\x0b>a</script>", [("start", "script\x0b", {}), ("data", "a"), ("end", "script")]),
+        ("<style>a</script>b</style>c", [("start", "style", {}), ("data", "a</script>b"),
+                                         ("end", "style"), ("data", "c")]),
+        ("<script>a</ſcript>b", [("start", "script", {}), ("data", "a"), ("data", "</ſcript>")]),
+        ('<script a="</script>">x</script>y', [("start", "script", {"a": "</script>"}),
+                                               ("data", "x"), ("end", "script"), ("data", "y")]),
+        ("<Style>x</STYLE>y", [("start", "style", {}), ("data", "x"), ("end", "style"), ("data", "y")]),
+        ("<script >a</script\t>b", [("start", "script", {}), ("data", "a"), ("end", "script"),
+                                    ("data", "b")]),
+        ("<scripts>a</scripts>", [("start", "scripts", {}), ("data", "a"), ("end", "scripts")]),
+        ("<script>a&amp;b</script>", [("start", "script", {}), ("data", "a&amp;b"), ("end", "script")]),
+        ("<script>a</script >b", [("start", "script", {}), ("data", "a"), ("end", "script"),
+                                  ("data", "b")]),
+        ("<ſcript>a</script>b", [("data", "<"), ("data", "ſcript>a"), ("end", "script"),
+                                 ("data", "b")]),
+        ("<script>a</scrİpt>b", [("start", "script", {}), ("data", "a"), ("data", "</scrİpt>")]),
     ], ids=[
         "character-references", "gt-in-quoted-value", "unquoted-and-valueless",
         "upper-case-names", "last-repeated-attribute-wins", "self-closing",
@@ -388,17 +408,30 @@ class TestTokenizer:
         "marked-section-open-at-the-end-ends-the-page",
         "overlong-reference-in-text-ends-the-page",
         "overlong-reference-in-attribute-ends-the-page",
+        "raw-text-start-tag-in-any-ascii-case", "self-closing-script-has-no-raw-text",
+        "script-name-ending-in-vertical-tab-is-not-raw", "raw-text-ends-only-at-its-own-end-tag",
+        "raw-text-end-matched-by-case-folding-then-never-ended",
+        "raw-text-end-tag-inside-an-attribute-value", "raw-text-end-tag-in-any-ascii-case",
+        "raw-text-tags-with-whitespace", "longer-tag-name-is-not-raw",
+        "raw-text-is-not-unescaped", "raw-text-end-tag-with-trailing-space",
+        "raw-text-start-tag-matched-only-by-case-folding-is-not-raw",
+        "raw-text-end-tag-lower-cased-to-ascii-is-text",
     ])
     def test_tokens(self, text, calls):
         assert tokens(text) == calls
 
-    @pytest.mark.parametrize("construct", [
-        "<a b='", "<a", "<!--", "</a", "<!--x>", "<![CDATA[x>", "<![if x>", "<?x",
-    ])
-    def test_constructs_that_never_complete_cost_linear_time(self, construct):
+    NEVER_COMPLETE = [
+        *(("", c) for c in ("<a b='", "<a", "<!--", "</a", "<!--x>", "<![CDATA[x>", "<![if x>", "<?x")),
+        # Inside a script element that never ends.
+        *(("<script>", c) for c in ("</scrip", "</ſcript>", "</script")),
+    ]
+
+    @pytest.mark.parametrize("prefix, construct", NEVER_COMPLETE,
+                             ids=[prefix + construct for prefix, construct in NEVER_COMPLETE])
+    def test_constructs_that_never_complete_cost_linear_time(self, prefix, construct):
         # html.parser's end-of-input pass rescans to the end of the page for
         # every repetition: 20,000 of "<a b='" take it over a minute.
-        text = construct * 20_000
+        text = prefix + construct * 20_000
         start = time.process_time()
         parser._tokens(text)
         assert time.process_time() - start < 1.0
