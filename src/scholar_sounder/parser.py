@@ -9,7 +9,10 @@ Two string conversions are pure and repeat across pages, so each is
 memoised for the life of the process: ``normalize_tag`` and the author id
 of a profile link (``_author_id_from_href``). Their keys are labels, names
 and profile links, so their caches grow with the graph a run builds, not
-with the page content it parses; an exception is never cached."""
+with the page content it parses. The third memo, the token of a start tag's
+text (``_start_token``), is keyed by page content, so it alone is bounded:
+it keeps the most recently used tags, as templated pages repeat theirs. An
+exception is never cached."""
 
 from __future__ import annotations
 
@@ -139,6 +142,7 @@ _TOKEN = re.compile(
       | (?P<chars><(?=[^a-zA-Z/!?])) | (?P<unterminated><)""",
     re.S | re.X,
 )
+_NAME = re.compile(_TAG_NAME)
 _ATTRIBUTE = re.compile(rf"({_ATTR_NAME})(\s*=+\s*({_VALUE}))?{_SEPARATORS}")
 # In raw text, the end tags that only case folding matches, as "</ſcript>".
 _RAW_TEXT_END = {name: re.compile(rf"(</\s*{name}\s*>)", re.I) for name in ("script", "style")}
@@ -153,7 +157,8 @@ def _tokens(text: str) -> list[tuple]:
     case (``</ſcript>`` stays text), and one that never ends drops the rest.
     Markup that html.parser rejects ends the page too: a marked section with
     an unknown or missing keyword (``<![foo``), which the catch-all "<"
-    takes, and a decimal reference too long for int()."""
+    takes, and a decimal reference too long for int(). Start tags of equal
+    text share one token and one attrs dict, so no caller may mutate them."""
     out: list[tuple] = []
     append = out.append
     try:
@@ -165,13 +170,14 @@ def _tokens(text: str) -> list[tuple]:
             elif kind == "endtag" or kind == "endtag2":
                 append(("end", m[kind].lower(), None))
             elif kind == "start" or kind == "empty":
-                tag = m["tag"].lower()
-                append(("start", tag, _attrs(text, m.end("tag"), m.end())))
+                token = _start_token(m[0])
+                append(token)
                 if kind == "empty":
-                    append(("end", tag, None))
+                    append(("end", token[1], None))
             elif kind == "raw":
-                tag = m["rtag"].lower()
-                append(("start", tag, _attrs(text, m.end("rtag"), m.start("rawtext"))))
+                token = _start_token(text[m.start():m.start("rawtext")])
+                append(token)
+                tag = token[1]
                 *chunks, rest = _RAW_TEXT_END[tag].split(m["rawtext"])
                 out.extend(("data", chunk, None) for chunk in chunks if chunk)
                 if m["rawend"] is None:  # an element that never ends drops the rest
@@ -188,19 +194,25 @@ def _tokens(text: str) -> list[tuple]:
     return out
 
 
-def _attrs(text: str, start: int, end: int) -> dict:
-    """The attributes of a start tag whose name ends at ``start`` and whose
-    head ends by ``end``: past the name only they can start a match, and
-    there is no room for one in less than two characters."""
+# The most start tags whose tokens are kept: a page's structural tags recur
+# every few tokens and stay, its one-off links pass through.
+_START_TAG_MEMO = 256
+
+
+@functools.lru_cache(maxsize=_START_TAG_MEMO)
+def _start_token(tag: str) -> tuple:
+    """The start token of a start tag's text, from its "<" to its ">" or
+    "/>": past the name only attributes can start a match."""
+    name = _NAME.match(tag, 1)[0]
     attrs = {}
-    for name, given, value in _ATTRIBUTE.findall(text, start, end) if end - start > 1 else ():
+    for attr, given, value in _ATTRIBUTE.findall(tag, len(name) + 1):
         if given:
             if value[:1] in ("'", '"'):
                 value = value[1:-1]
             if "&" in value:
                 value = unescape(value)
-        attrs[name.lower()] = value if given else None
-    return attrs
+        attrs[attr.lower()] = value if given else None
+    return "start", name.lower(), attrs
 
 
 def parse_label_page(page, queried: str) -> LabelPage:

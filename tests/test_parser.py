@@ -629,7 +629,8 @@ def outcome(convert, value):
 
 class TestCachedConversions:
     """The conversions memoised for the life of the process give what their
-    uncached forms give; an exception is raised again, never cached."""
+    uncached forms give; an exception is raised again, never cached. So does
+    the bounded memo of start-tag tokens."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.text() | HREFS | REFERENCE_TEXT)
@@ -638,6 +639,24 @@ class TestCachedConversions:
             expected = outcome(convert.__wrapped__, text)
             assert outcome(convert, text) == expected
             assert outcome(convert, text) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(page=REFERENCE_BODIES | BODIES, other=REFERENCE_BODIES | BODIES)
+    def test_memoised_start_tags_tokenize_as_uncached(self, page, other):
+        parser._tokens(other)
+        warm = parser._tokens(page)
+        parser._start_token.cache_clear()
+        cold = parser._tokens(page)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parser, "_start_token", parser._start_token.__wrapped__)
+            uncached = parser._tokens(page)
+        assert warm == cold == uncached
+
+    def test_a_reference_too_long_for_int_ends_the_page_every_time(self):
+        page = 'x<b>y<a href="&#' + "9" * 5000 + ';">z'
+        expected = [("data", "x", None), ("start", "b", {}), ("data", "y", None)]
+        assert parser._tokens(page) == expected
+        assert parser._tokens(page) == expected
 
     @pytest.mark.parametrize("href", [
         "/citations?user=A_TUDOR&hl=en",
@@ -662,30 +681,42 @@ class TestCachedConversions:
 
 
 class TestParserMemory:
-    def test_distinct_pages_leave_no_memory_behind(self):
-        """Parsing keeps nothing that grows with page content: distinct
-        padded profiles with the same labels and co-authors, parsed after
-        the first 50, leave under 100 KB traced. A memo keyed by the text
-        chunks that hold "&" would keep about 5 KB a page here, 1 MB in all."""
+    """Parsing keeps nothing that grows with page content beyond a fixed
+    bound: distinct padded pages with the same labels and authors, parsed
+    after the first 50, leave under 100 KB traced. A memo keyed by the text
+    chunks that hold "&" would keep about 5 KB a page here, 1 MB in all."""
 
-        def parse_profile(i):
-            key = f"A_{i}"
-            html = render_profile_page(key, f"Author {i}", ["Optics"], 10, 2, [("A_B", "B")])
-            parse(AUTHOR_PROFILE, key, pad_page(html, key, rows=10))
-
+    def assert_no_growth(self, parse_page):
         tracemalloc.start()
         try:
             for i in range(50):
-                parse_profile(i)
+                parse_page(i)
             gc.collect()
             before = tracemalloc.get_traced_memory()[0]
             for i in range(50, 250):
-                parse_profile(i)
+                parse_page(i)
             gc.collect()
             growth = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert growth < 100_000
+
+    def test_distinct_pages_leave_no_memory_behind(self):
+        def parse_profile(i):
+            key = f"A_{i}"
+            html = render_profile_page(key, f"Author {i}", ["Optics"], 10, 2, [("A_B", "B")])
+            parse(AUTHOR_PROFILE, key, pad_page(html, key, rows=10))
+
+        self.assert_no_growth(parse_profile)
+
+    def test_distinct_label_pages_leave_no_memory_behind(self):
+        html = render_label_page("optics", ["A_X", "A_Y"], next_token="t", authors={
+            "A_X": ("X", ["Optics", "Lasers"], 10), "A_Y": ("Y", ["Optics"], 2)})
+
+        def parse_label(i):
+            parse(LABEL_SEARCH, "optics", pad_page(html, f"L_{i}", rows=10))
+
+        self.assert_no_growth(parse_label)
 
 
 def blank_the_name(monkeypatch):
