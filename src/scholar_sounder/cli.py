@@ -32,13 +32,15 @@ from .export import (
     to_json_report,
 )
 from .fetcher import Fetcher
-from .notion_graph import TraceRecord, sound_tags
+from .notion_graph import TraceRecord, fetch_label_pages, sound_tags
 from .parser import parse_author_page, parse_label_page
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_ABORTED = 2
 EXIT_PARTIAL = 3
+
+log = logging.getLogger(__name__)
 
 COAUTHORS = "coauthors"  # the co-author network's file stem and report.json section
 
@@ -165,31 +167,37 @@ def _write_network(ctx: RunContext, stem: str, net):
 def _cmd_sound(args) -> int:
     """Run the phases that ``args.command`` names. The tag phase writes
     ``trace.tsv``, a header and one row per tag visit; the co-author run
-    counts are in ``report.json``'s ``coauthor_run`` only. An abort (an error
-    such as a tag page's ``SoundingError`` from ``fetch_label_pages``, or an
-    interrupt) keeps what the finished phases wrote, as the manifest lists;
-    ``main`` reports it."""
+    counts are in ``report.json``'s ``coauthor_run`` only. A base tag without
+    result pages is a warning. An abort (an error such as a tag page's
+    ``SoundingError`` from ``fetch_label_pages``, or an interrupt) keeps what
+    the finished phases wrote, as the manifest lists; ``main`` reports it."""
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config", "verbose")}
     config = build_config(read_config_file(args.config), flags)
     ctx = RunContext(config)
     report: dict = {"metadata": {"config_digest": config.digest()}}
-    seeds = None  # sound_authors alone fetches the base tags' pages itself
     try:
-        if args.command in ("sound-tags", "all"):
+        if args.command == "sound-authors":  # run alone, it fetches the base tags' pages itself
+            base_pages = {
+                tag: fetch_label_pages(tag, config, ctx.fetcher.fetch, parse_label_page)
+                for tag in config.base_tags
+            }
+        else:
             net = sound_tags(config, ctx.fetcher.fetch, parse_label_page)
+            base_pages = net.base_pages
             _write_network(ctx, "notion", net)
             trace = ["\t".join(f.name for f in fields(TraceRecord))]
             trace += ["\t".join(map(str, astuple(r))) for r in net.trace]
             ctx.write("trace.tsv", "\n".join(trace) + "\n")
             report.update(_analysis_sections(net))
-            if args.command == "all":  # the author phase is seeded from the pages already parsed
-                seeds = seed_authors(config, net.base_pages.__getitem__)
-            del net  # freed before the author phase runs
-        if args.command in ("sound-authors", "all"):
-            net = sound_authors(
-                config, ctx.fetcher.fetch, parse_author_page, seeds=seeds,
-                parse_label=parse_label_page,
-            )
+            del net
+        for tag in config.base_tags:
+            if not base_pages[tag]:
+                log.warning("base tag '%s' has no result pages", tag)
+                ctx.warnings += 1
+        if args.command != "sound-tags":
+            seeds = seed_authors(config, base_pages.__getitem__)
+            del base_pages  # freed, with the tag network, before the author phase runs
+            net = sound_authors(config, ctx.fetcher.fetch, parse_author_page, seeds)
             ctx.warnings += net.report.failures
             _write_network(ctx, COAUTHORS, net)
             report[COAUTHORS] = _analysis_sections(net)

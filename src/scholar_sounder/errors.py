@@ -6,27 +6,13 @@ class ScholarSounderError(Exception):
 
 
 class FetchError(ScholarSounderError):
-    """Base class for page-acquisition failures."""
+    """A page the source refused: a failed status, connection or retry, a
+    page without its marker, or a key that is not a plain id."""
 
 
-class FixtureMissingError(FetchError):
-    """A requested fixture file does not exist (corpus gap)."""
-
-    def __init__(self, path):
-        super().__init__(f"fixture not found: {path}")
-
-
-class NetworkError(FetchError):
-    """Transient network failure that outlasted ``fetcher.MAX_RETRIES`` retries."""
-
-
-class HttpStatusError(FetchError):
-    """Non-200 response, or a page missing the expected result markers
-    (anti-bot interstitial)."""
-
-    def __init__(self, message, status=None):
-        super().__init__(message)
-        self.status = status
+class PageMissingError(FetchError):
+    """The page is absent: its fixture file does not exist, or the live
+    service answered 404."""
 
 
 class CacheError(ScholarSounderError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import quote
 
-from .errors import CacheError, FetchError, FixtureMissingError, HttpStatusError, NetworkError
+from .errors import CacheError, FetchError, PageMissingError
 from .parser import AUTHOR_PROFILE, LABEL_SEARCH, MARKERS
 
 log = logging.getLogger(__name__)
@@ -114,7 +114,8 @@ class Fetcher:
 
     def fetch(self, request: PageRequest, page_token: str | None = None) -> RawPage:
         """Return the page body for a request; it holds its kind's marker,
-        whatever its source, or FetchError is raised.
+        whatever its source. An absent page, a missing fixture or a live
+        404, raises PageMissingError; any other failure raises FetchError.
 
         Fixture mode reads only from ``fixtures_dir`` and never touches the
         network. Live mode checks the cache first, passing over a cached
@@ -138,7 +139,7 @@ class Fetcher:
     def _fetch_fixture(self, request: PageRequest) -> RawPage:
         path = self.policy.fixtures_dir / _relative_page_path(request)
         if not path.is_file():
-            raise FixtureMissingError(path)
+            raise PageMissingError(f"fixture not found: {path}")
         body = path.read_bytes()
         if not _has_marker(request, body):
             raise FetchError(f"fixture {path} lacks marker '{MARKERS[request.kind]}'")
@@ -219,22 +220,21 @@ class Fetcher:
                 log.warning("fetch attempt %d failed for %s: %s", attempt + 1, target_url, exc)
                 continue
             if status >= 500 or status == http.HTTPStatus.TOO_MANY_REQUESTS:
-                last_exc = HttpStatusError(f"status {status} for {target_url}", status=status)
+                last_exc = FetchError(f"status {status} for {target_url}")
                 retry_after = (headers.get("Retry-After") or "").strip()
                 if retry_after.isdecimal():  # the HTTP-date form is ignored
                     retry_after_s = min(float(retry_after), RETRY_AFTER_CEILING_S)
                 continue
+            if status == http.HTTPStatus.NOT_FOUND:  # an absent page, not a refusal
+                raise PageMissingError(f"status {status} for {target_url}")
             if status != 200:
-                raise HttpStatusError(f"status {status} for {target_url}", status=status)
+                raise FetchError(f"status {status} for {target_url}")
             if not _has_marker(request, body):
                 # Interstitial / anti-bot page: refuse to parse it.
-                raise HttpStatusError(
-                    f"page at {target_url} lacks marker '{MARKERS[request.kind]}'",
-                    status=status,
-                )
+                raise FetchError(f"page at {target_url} lacks marker '{MARKERS[request.kind]}'")
             self._write_cache(request, body)
             return RawPage(request=request, body=body, source="live")
-        raise NetworkError(f"giving up on {target_url} after {attempts} attempts: {last_exc}")
+        raise FetchError(f"giving up on {target_url} after {attempts} attempts: {last_exc}")
 
     def _wait_politely(self, url: str, at_least_s: float = 0.0):
         """Hold the request until min_delay_ms, or at_least_s if longer, has

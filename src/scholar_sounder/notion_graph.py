@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .analysis import Graph
-from .errors import FetchError, FixtureMissingError, SoundingError
+from .errors import FetchError, PageMissingError, SoundingError
 from .fetcher import LABEL_SEARCH, PageRequest
 from .parser import LabelPage
 
@@ -94,16 +94,17 @@ def select_next_tag(net: NotionNetwork, dictionary: list[str]) -> str | None:
 def fetch_label_pages(tag: str, config, fetch, parse) -> list[LabelPage]:
     """Fetch up to max_pages_per_label result pages for a tag, chaining the
     continuation token each page embeds. The one place a failed tag page is
-    decided: a missing fixture ends the corpus there; any other ``FetchError``
-    aborts the run as a ``SoundingError`` naming the tag, which ``cli.main`` reports."""
+    decided, alike in every mode: an absent page (``PageMissingError``) ends
+    the tag's pages; a refused one (any other ``FetchError``) aborts the run
+    as a ``SoundingError`` naming the tag, which ``cli.main`` reports."""
     pages: list[LabelPage] = []
     token: str | None = None
     for index in range(config.fetch.max_pages_per_label):
         request = PageRequest(kind=LABEL_SEARCH, key=tag, page_index=index)
         try:
             raw = fetch(request, token)
-        except FixtureMissingError as exc:
-            log.info("no fixture for %s page %d (%s); treating as empty", tag, index, exc)
+        except PageMissingError as exc:
+            log.info("no page %d for %s (%s); its pages end there", index, tag, exc)
             break
         except FetchError as exc:
             raise SoundingError(tag, exc) from exc
@@ -123,7 +124,7 @@ def sound_tags(config, fetch, parse) -> NotionNetwork:
     (``select_next_tag``). All visits merge into one network and each appends
     a trace record. Each base tag's pages go into ``base_pages``, also when an
     earlier base tag's turn visited it. ``fetch`` returns only pages holding
-    their marker; a failed tag page aborts with ``fetch_label_pages``' ``SoundingError``.
+    their marker; a refused tag page aborts with ``fetch_label_pages``' ``SoundingError``.
     """
     net = NotionNetwork()
     for base in config.base_tags:

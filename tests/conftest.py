@@ -105,13 +105,9 @@ def scripted_server():
 INTERSTITIAL = b"<html><body>Please show that you are not a robot.</body></html>"
 
 
-class CorpusHandler(http.server.BaseHTTPRequestHandler):
-    """Answers as the service would from ``server.corpus``, a rendered corpus
-    (``fakes.render_corpus``). Label page k answers to ``astart=10k``, and past
-    page 0 only with the ``after_author`` token that page k-1 names
-    (``<tag>-<k>``). A profile answers to ``user=<id>``; one the corpus lacks
-    is a 200 interstitial without the profile marker if its id is in
-    ``server.interstitials``. Anything else is a 404."""
+class _PageHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each GET with the body ``_page`` finds for its query, or a
+    404 if it finds none; ``server.paths`` records the request targets."""
 
     def do_GET(self):
         self.server.paths.append(self.path)
@@ -124,6 +120,18 @@ class CorpusHandler(http.server.BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+class CorpusHandler(_PageHandler):
+    """Answers as the service would from ``server.corpus``, a rendered corpus
+    (``fakes.render_corpus``). Label page k answers to ``astart=10k``, and past
+    page 0 only with the ``after_author`` token that page k-1 names
+    (``<tag>-<k>``). A profile answers to ``user=<id>``; one the corpus lacks
+    is a 200 interstitial without the profile marker if its id is in
+    ``server.interstitials``. Anything else is a 404."""
 
     def _page(self, query: dict) -> bytes | None:
         corpus = self.server.corpus
@@ -139,8 +147,20 @@ class CorpusHandler(http.server.BaseHTTPRequestHandler):
             html = corpus.label_pages.get((tag, index))
         return None if html is None else html.encode("utf-8")
 
-    def log_message(self, *args):
-        pass
+
+class TreeHandler(_PageHandler):
+    """Answers from ``server.tree``, a fixture tree such as the bundled one,
+    whatever its continuation tokens: ``mauthors=label:<tag>`` with
+    ``astart=10k`` is ``labels/<tag>/<k>.html`` and ``user=<id>`` is
+    ``authors/<id>.html``. A page the tree lacks is a 404."""
+
+    def _page(self, query: dict) -> bytes | None:
+        if "user" in query:
+            path = self.server.tree / "authors" / f"{query['user']}.html"
+        else:
+            tag = query.get("mauthors", "").removeprefix("label:")
+            path = self.server.tree / "labels" / tag / f"{int(query.get('astart', '0')) // 10}.html"
+        return path.read_bytes() if path.is_file() else None
 
 
 def server_url(server) -> str:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 
-from scholar_sounder.errors import FixtureMissingError
+from scholar_sounder.errors import PageMissingError
 from scholar_sounder.fetcher import LABEL_SEARCH, RawPage
 
 from htmlgen import render_label_page, render_profile_page
@@ -29,7 +29,7 @@ class InMemoryCorpus:
         else:
             html = self.profiles.get(request.key)
         if html is None:
-            raise FixtureMissingError(f"<memory:{request.key}/{request.page_index}>")
+            raise PageMissingError(f"<memory:{request.key}/{request.page_index}>")
         return RawPage(request=request, body=html.encode("utf-8"), source="fixture")
 
     def write_tree(self, root):

@@ -8,7 +8,7 @@ import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -17,11 +17,13 @@ from scholar_sounder import bundled_fixtures_dir, cli
 from scholar_sounder.analysis import Graph
 from scholar_sounder.cli import build_parser, main
 from scholar_sounder.config import Config, build_config, read_config_file
-from scholar_sounder.errors import ConfigError, FetchError, NetworkError, SoundingError
+from scholar_sounder.errors import ConfigError, FetchError, SoundingError
 from scholar_sounder.export import from_gexf, make_bundle, to_gexf
 from scholar_sounder.fetcher import LABEL_SEARCH, Fetcher, FetchPolicy, PageRequest
 from scholar_sounder.parser import parse_label_page
 from scholar_sounder.notion_graph import TraceRecord
+
+from conftest import server_url
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES_DIR = bundled_fixtures_dir()
@@ -223,7 +225,7 @@ class TestCliSoundTags:
         monkeypatch.setenv("SCHOLAR_SOUNDER_CACHE", str(tmp_path / "env_cache"))
 
         def offline(self, request, page_token):
-            raise NetworkError("live fetch attempted")
+            raise FetchError("live fetch attempted")
 
         monkeypatch.setattr(Fetcher, "_fetch_live", offline)
         out = tmp_path / "out"
@@ -243,7 +245,7 @@ class TestCliSoundTags:
         (cache / "pages.sqlite").write_bytes(b"not a database\n" * 512)
 
         def offline(self, request, page_token):
-            raise NetworkError("live fetch attempted")
+            raise FetchError("live fetch attempted")
 
         monkeypatch.setattr(Fetcher, "_fetch_live", offline)
         code = main([
@@ -580,6 +582,45 @@ class TestCliSoundAuthors:
         assert "cited_by" not in node
         manifest = json.loads((out / "run_manifest.json").read_text("utf-8"))
         assert manifest["counts"]["warnings"] == 4
+
+
+class TestBaseTagWithoutPages:
+    """A base tag without result pages, a missing fixture or the service's
+    404 alike, is a warning: the run goes on and exits 3."""
+
+    @pytest.mark.parametrize("command", ["sound-tags", "sound-authors", "all"])
+    def test_each_page_less_base_tag_is_one_warning(self, tmp_path, caplog, command):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        config = write_config(tmp_path, base_tags=["physical optics", "singular optics"])
+        out = tmp_path / "out"
+        code = main([command, "--config", str(config), "--fixtures", str(empty), "--out", str(out)])
+        assert code == 3
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+            f"base tag '{tag}' has no result pages" for tag in ("physical_optics", "singular_optics")
+        ]
+        manifest = json.loads((out / "run_manifest.json").read_text("utf-8"))
+        assert manifest["counts"] == {"pages_fetched": 2, "cache_hits": 0, "warnings": 2}
+
+    @pytest.mark.parametrize("command", ["sound-tags", "sound-authors", "all"])
+    def test_a_live_404_for_a_base_tag_is_one_warning(
+        self, tmp_path, caplog, monkeypatch, scripted_server, command
+    ):
+        server = scripted_server((404, b"gone"))
+        url = server_url(server)
+        monkeypatch.setattr(cli, "Fetcher", lambda policy: Fetcher(replace(policy, base_url=url)))
+        out = tmp_path / "out"
+        code = main([
+            command, "--config", str(write_config(tmp_path)), "--out", str(out),
+            "--mode", "live", "--cache", str(tmp_path / "cache"), "--delay-ms", "1",
+        ])
+        assert code == 3
+        assert server.hits == 1
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+            "base tag 'physical_optics' has no result pages"
+        ]
+        manifest = json.loads((out / "run_manifest.json").read_text("utf-8"))
+        assert manifest["counts"] == {"pages_fetched": 1, "cache_hits": 0, "warnings": 1}
 
 
 # Three base tags, of which the second is visited in the first one's expansion.

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from scholar_sounder.analysis import canonical_pair
 from scholar_sounder.config import build_config
-from scholar_sounder.errors import FixtureMissingError, NetworkError, SoundingError
+from scholar_sounder.errors import FetchError, PageMissingError, SoundingError
 from scholar_sounder.export import make_bundle
 from scholar_sounder.notion_graph import (
     EDGE_POLICY_CLIQUE,
@@ -175,7 +175,7 @@ class TestFetchLabelPages:
         return fetch
 
     def test_a_fetch_error_after_page_zero_aborts_naming_the_tag(self, fixture_fetcher):
-        error = NetworkError("connection refused")
+        error = FetchError("connection refused")
         fetch = self.failing_at_page_one(fixture_fetcher, error)
         config = memory_config(base_tags=["quantum_optics"])
         with pytest.raises(SoundingError, match="'quantum_optics'") as info:
@@ -183,7 +183,7 @@ class TestFetchLabelPages:
         assert info.value.__cause__ is error
 
     def test_a_missing_page_after_page_zero_ends_the_tags_pages(self, fixture_fetcher):
-        fetch = self.failing_at_page_one(fixture_fetcher, FixtureMissingError("1.html"))
+        fetch = self.failing_at_page_one(fixture_fetcher, PageMissingError("1.html"))
         config = memory_config(base_tags=["quantum_optics"])
         pages = fetch_label_pages("quantum_optics", config, fetch, parse_label_page)
         first = fixture_fetcher.fetch(PageRequest(LABEL_SEARCH, "quantum_optics", 0))

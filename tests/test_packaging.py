@@ -216,3 +216,22 @@ def test_src_raises_only_toolkit_errors():
         if (found := sorted(foreign_raises(ast.parse(path.read_text("utf-8")))))
     }
     assert raises == {}
+
+
+def test_every_fetch_error_subclass_is_caught_by_name():
+    """A fetch error type earns its place only where a caller acts on it: a
+    subclass of FetchError that no ``except`` clause in src/ names is one
+    more type that no caller tells apart from FetchError."""
+    caught = {
+        name.id
+        for path in PACKAGE_DIR.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        for name in ast.walk(node.type)
+        if isinstance(name, ast.Name)
+    }
+    subclasses = {
+        name for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.FetchError) and cls is not errors.FetchError
+    }
+    assert subclasses and subclasses <= caught, sorted(subclasses - caught)

@@ -8,6 +8,7 @@ directory must keep the manifest's digests true.
 After a deliberate change to the outputs, refresh the goldens with
 ``PYTHONPATH=src python3 tests/test_quickstart_digests.py``."""
 
+import dataclasses
 import hashlib
 import json
 import tempfile
@@ -16,7 +17,11 @@ from pathlib import Path
 
 import pytest
 
+from scholar_sounder import bundled_fixtures_dir, cli
 from scholar_sounder.cli import main
+from scholar_sounder.fetcher import Fetcher
+
+from conftest import TreeHandler, loopback_server, server_url
 
 GOLDEN = Path(__file__).parent / "golden" / "quickstart_sha256.json"
 KCORE_GOLDEN = Path(__file__).parent / "golden" / "quickstart_kcore_sha256.json"
@@ -62,6 +67,29 @@ def kcore_report_digests(work: Path) -> dict[str, str]:
 
 def test_quickstart_outputs_match_pinned_digests(tmp_path):
     assert quickstart_digests(tmp_path) == json.loads(GOLDEN.read_text("utf-8"))
+
+
+def test_a_live_run_against_the_bundled_tree_writes_the_fixture_run_files(tmp_path, monkeypatch):
+    """The service's 404 for a page the tree lacks is an absent page, as a
+    missing fixture is: a live run of the quick start against a stub serving
+    exactly the bundled tree writes the fixture run's files."""
+    fixture = run_quickstart(tmp_path)
+    with loopback_server(TreeHandler, tree=bundled_fixtures_dir()) as stub:
+        url = server_url(stub)
+        monkeypatch.setattr(
+            cli, "Fetcher", lambda policy: Fetcher(dataclasses.replace(policy, base_url=url)))
+        live = tmp_path / "live"
+        assert main([
+            "all", "--config", str(tmp_path / "config.json"), "--out", str(live),
+            "--mode", "live", "--cache", str(tmp_path / "cache"), "--delay-ms", "1",
+        ]) == 3
+    manifests = [json.loads((out / "run_manifest.json").read_text("utf-8")) for out in (fixture, live)]
+    assert len(stub.paths) == manifests[1]["counts"]["pages_fetched"] == 14
+    assert manifests[0]["counts"] == manifests[1]["counts"]
+    # Config.digest() covers fetch.mode, so the fixture run's differs by design.
+    digests = [manifest["config_digest"].encode() for manifest in manifests]
+    for name in FILES:
+        assert (live / name).read_bytes() == (fixture / name).read_bytes().replace(*digests), name
 
 
 def test_reruns_into_other_directories_give_identical_outputs(tmp_path):
