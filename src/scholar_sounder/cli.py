@@ -158,10 +158,9 @@ def _analysis_sections(graph, kcore=None, min_weight=0.0, communities=True) -> d
 
 
 def _write_network(ctx: RunContext, stem: str, net):
+    """Write ``<stem>.gexf``; ``export`` makes the GraphML and edge CSV from it."""
     bundle = make_bundle(net, ctx.config.digest(), f"{TOOL_NAME} {__version__}")
     ctx.write(f"{stem}.gexf", to_gexf(bundle))
-    ctx.write(f"{stem}.graphml", to_graphml(bundle))
-    ctx.write(f"edges_{stem}.csv", to_edge_csv(bundle))
 
 
 def _cmd_sound(args) -> int:

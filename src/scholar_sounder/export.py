@@ -1,10 +1,10 @@
 """Serialization of graphs into Gephi-consumable interchange formats.
 
-GEXF 1.2 is the primary format and the only one with a reader; GraphML,
-edge CSV and the JSON summary are write-only. Each writer returns the
-file's text, which ``cli`` writes with ``write_atomic``. Everything
-is emitted in canonical sorted order so identical inputs give
-byte-identical files; ``json_text`` is the one layout of every JSON file.
+GEXF 1.2 is the primary format and the only one with a reader; the sounding
+commands write only GEXF, and ``export`` makes GraphML, edge CSV and the JSON
+summary from it. Each writer returns the file's text in canonical sorted
+order, so identical inputs give byte-identical files, and ``cli`` writes it
+with ``write_atomic``; ``json_text`` is the one layout of every JSON file.
 The XML writers quote each node id once and escape only string values;
 their ``escape`` and ``quoteattr`` write what ``xml.sax.saxutils`` writes.
 The GEXF reader is a single streaming expat pass that fills the graph

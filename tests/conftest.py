@@ -9,6 +9,7 @@ from urllib.parse import parse_qs, urlparse
 import pytest
 
 from scholar_sounder import bundled_fixtures_dir
+from scholar_sounder.cli import main
 from scholar_sounder.config import build_config
 from scholar_sounder.fetcher import Fetcher, FetchPolicy
 
@@ -165,3 +166,11 @@ class TreeHandler(_PageHandler):
 
 def server_url(server) -> str:
     return f"http://127.0.0.1:{server.server_address[1]}"
+
+
+def export_run_file(gexf: Path, fmt: str, out: Path) -> Path:
+    """Run ``export --format <fmt>`` of a run's GEXF file into ``out`` and
+    return the file it wrote: the GraphML (``graphml``) or edge CSV (``csv``)
+    that the sounding commands leave to ``export``."""
+    assert main(["export", "--in", str(gexf), "--format", fmt, "--out", str(out)]) == 0
+    return out / (f"{gexf.stem}.graphml" if fmt == "graphml" else f"edges_{gexf.stem}.csv")

@@ -18,7 +18,7 @@ from scholar_sounder.fetcher import LABEL_SEARCH, FetchPolicy, Fetcher, PageRequ
 from scholar_sounder.notion_graph import sound_tags
 from scholar_sounder.parser import parse_author_page, parse_label_page
 
-from conftest import LABEL_PAGE, load_golden, server_url
+from conftest import LABEL_PAGE, export_run_file, load_golden, server_url
 from fakes import random_label_corpus, random_profile_corpus
 from test_analysis import (
     communities,
@@ -175,8 +175,11 @@ def test_criterion_7_round_trip_and_determinism(tmp_path):
         out = tmp_path / run
         assert main(["sound-tags", "--config", str(config_path), "--out", str(out)]) == 0
         outs.append(out)
-    for name in ("edges_notion.csv", "notion.graphml", "trace.tsv", "report.json"):
+    for name in ("trace.tsv", "report.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    for fmt in ("csv", "graphml"):  # the edge CSV and GraphML that export makes of each run
+        exported = [export_run_file(out / "notion.gexf", fmt, out / "export") for out in outs]
+        assert exported[0].read_bytes() == exported[1].read_bytes()
     forms = [
         from_gexf((out / "notion.gexf").read_text("utf-8")).canonical_form() for out in outs
     ]

@@ -3,7 +3,10 @@ the rendered tree, live against a loopback stub with a cold cache, and live
 again on the warm cache. Drawn tags may lack result pages, which the stub
 answers with a 404. The runs write the same files, the networks are the
 reference model's, and the cold run requests each page it needs once; the
-warm run requests only the pages the cold one could not cache."""
+warm run requests only the pages the cold one could not cache. In fixture
+mode, ``export`` of each GEXF file the run wrote gives the GraphML and edge
+CSV of the network the run sounded, and the run writes only what its
+manifest lists."""
 
 import dataclasses
 import json
@@ -18,10 +21,10 @@ from hypothesis import given, settings
 from scholar_sounder import cli
 from scholar_sounder.analysis import Graph
 from scholar_sounder.config import build_config
-from scholar_sounder.export import from_gexf, make_bundle
+from scholar_sounder.export import from_gexf, make_bundle, to_edge_csv, to_graphml
 from scholar_sounder.fetcher import Fetcher
 
-from conftest import CorpusHandler, loopback_server, server_url
+from conftest import CorpusHandler, export_run_file, loopback_server, server_url
 from fakes import render_corpus
 from sounding_reference import UNLINKED, coauthor_network, notion_network, seed_ids
 from test_sounding_reference import config_data, corpora
@@ -119,3 +122,38 @@ def test_fixture_cold_and_warm_runs_equal_the_reference(corpus, data):
     assert cold_requests == Counter(visited_pages + absent + due)
     failed = [aid for aid, node in linked.items() if node["fetch_failed"]]
     assert warm_requests == Counter(absent + failed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(corpora(), config_data())
+def test_export_of_each_gexf_gives_the_graphml_and_csv_of_the_sounded_network(corpus, data):
+    """``all`` writes each network once, as GEXF; ``export`` makes the other
+    formats from that file. They are the bytes ``to_graphml`` and
+    ``to_edge_csv`` write of the bundle the run made of the network it
+    sounded. A bundle that GEXF cannot carry (a non-finite double, an edge
+    endpoint without a node) gives a file that ``export`` refuses, but a
+    sounded network holds neither."""
+    written = []  # (GraphML, edge CSV) of each bundle the run writes as GEXF, in order
+
+    def bundle(*args):
+        made = make_bundle(*args)
+        written.append((to_graphml(made).encode(), to_edge_csv(made).encode()))
+        return made
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        root = Path(tmp)
+        config_file = root / "config.json"
+        config_file.write_text(json.dumps(data), "utf-8")
+        (root / "tree").mkdir()
+        render_corpus(corpus).write_tree(root / "tree")
+        patch.setattr(cli, "make_bundle", bundle)
+        _, files = run_all(config_file, root / "run", "--fixtures", str(root / "tree"))
+        exported = [
+            tuple(export_run_file(root / "run" / f"{stem}.gexf", fmt, root / "export").read_bytes()
+                  for fmt in ("graphml", "csv"))
+            for stem in ("notion", "coauthors")
+        ]
+
+    assert exported == written
+    listed = [entry["path"] for entry in json.loads(files[MANIFEST])["outputs"]]
+    assert list(files) == sorted([*listed, MANIFEST])

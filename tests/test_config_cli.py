@@ -23,7 +23,7 @@ from scholar_sounder.fetcher import LABEL_SEARCH, Fetcher, FetchPolicy, PageRequ
 from scholar_sounder.parser import parse_label_page
 from scholar_sounder.notion_graph import TraceRecord
 
-from conftest import server_url
+from conftest import export_run_file, server_url
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES_DIR = bundled_fixtures_dir()
@@ -157,9 +157,10 @@ class TestCliSoundTags:
     def test_exit_zero_and_outputs(self, tmp_path):
         code, out = self.run_sound_tags(tmp_path)
         assert code == 0
-        for name in ["notion.gexf", "notion.graphml", "edges_notion.csv",
-                     "trace.tsv", "report.json", "run_manifest.json"]:
+        for name in ["notion.gexf", "trace.tsv", "report.json", "run_manifest.json"]:
             assert (out / name).is_file(), name
+        for fmt in ["graphml", "csv"]:  # the formats export makes of the run's GEXF
+            assert export_run_file(out / "notion.gexf", fmt, tmp_path / "export").is_file(), fmt
 
     def test_gexf_has_expected_weight(self, tmp_path):
         _, out = self.run_sound_tags(tmp_path)
@@ -206,8 +207,11 @@ class TestCliSoundTags:
         out2 = tmp_path / "out2"
         config = write_config(tmp_path)
         assert main(["sound-tags", "--config", str(config), "--out", str(out2)]) == 0
-        for name in ["edges_notion.csv", "trace.tsv", "report.json", "notion.graphml"]:
+        for name in ["trace.tsv", "report.json"]:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        for fmt in ["csv", "graphml"]:
+            exported = [export_run_file(o / "notion.gexf", fmt, o / "export") for o in (out1, out2)]
+            assert exported[0].read_bytes() == exported[1].read_bytes(), fmt
         a = from_gexf((out1 / "notion.gexf").read_text("utf-8"))
         b = from_gexf((out2 / "notion.gexf").read_text("utf-8"))
         assert a.canonical_form() == b.canonical_form()
@@ -420,7 +424,7 @@ class TestCliSoundAuthors:
         assert "profile fetch failed for BAD\ufffdID" in run.stderr
         assert not re.search("[\x00-\x09\x0b-\x1f]", run.stderr)
         assert "Bad\ufffdName" in (out / "coauthors.gexf").read_text("utf-8")
-        ET.parse(out / "coauthors.graphml")
+        ET.parse(export_run_file(out / "coauthors.gexf", "graphml", tmp_path / "export"))
         analysis = tmp_path / "analysis"
         assert main(["analyze", "--in", str(out / "coauthors.gexf"), "--out", str(analysis)]) == 0
 
@@ -522,14 +526,12 @@ class TestCliSoundAuthors:
         trace = (out / "trace.tsv").read_bytes()
         assert trace == (tmp_path / "tags" / "trace.tsv").read_bytes()
         manifest = json.loads((out / "run_manifest.json").read_text("utf-8"))
-        assert [entry["path"] for entry in manifest["outputs"]] == [
-            "edges_notion.csv", "notion.gexf", "notion.graphml", "trace.tsv",
-        ]
+        assert [entry["path"] for entry in manifest["outputs"]] == ["notion.gexf", "trace.tsv"]
 
     @pytest.mark.parametrize("command, phase, kept", [
         ("sound-tags", "sound_tags", []),
         ("sound-authors", "sound_authors", []),
-        ("all", "sound_authors", ["edges_notion.csv", "notion.gexf", "notion.graphml", "trace.tsv"]),
+        ("all", "sound_authors", ["notion.gexf", "trace.tsv"]),
     ])
     def test_interrupt_exits_two_and_keeps_the_finished_phases(
         self, tmp_path, capsys, monkeypatch, command, phase, kept
@@ -560,7 +562,7 @@ class TestCliSoundAuthors:
         assert (out / "report.json").is_file() and (out / "run_manifest.json").is_file()
         expected = tmp_path / "expected"
         main(["all", "--config", str(config), "--out", str(expected)])
-        for name in ["coauthors.graphml", "report.json"]:
+        for name in ["coauthors.gexf", "report.json"]:
             assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
     def test_coauthor_id_that_leaves_the_fixture_tree_stays_a_stub(self, tmp_path):
@@ -661,8 +663,12 @@ class TestEachLabelPageReadOnce:
         both, alone = tmp_path / "all", tmp_path / "alone"
         assert main(["all", "--config", str(config), "--out", str(both)]) == 3
         assert main(["sound-authors", "--config", str(config), "--out", str(alone)]) == 3
-        for name in ["coauthors.gexf", "coauthors.graphml", "edges_coauthors.csv"]:
-            assert (both / name).read_bytes() == (alone / name).read_bytes(), name
+        assert (both / "coauthors.gexf").read_bytes() == (alone / "coauthors.gexf").read_bytes()
+        for fmt in ["graphml", "csv"]:
+            exported = [
+                export_run_file(d / "coauthors.gexf", fmt, d / "export") for d in (both, alone)
+            ]
+            assert exported[0].read_bytes() == exported[1].read_bytes(), fmt
         reports = [json.loads((d / "report.json").read_text("utf-8")) for d in (both, alone)]
         assert reports[0]["coauthor_run"] == reports[1]["coauthor_run"]
         assert reports[0]["coauthors"] == reports[1]["coauthors"]
@@ -689,6 +695,21 @@ class TestRunContext:
             {"path": "x.txt", "sha256": hashlib.sha256(b"a").hexdigest()},
             {"path": "y.txt", "sha256": hashlib.sha256(b"second").hexdigest()},
         ]
+
+    @pytest.mark.parametrize("command, code, written", [
+        ("sound-tags", 0, ["notion.gexf", "report.json", "trace.tsv"]),
+        ("sound-authors", 3, ["coauthors.gexf", "report.json"]),
+        ("all", 3, ["coauthors.gexf", "notion.gexf", "report.json", "trace.tsv"]),
+    ])
+    def test_a_run_directory_holds_only_what_its_manifest_lists(
+        self, tmp_path, command, code, written
+    ):
+        """One GEXF file per network, and no file that the manifest leaves out."""
+        config, out = write_config(tmp_path), tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == code
+        manifest = json.loads((out / "run_manifest.json").read_text("utf-8"))
+        assert [entry["path"] for entry in manifest["outputs"]] == written
+        assert sorted(path.name for path in out.iterdir()) == sorted([*written, "run_manifest.json"])
 
 
 class TestCliAnalyzeExport:
@@ -931,9 +952,10 @@ class TestCliAnalyzeExport:
     @pytest.mark.parametrize("command", [["analyze", "--communities"], ["export", "--format", "csv"]],
                              ids=["analyze", "export"])
     def test_graphml_input_exits_two_with_one_line(self, gexf_path, tmp_path, capsys, command):
-        """A run writes notion.graphml beside notion.gexf; only the GEXF file is an input."""
+        """``export --format graphml`` writes notion.graphml from notion.gexf; only
+        the GEXF file is an input."""
         out = tmp_path / "x"
-        graphml = str(gexf_path.with_suffix(".graphml"))
+        graphml = str(export_run_file(gexf_path, "graphml", tmp_path / "graphml"))
         code = main([command[0], "--in", graphml, "--out", str(out), *command[1:]])
         assert code == 2
         assert capsys.readouterr().err == "error: root element is <graphml>, expected <gexf>\n"

@@ -29,6 +29,7 @@ from scholar_sounder.export import (
 
 import export_reference
 import gexf_reference
+from conftest import export_run_file
 
 
 def small_bundle():
@@ -565,10 +566,13 @@ class TestNetworkxInterop:
         "stem, nodes, edges", [("notion", 26, 33), ("coauthors", 10, 10)]
     )
     @pytest.mark.parametrize("fmt", ["gexf", "graphml"])
-    def test_reads_our_exports(self, nx, quick_start_out, stem, nodes, edges, fmt):
-        ours = from_gexf((quick_start_out / f"{stem}.gexf").read_text("utf-8")).graph
-        read = nx.read_gexf if fmt == "gexf" else nx.read_graphml
-        theirs = read(quick_start_out / f"{stem}.{fmt}")
+    def test_reads_our_exports(self, nx, quick_start_out, tmp_path, stem, nodes, edges, fmt):
+        gexf = quick_start_out / f"{stem}.gexf"
+        ours = from_gexf(gexf.read_text("utf-8")).graph
+        if fmt == "gexf":
+            theirs = nx.read_gexf(gexf)
+        else:  # the run writes GEXF only; export makes the GraphML
+            theirs = nx.read_graphml(export_run_file(gexf, "graphml", tmp_path))
         assert not theirs.is_directed()
         assert set(theirs.nodes) == set(ours.nodes)
         assert len(ours.nodes) == nodes

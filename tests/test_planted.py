@@ -8,6 +8,7 @@ import pytest
 
 from scholar_sounder.cli import main
 
+from conftest import export_run_file
 from fakes import render_corpus
 from planted import THEME, nmi, planted_corpus
 
@@ -78,14 +79,15 @@ class TestSoundedPlantedCorpus:
         assert sorted(visited) == sorted(planted.tag_area)
 
     @pytest.mark.parametrize("network", ["notion", "coauthors"])
-    def test_the_exported_networks_hold_the_planted_areas(self, planted_run, network):
-        # networkx Louvain finds the areas in the graphs the run exports. The
-        # run's own communities are scored in CHANGES.md, not bounded here.
+    def test_the_exported_networks_hold_the_planted_areas(self, planted_run, network, tmp_path):
+        # networkx Louvain finds the areas in the GraphML that export makes of
+        # the run's GEXF. The run's own communities are scored in CHANGES.md,
+        # not bounded here.
         nx = pytest.importorskip("networkx")
         planted, out = planted_run
         areas = planted.tag_area if network == "notion" else {
             aid: own[0] for aid, own in planted.author_areas.items()}
-        graph = nx.read_graphml(out / f"{network}.graphml")
+        graph = nx.read_graphml(export_run_file(out / f"{network}.gexf", "graphml", tmp_path))
         found = nx.community.louvain_communities(graph, weight="weight", seed=0)
         assignment = {node: i for i, community in enumerate(found) for node in community}
         assert nmi(assignment, areas) >= (0.9 if network == "notion" else 0.6)

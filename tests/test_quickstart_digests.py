@@ -1,9 +1,10 @@
 """The README quick-start run (`all` on the bundled fixtures) must produce
 the same bytes from one change to the next, and from one run to the next:
-only `run_manifest.json` carries clock time. The `analyze` reports with a
-k-core and communities on the two quick-start GEXF files are pinned too, as
-are the run manifest's counts, and `analyze` and `export` into the run
-directory must keep the manifest's digests true.
+only `run_manifest.json` carries clock time. The GraphML and edge CSV that
+`export` makes of the two quick-start GEXF files, and the `analyze` reports
+with a k-core and communities on them, are pinned too, as are the run
+manifest's counts, and `analyze` and `export` into the run directory must
+keep the manifest's digests true.
 
 After a deliberate change to the outputs, refresh the goldens with
 ``PYTHONPATH=src python3 tests/test_quickstart_digests.py``."""
@@ -21,14 +22,13 @@ from scholar_sounder import bundled_fixtures_dir, cli
 from scholar_sounder.cli import main
 from scholar_sounder.fetcher import Fetcher
 
-from conftest import TreeHandler, loopback_server, server_url
+from conftest import TreeHandler, export_run_file, loopback_server, server_url
 
 GOLDEN = Path(__file__).parent / "golden" / "quickstart_sha256.json"
 KCORE_GOLDEN = Path(__file__).parent / "golden" / "quickstart_kcore_sha256.json"
-FILES = [
-    "notion.graphml", "coauthors.graphml", "edges_notion.csv", "edges_coauthors.csv",
-    "report.json", "trace.tsv", "notion.gexf", "coauthors.gexf",
-]
+EXPORT_GOLDEN = Path(__file__).parent / "golden" / "quickstart_export_sha256.json"
+FILES = ["report.json", "trace.tsv", "notion.gexf", "coauthors.gexf"]
+STEMS = ("notion", "coauthors")
 SECTIONS = ("degree_stats", "components", "communities", "top_clusters")  # analyze --communities
 QUICKSTART_CONFIG = {
     "base_tags": ["physical optics"],
@@ -50,12 +50,25 @@ def quickstart_digests(work: Path) -> dict[str, str]:
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FILES}
 
 
+def exported(out: Path, into: Path) -> dict[str, bytes]:
+    """The GraphML and edge CSV that ``export`` writes into ``into`` from each
+    GEXF file in the run directory ``out``, by name."""
+    paths = [export_run_file(out / f"{stem}.gexf", fmt, into) for stem in STEMS
+             for fmt in ("graphml", "csv")]
+    return {path.name: path.read_bytes() for path in paths}
+
+
+def export_digests(work: Path) -> dict[str, str]:
+    out = run_quickstart(work)
+    return {name: hashlib.sha256(body).hexdigest() for name, body in exported(out, work).items()}
+
+
 def kcore_report_digests(work: Path) -> dict[str, str]:
     """SHA-256 of the ``analyze --k-core 2 --min-weight 2 --communities``
     report.json of each quick-start network."""
     out = run_quickstart(work)
     digests = {}
-    for stem in ("notion", "coauthors"):
+    for stem in STEMS:
         analysis = work / f"analyze_{stem}"
         assert main([
             "analyze", "--in", str(out / f"{stem}.gexf"), "--out", str(analysis),
@@ -67,6 +80,10 @@ def kcore_report_digests(work: Path) -> dict[str, str]:
 
 def test_quickstart_outputs_match_pinned_digests(tmp_path):
     assert quickstart_digests(tmp_path) == json.loads(GOLDEN.read_text("utf-8"))
+
+
+def test_exports_of_the_quickstart_gexf_match_pinned_digests(tmp_path):
+    assert export_digests(tmp_path) == json.loads(EXPORT_GOLDEN.read_text("utf-8"))
 
 
 def test_a_live_run_against_the_bundled_tree_writes_the_fixture_run_files(tmp_path, monkeypatch):
@@ -90,6 +107,7 @@ def test_a_live_run_against_the_bundled_tree_writes_the_fixture_run_files(tmp_pa
     digests = [manifest["config_digest"].encode() for manifest in manifests]
     for name in FILES:
         assert (live / name).read_bytes() == (fixture / name).read_bytes().replace(*digests), name
+    assert exported(live, tmp_path / "live_export") == exported(fixture, tmp_path / "export")
 
 
 def test_reruns_into_other_directories_give_identical_outputs(tmp_path):
@@ -111,7 +129,7 @@ def test_quickstart_manifest_counts(tmp_path):
 def test_analyze_into_the_run_directory_keeps_the_manifest_digests_true(tmp_path):
     out = run_quickstart(tmp_path)
     before = json.loads((out / "run_manifest.json").read_text("utf-8"))
-    for stem in ("notion", "coauthors"):
+    for stem in STEMS:
         assert main([
             "analyze", "--in", str(out / f"{stem}.gexf"), "--out", str(out),
             "--k-core", "2", "--communities",
@@ -174,12 +192,13 @@ def test_all_and_analyze_cluster_each_network_alike(tmp_path):
     (["export", "--format", "gexf"], "notion.gexf"),
     (["export", "--format", "graphml"], "notion.graphml"),
     (["export", "--format", "csv"], "edges_notion.csv"),
-    (["export", "--format", "json"], "notion.json"),  # a file the manifest does not list
+    (["export", "--format", "json"], "notion.json"),
     (["analyze", "--communities"], "report.json"),
 ], ids=["gexf", "graphml", "csv", "json", "analyze"])
 def test_export_into_a_run_directory_keeps_the_manifest_digests_true(tmp_path, command, name):
     """Every write into a run directory leaves each manifest entry's digest
-    equal to the SHA-256 of its file."""
+    equal to the SHA-256 of its file. A run's manifest lists no GraphML, edge
+    CSV or JSON summary, so ``export`` writes those beside it, unlisted."""
     a = run_quickstart(tmp_path, "A")
     config = tmp_path / "clique.json"
     config.write_text(json.dumps({**QUICKSTART_CONFIG, "edge_policy": "clique", "depth": 2}))
@@ -191,6 +210,9 @@ def test_export_into_a_run_directory_keeps_the_manifest_digests_true(tmp_path, c
     assert new != old
     if command[0] == "export" and name in FILES:  # the other run's own file, byte for byte
         assert new == (b / name).read_bytes()
+    elif command[2:] in (["graphml"], ["csv"]):  # what export writes of B's GEXF anywhere
+        elsewhere = export_run_file(b / "notion.gexf", command[2], tmp_path / "elsewhere")
+        assert new == elsewhere.read_bytes()
     manifest = json.loads((a / "run_manifest.json").read_text("utf-8"))
     assert [entry["path"] for entry in manifest["outputs"]] == sorted(FILES)
     for entry in manifest["outputs"]:
@@ -215,7 +237,10 @@ def test_kcore_reports_match_pinned_digests(tmp_path):
 
 
 if __name__ == "__main__":
-    for golden, digests_of in [(GOLDEN, quickstart_digests), (KCORE_GOLDEN, kcore_report_digests)]:
+    for golden, digests_of in [
+        (GOLDEN, quickstart_digests), (EXPORT_GOLDEN, export_digests),
+        (KCORE_GOLDEN, kcore_report_digests),
+    ]:
         with tempfile.TemporaryDirectory() as work:
             digests = digests_of(Path(work))
         golden.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", "utf-8")
